@@ -253,3 +253,51 @@ def test_config_validation():
         SolverConfig(width=0).validated()
     with pytest.raises(ValueError):
         SolverConfig(adamw=AdamWConfig(step=-1.0)).validated()
+
+
+# -- 3D guards: every zeta-derivative path, at n_fp=2, N=2 -------------------------
+
+ELLIPSE_CASE = """
+[global]
+psi_b = 1.0
+n_fp = 2
+M = 5
+N = 2
+
+[boundary]
+0  0  4.0  0.0
+1  0  1.0  1.0
+1  1  0.3  -0.3
+
+[profiles]
+pressure = 1000.0 -2000.0 1000.0
+iota = 0.5 0.2
+"""
+
+
+def ellipse_problem():
+    input, _ = cli_io.parse_case_text(ELLIPSE_CASE, "ellipse")
+    grid = CollocationGrid.build(4, input.M, input.N, input.n_fp)
+    asm = sv.LossAssembler(input, 3, grid)
+    params = nf.init_params((asm.modes_cos, asm.modes_sin), 3, 0, input)
+    return asm, nf.params_to_vector(params)
+
+
+def test_gradient_oracle_on_3d_case():
+    from equinn.autodiff import grad_check
+
+    asm, x0 = ellipse_problem()
+    x = x0 + 0.02 * np.random.default_rng(1).normal(size=x0.size)
+    err = grad_check(
+        asm._loss_expr, x, step=1e-4, samples=64, seed=0, fd_loss=asm.loss_value_precise
+    )
+    assert err <= 1e-6
+
+
+def test_loss_frozen_at_3d_init():
+    asm, x0 = ellipse_problem()
+    # regression guard, not ground truth
+    assert abs(asm.loss_value(x0) - 1.299587595795432) <= 1e-12 * 1.299587595795432
+    x = x0 + 0.02 * np.random.default_rng(1).normal(size=x0.size)
+    assert abs(asm.loss_value(x) - 2.186466439593671) <= 1e-12 * 2.186466439593671
+
