@@ -21,7 +21,7 @@ thread count and of collocation-node ordering.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,9 @@ __all__ = [
     "grad_check",
     "tanh",
     "sqrt",
-    "absolute",
     "matmul",
+    "einsum",
+    "stack",
     "transpose",
     "reshape",
     "mean_all",
@@ -132,10 +133,21 @@ class Var:
         return out
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, Var):
+            out = Var(self.value - other.value, (self, other))
+            out._vjp = lambda g: (
+                _unbroadcast(g, self.shape),
+                _unbroadcast(-g, other.shape),
+            )
+            return out
+        out = Var(self.value - np.asarray(other), (self,))
+        out._vjp = lambda g: (_unbroadcast(g, self.shape),)
+        return out
 
     def __rsub__(self, other):
-        return (-self) + other
+        out = Var(np.asarray(other) - self.value, (self,))
+        out._vjp = lambda g: (_unbroadcast(-g, self.shape),)
+        return out
 
     def __mul__(self, other):
         if isinstance(other, Var):
@@ -194,14 +206,8 @@ class Var:
 
     def __getitem__(self, idx):
         out = Var(self.value[idx], (self,))
-        shape, dtype = self.shape, self.value.dtype
-
-        def vjp(g):
-            full = np.zeros(shape, dtype=dtype)
-            np.add.at(full, idx, g)
-            return (full,)
-
-        out._vjp = vjp
+        add = _add_distinct if _distinct(idx, self.shape) else np.add.at
+        out._vjp = lambda g: (_Scatter(add, idx, g),)
         return out
 
     @property
@@ -221,18 +227,64 @@ class Var:
     # -- reverse pass --------------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this (scalar) node into the trace."""
+        """Accumulate gradients of this (scalar) node into the trace.
+
+        The first gradient reaching a node is stored as is, since it may be
+        an array that other vector-Jacobian products share; the second is
+        added out of place, and later ones go in place into that new array.
+        Slice gradients (:class:`_Scatter`) go in place into a zero buffer.
+        """
         order = _toposort(self)
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.value)
+        owned = set()
         for node in reversed(order):
             if node._vjp is None or node.grad is None:
                 continue
             for parent, pg in zip(node._parents, node._vjp(node.grad)):
-                if parent.grad is None:
-                    parent.grad = np.zeros(parent.shape, dtype=parent.value.dtype)
-                parent.grad = parent.grad + pg
+                if type(pg) is _Scatter:
+                    if id(parent) not in owned:
+                        zero = np.zeros(parent.shape, dtype=parent.value.dtype)
+                        parent.grad = zero if parent.grad is None else zero + parent.grad
+                        owned.add(id(parent))
+                    pg.add(parent.grad, pg.idx, pg.g)
+                elif parent.grad is None:
+                    parent.grad = pg
+                elif id(parent) in owned:
+                    parent.grad += pg
+                else:
+                    parent.grad = parent.grad + pg
+                    owned.add(id(parent))
+
+
+class _Scatter(NamedTuple):
+    """Gradient of ``x[idx]``: ``g`` at ``idx``, zero elsewhere.
+
+    :meth:`Var.backward` adds it into the parent's gradient in place, so
+    several slices of one array share one full-size buffer.
+    """
+
+    add: Callable
+    idx: object
+    g: np.ndarray
+
+
+def _add_distinct(full, idx, g):
+    full[idx] += g
+
+
+def _distinct(idx, shape) -> bool:
+    """True if ``x[idx]`` reads no element twice: basic indices, or integer
+    arrays on the leading axes that address distinct positions.  Then the
+    gradient scatters by assignment, much faster than ``np.add.at``."""
+    idx = idx if isinstance(idx, tuple) else (idx,)
+    if all(isinstance(i, (int, np.integer, slice, type(None))) for i in idx):
+        return True
+    if not all(isinstance(i, np.ndarray) and i.dtype.kind in "iu" for i in idx):
+        return False
+    flat = np.ravel_multi_index(np.broadcast_arrays(*idx), shape[: len(idx)], mode="wrap")
+    return np.unique(flat).size == flat.size
 
 
 def _toposort(root: Var) -> list:
@@ -274,20 +326,16 @@ def tanh(x):
 
 
 def sqrt(x):
+    """Square root; at 0 the reverse pass uses the subgradient 0, not 1/0."""
     if isinstance(x, Var):
         y = np.sqrt(x.value)
         out = Var(y, (x,))
-        out._vjp = lambda g: (g * (0.5 / y),)
+        slope = np.divide(0.5, y, out=np.zeros_like(y), where=y != 0.0)
+        out._vjp = lambda g: (g * slope,)
         return out
     if isinstance(x, Jet2):
         return x.sqrt()
     return np.sqrt(x)
-
-
-def absolute(x):
-    if isinstance(x, Var):
-        return abs(x)
-    return np.abs(x)
 
 
 def matmul(a, b):
@@ -307,6 +355,51 @@ def matmul(a, b):
         return tuple(grads)
 
     out._vjp = vjp
+    return out
+
+
+def einsum(subscripts: str, a, b):
+    """Two-operand ``np.einsum`` (explicit ``->`` form), BLAS-free and
+    differentiable in every operand that is a :class:`Var`.
+
+    Each index of an operand must appear in the other operand or in the
+    output, and no operand may repeat an index, so the gradient of one
+    operand is the contraction of the output gradient with the other.
+    """
+    ins, out_idx = subscripts.replace(" ", "").split("->")
+    ia, ib = ins.split(",")
+    for own, other in ((ia, ib), (ib, ia)):
+        if len(set(own)) != len(own) or not set(own) <= set(other + out_idx):
+            raise ValueError(f"einsum {subscripts!r}: unsupported index pattern")
+    av, bv = value_of(a), value_of(b)
+    val = np.einsum(subscripts, av, bv, optimize=False)
+    parents = tuple(x for x in (a, b) if isinstance(x, Var))
+    if not parents:
+        return val
+    out = Var(val, parents)
+
+    def vjp(g):
+        grads = []
+        if isinstance(a, Var):
+            grads.append(np.einsum(f"{out_idx},{ib}->{ia}", g, bv, optimize=False))
+        if isinstance(b, Var):
+            grads.append(np.einsum(f"{out_idx},{ia}->{ib}", g, av, optimize=False))
+        return tuple(grads)
+
+    out._vjp = vjp
+    return out
+
+
+def stack(xs, axis: int = 0):
+    """``np.stack`` of Vars and plain arrays of one shape along a new axis."""
+    val = np.stack([value_of(x) for x in xs], axis=axis)
+    parents = tuple(x for x in xs if isinstance(x, Var))
+    if not parents:
+        return val
+    out = Var(val, parents)
+    lead = (slice(None),) * (axis % val.ndim)
+    slots = [i for i, x in enumerate(xs) if isinstance(x, Var)]
+    out._vjp = lambda g: tuple(g[lead + (i,)] for i in slots)
     return out
 
 
@@ -420,11 +513,8 @@ class Jet2:
     def tanh(self):
         t = tanh(self.value)
         sech2 = 1.0 - t * t
-        return Jet2(
-            t,
-            sech2 * self.d1,
-            sech2 * self.d2 - 2.0 * (t * sech2) * (self.d1 * self.d1),
-        )
+        d1 = sech2 * self.d1
+        return Jet2(t, d1, sech2 * self.d2 - 2.0 * ((t * self.d1) * d1))
 
     def sqrt(self):
         r = sqrt(self.value)
@@ -462,7 +552,13 @@ def loss_gradient(loss: Callable, params: np.ndarray):
     grad = leaf.grad
     if grad is None:
         grad = np.zeros_like(leaf.value)
-    return val, np.asarray(grad, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    bad = ~np.isfinite(grad)
+    if bad.any():
+        raise NonFiniteLossError(
+            f"gradient has {int(bad.sum())} non-finite entries, first at index {int(np.argmax(bad))}"
+        )
+    return val, grad
 
 
 def grad_check(

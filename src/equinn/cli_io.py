@@ -50,6 +50,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from . import netfield as nf
 from . import solver as sv
 from . import spectral
@@ -594,6 +595,13 @@ def _write_table(path, header: str, rows) -> None:
             fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
+def spectral_widths(params: NetParams, input: EquilibriumInput, rho) -> np.ndarray:
+    """Poloidal spectral width sum m^2 (R_mn^2 + Z_mn^2) per radius, from one
+    batched profile evaluation; see :func:`spectral.spectral_width`."""
+    value = ad.value_of(nf.profile_stack(params, input, rho).jets)[0]
+    return ((value[0] ** 2 + value[2] ** 2) * params.modes_cos.m.astype(float) ** 2).sum(axis=1)
+
+
 def export_metrics(solution: Solution, out_dir) -> dict:
     """Write plot-ready tables and the run summary; returns the file map."""
     out = Path(out_dir)
@@ -601,10 +609,7 @@ def export_metrics(solution: Solution, out_dir) -> dict:
     files = {}
 
     # per-surface residuals and spectral width
-    msp = []
-    for rho in solution.rho:
-        prof = nf.mode_profiles(solution.params, solution.input, float(rho))
-        msp.append(spectral.spectral_width(prof.r, prof.z))
+    msp = spectral_widths(solution.params, solution.input, solution.rho)
     files["fnorm_profile"] = out / "fnorm_profile.csv"
     _write_table(
         files["fnorm_profile"],
@@ -745,23 +750,16 @@ def _cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_case(input, config, out / "case.txt")
     digest = case_digest(input, config)
-    template_holder = {}
+    modes = spectral.mode_set_pair(input.M, input.N, input.n_fp)
+    template = nf.init_params(modes, config.width, config.seed, input)
 
     def on_checkpoint(iteration, vec):
-        params = template_holder.get("params")
-        if params is None:
-            return
-        snap = nf.vector_to_params(np.asarray(vec, dtype=float), params)
+        snap = nf.vector_to_params(np.asarray(vec, dtype=float), template)
         save_checkpoint(out / f"checkpoint_{iteration:06d}.bin", snap, digest, iteration)
 
-    # template becomes available after init inside solve; first build it here
-    modes = spectral.mode_set_pair(input.M, input.N, input.n_fp)
-    template_holder["params"] = nf.init_params(modes, config.width, config.seed, input)
-
     solution = sv.solve(input, config, on_checkpoint=on_checkpoint)
-    save_checkpoint(
-        out / "checkpoint.bin", solution.params, digest, len(solution.history)
-    )
+    last = solution.history[-1].iteration if solution.history else 0
+    save_checkpoint(out / "checkpoint.bin", solution.params, digest, last)
     export_metrics(solution, out)
     print(f"termination: {solution.termination_reason}")
     print(f"F_vol_norm: {solution.f_vol_norm:.6e}")
@@ -794,10 +792,7 @@ def _cmd_eval(args) -> int:
 
     out = _out_dir(args.out, str(Path(args.checkpoint).parent))
     out.mkdir(parents=True, exist_ok=True)
-    msp = []
-    for rho in grid.rho:
-        prof = nf.mode_profiles(params, input, float(rho))
-        msp.append(spectral.spectral_width(prof.r, prof.z))
+    msp = spectral_widths(params, input, grid.rho)
     _write_table(
         out / "fnorm_profile.csv",
         "rho,f_norm_avg,spectral_width",
@@ -855,18 +850,7 @@ def _cmd_gradcheck(args) -> int:
     M = min(input.M, args.modes)
     if M < input.boundary_M:
         M = input.boundary_M
-    input = EquilibriumInput(
-        boundary_r=input.boundary_r,
-        boundary_z=input.boundary_z,
-        pressure=input.pressure,
-        iota=input.iota,
-        psi_b=input.psi_b,
-        n_fp=input.n_fp,
-        M=M,
-        N=input.N,
-        axis_r=input.axis_r,
-        axis_z=input.axis_z,
-    )
+    input = replace(input, M=M)
     grid = CollocationGrid.build(args.surfaces, input.M, input.N, input.n_fp)
     assembler = LossAssembler(input, args.width, grid)
     params = nf.init_params(

@@ -142,101 +142,97 @@ class CollocationGrid:
         return (i, rem // self.zeta.size, rem % self.zeta.size)
 
 
+def _names() -> dict:
+    """Attribute name -> (tensor, index) for the per-node quantities.
+
+    Suffixes _s, _t, _z are partial derivatives with respect to s, theta,
+    zeta; the field prefixes are R, L (lambda) and Z.
+    """
+    table = {"R": ("x", (0,)), "lam": ("x", (1,)), "Z": ("x", (2,))}
+    for i, a in enumerate(AXES):
+        for f, p in enumerate("RLZ"):
+            table[f"{p}_{a}"] = ("dx", (i, f))
+            for k in range(i, 3):
+                table[f"{p}_{a}{AXES[k]}"] = ("ddx", (i, k, f))
+        table[f"sqrtg_{a}"] = ("dsqrtg", (i,))
+        for name in ("bsup", "bsub", "jsup"):
+            table[f"{name}_{a}"] = (name, (i,))
+        for k, b in enumerate(AXES):
+            table[f"bsup_{a}_{b}"] = ("dbsup", (k, i))
+            table[f"bsub_{a}_{b}"] = ("dbsub", (k, i))
+            if k >= i:
+                table[f"g_{a}{b}"] = ("g", (i, k))
+                table[f"gu_{a}{b}"] = ("gu", (i, k))
+    return table
+
+
+AXES = "stz"
+_NAMES = _names()
+
+
 @dataclass
 class FieldState:
-    """Per-node geometric and magnetic quantities, filled in stages.
+    """Per-node geometric and magnetic quantities as tensors, filled in stages.
 
-    Suffix convention: _s, _t, _z are partial derivatives with respect to
-    s, theta, zeta; bsup/bsub are contra-/covariant field components.
+    Every tensor ends in the node axes (n_rho, n_theta * n_zeta); leading
+    axes index coordinates (s, theta, zeta) and fields (R, lambda, Z).  A
+    derivative index comes first, so ``dx[i, f]`` is d_i of field f and
+    ``dbsub[k, i]`` is d_k B_i.  Single components are read by name, e.g.
+    ``state.R_t``, ``state.g_st``, ``state.bsub_z_t`` (d B_zeta / d theta).
+
+    ``basis[i, c]`` is the covariant basis vector e_i with cylindrical
+    components c = (R, phi, Z), e_i = (d_i R, R delta_i_zeta, d_i Z), and
+    ``dbasis[k, i, c]`` its derivative d_k of those components; ``dual[i]``
+    = sqrt(g) e^i = e_{i+1} x e_{i+2}.  The metrics ``g`` and ``gu`` are
+    contractions of these, computed on access; the loss needs neither.
     """
 
-    grid: CollocationGrid = None
+    grid: CollocationGrid
     psi_b: float = 0.0
-
-    # coordinate map and partials
-    R: object = None
-    R_s: object = None
-    R_t: object = None
-    R_z: object = None
-    R_ss: object = None
-    R_st: object = None
-    R_sz: object = None
-    R_tt: object = None
-    R_tz: object = None
-    R_zz: object = None
-    Z_s: object = None
-    Z_t: object = None
-    Z_z: object = None
-    Z_ss: object = None
-    Z_st: object = None
-    Z_sz: object = None
-    Z_tt: object = None
-    Z_tz: object = None
-    Z_zz: object = None
-    Z: object = None
-    lam: object = None
-    L_t: object = None
-    L_z: object = None
-    L_st: object = None
-    L_sz: object = None
-    L_tt: object = None
-    L_tz: object = None
-    L_zz: object = None
-
-    # Jacobian and metric
+    x: object = None  # (3 fields, ...): R, lambda, Z
+    dx: object = None  # (3 axes, 3 fields, ...)
+    ddx: object = None  # (3, 3 axes, 3 fields, ...), symmetric
+    basis: object = None  # (3 axes, 3 components, ...)
+    dbasis: object = None  # (3 axes, 3 axes, 3 components, ...)
+    dual: object = None  # (3 axes, 3 components, ...)
     sqrtg: object = None
-    sqrtg_s: object = None
-    sqrtg_t: object = None
-    sqrtg_z: object = None
-    g_ss: object = None
-    g_st: object = None
-    g_sz: object = None
-    g_tt: object = None
-    g_tz: object = None
-    g_zz: object = None
-    gu_ss: object = None
-    gu_st: object = None
-    gu_sz: object = None
-    gu_tt: object = None
-    gu_tz: object = None
-    gu_zz: object = None
-
-    # magnetic field
+    dsqrtg: object = None  # (3 axes, ...)
     iota: object = None
     iota_prime: object = None
-    bsup_t: object = None
-    bsup_z: object = None
-    bsup_t_s: object = None
-    bsup_t_t: object = None
-    bsup_t_z: object = None
-    bsup_z_s: object = None
-    bsup_z_t: object = None
-    bsup_z_z: object = None
-    bsub_s: object = None
-    bsub_t: object = None
-    bsub_z: object = None
+    gbsup: object = None  # (3, ...): sqrt(g) B^i
+    bsup: object = None  # (3, ...): B^i, B^s = 0
+    dbsup: object = None  # (3 axes, 3, ...)
+    bvec: object = None  # (3 components, ...): B = B^i e_i
+    bsub: object = None  # (3, ...): B_i
+    dbsub: object = None  # (3 axes, 3, ...)
     B2: object = None
     Bmag: object = None
-
-    # covariant-component derivatives and current
-    bsub_s_t: object = None
-    bsub_s_z: object = None
-    bsub_t_s: object = None
-    bsub_t_t: object = None
-    bsub_t_z: object = None
-    bsub_z_s: object = None
-    bsub_z_t: object = None
-    bsub_z_z: object = None
-    jsup_s: object = None
-    jsup_t: object = None
-    jsup_z: object = None
-
-    # force residual
+    jsup: object = None  # (3, ...): J^i
     p_prime: object = None
     F_s: object = None
     F_h: object = None
     ehh: object = None
     F_mag: object = None
+
+    @property
+    def g(self):
+        """Covariant metric g_ij = e_i . e_j, shape (3, 3, ...)."""
+        return ad.einsum("icra,jcra->ijra", self.basis, self.basis)
+
+    @property
+    def gu(self):
+        """Contravariant metric g^ij = e^i . e^j, shape (3, 3, ...)."""
+        return ad.einsum("icra,jcra->ijra", self.dual, self.dual) / (self.sqrtg * self.sqrtg)
+
+    def __getattr__(self, name):
+        try:
+            tensor, index = _NAMES[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = getattr(self, tensor)
+        if value is None:
+            raise AttributeError(f"{name} is not computed yet")
+        return value[index]
 
 
 def _check_jacobian(sqrtg, grid: CollocationGrid) -> None:
@@ -259,89 +255,58 @@ def _check_jacobian(sqrtg, grid: CollocationGrid) -> None:
         )
 
 
-def geometry(
-    profiles: ProfileStack,
-    grid: CollocationGrid,
-    cos_tables=None,
-    sin_tables=None,
-) -> FieldState:
+# cylindrical components (R, phi, Z) from the fields (R, lambda, Z): the
+# phi slot takes lambda's place and holds R in e_zeta only
+_RZ = np.array([1.0, 0.0, 1.0])[:, None, None]
+_PHI_ZETA = np.zeros((3, 3, 1, 1))
+_PHI_ZETA[2, 1] = 1.0
+# cyclic index shifts for cross products
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i in range(3):
+    _LEVI_CIVITA[_i, _NEXT[_i], _AFTER[_i]] = 1.0
+    _LEVI_CIVITA[_i, _AFTER[_i], _NEXT[_i]] = -1.0
+
+
+def geometry(profiles: ProfileStack, grid: CollocationGrid, tables=None) -> FieldState:
     """Synthesize the map, Jacobian and both metric forms on the grid.
 
     Radial derivatives arrive as d/d rho in the profile jets and convert to
-    flux derivatives through d/ds = d/drho / (2 rho).  Trigonometric tables
-    depend only on (mode set, grid) and may be passed in precomputed.
+    flux derivatives through d/ds = d/drho / (2 rho).  ``tables`` are the
+    field-stacked trigonometric tables (:func:`spectral.field_tables`); they
+    depend only on (mode sets, grid) and may be passed in precomputed.
+
+    The covariant basis is one tensor ``e[i, c]`` with cylindrical
+    components c = (R, phi, Z), e_i = (d_i R, R delta_i_zeta, d_i Z); the
+    metric, its derivatives and the Jacobian are contractions of it.
     """
-    cos_tabs = cos_tables or spectral.trig_tables(profiles.modes_cos, grid.theta, grid.zeta)
-    sin_tabs = sin_tables or spectral.trig_tables(profiles.modes_sin, grid.theta, grid.zeta)
-
-    rho = profiles.rho[:, None]
+    if tables is None:
+        tables = spectral.field_tables(profiles.modes_cos, profiles.modes_sin, grid.theta, grid.zeta)
+    rho = profiles.rho
     alpha = 1.0 / (2.0 * rho)
+    to_s = np.zeros((3, 3, rho.size))
+    to_s[0, 0], to_s[1, 1], to_s[2, 1], to_s[2, 2] = 1.0, alpha, -alpha * alpha / rho, alpha * alpha
+    x0, x1, x2 = (ad.einsum("ir,ifrk->frk", to_s[j], profiles.jets) for j in range(3))
+    s0 = ad.einsum("frk,fdka->dfra", x0, tables)  # value, t, z, tt, tz, zz
+    s1 = ad.einsum("frk,fdka->dfra", x1, tables[:, :3])  # s, st, sz
+    s2 = ad.einsum("frk,fka->fra", x2, tables[:, 0])  # ss
+    x_st, x_sz, x_tz = s1[1], s1[2], s0[4]
+    st = FieldState(grid=grid, x=s0[0])
+    st.dx = ad.stack([s1[0], s0[1], s0[2]])
+    st.ddx = ad.reshape(
+        ad.stack([s2, x_st, x_sz, x_st, s0[3], x_tz, x_sz, x_tz, s0[5]]),
+        (3, 3) + st.x.shape,
+    )
 
-    def synth(jet, tabs):
-        mm = ad.matmul
-        out = {
-            "v": mm(jet.value, tabs.value),
-            "t": mm(jet.value, tabs.dt),
-            "z": mm(jet.value, tabs.dz),
-            "tt": mm(jet.value, tabs.dtt),
-            "tz": mm(jet.value, tabs.dtz),
-            "zz": mm(jet.value, tabs.dzz),
-            "r": mm(jet.d1, tabs.value),
-            "rt": mm(jet.d1, tabs.dt),
-            "rz": mm(jet.d1, tabs.dz),
-            "rr": mm(jet.d2, tabs.value),
-        }
-        return out
-
-    r = synth(profiles.r, cos_tabs)
-    z = synth(profiles.z, sin_tabs)
-    lam = synth(profiles.lam, sin_tabs)
-
-    st = FieldState(grid=grid)
-    st.R, st.R_t, st.R_z = r["v"], r["t"], r["z"]
-    st.R_tt, st.R_tz, st.R_zz = r["tt"], r["tz"], r["zz"]
-    st.R_s = alpha * r["r"]
-    st.R_st = alpha * r["rt"]
-    st.R_sz = alpha * r["rz"]
-    st.R_ss = alpha * alpha * (r["rr"] - r["r"] / rho)
-
-    st.Z, st.Z_t, st.Z_z = z["v"], z["t"], z["z"]
-    st.Z_tt, st.Z_tz, st.Z_zz = z["tt"], z["tz"], z["zz"]
-    st.Z_s = alpha * z["r"]
-    st.Z_st = alpha * z["rt"]
-    st.Z_sz = alpha * z["rz"]
-    st.Z_ss = alpha * alpha * (z["rr"] - z["r"] / rho)
-
-    st.lam = lam["v"]
-    st.L_t, st.L_z = lam["t"], lam["z"]
-    st.L_tt, st.L_tz, st.L_zz = lam["tt"], lam["tz"], lam["zz"]
-    st.L_st = alpha * lam["rt"]
-    st.L_sz = alpha * lam["rz"]
-
-    w = st.R_t * st.Z_s - st.R_s * st.Z_t
-    w_s = st.R_st * st.Z_s + st.R_t * st.Z_ss - st.R_ss * st.Z_t - st.R_s * st.Z_st
-    w_t = st.R_tt * st.Z_s + st.R_t * st.Z_st - st.R_st * st.Z_t - st.R_s * st.Z_tt
-    w_z = st.R_tz * st.Z_s + st.R_t * st.Z_sz - st.R_sz * st.Z_t - st.R_s * st.Z_tz
-    st.sqrtg = st.R * w
+    e = st.dx * _RZ + st.x[0] * _PHI_ZETA
+    de = st.ddx * _RZ + st.dx[:, 0, None, None] * _PHI_ZETA
+    st.basis, st.dbasis = e, de
+    st.dual = e[np.ix_(_NEXT, _NEXT)] * e[np.ix_(_AFTER, _AFTER)] - e[np.ix_(_NEXT, _AFTER)] * e[
+        np.ix_(_AFTER, _NEXT)
+    ]
+    st.sqrtg = ad.einsum("cra,cra->ra", e[2], st.dual[2])
     _check_jacobian(st.sqrtg, grid)
-    st.sqrtg_s = st.R_s * w + st.R * w_s
-    st.sqrtg_t = st.R_t * w + st.R * w_t
-    st.sqrtg_z = st.R_z * w + st.R * w_z
-
-    st.g_ss = st.R_s * st.R_s + st.Z_s * st.Z_s
-    st.g_st = st.R_s * st.R_t + st.Z_s * st.Z_t
-    st.g_sz = st.R_s * st.R_z + st.Z_s * st.Z_z
-    st.g_tt = st.R_t * st.R_t + st.Z_t * st.Z_t
-    st.g_tz = st.R_t * st.R_z + st.Z_t * st.Z_z
-    st.g_zz = st.R_z * st.R_z + st.R * st.R + st.Z_z * st.Z_z
-
-    det = st.sqrtg * st.sqrtg
-    st.gu_ss = (st.g_tt * st.g_zz - st.g_tz * st.g_tz) / det
-    st.gu_st = (st.g_sz * st.g_tz - st.g_st * st.g_zz) / det
-    st.gu_sz = (st.g_st * st.g_tz - st.g_sz * st.g_tt) / det
-    st.gu_tt = (st.g_ss * st.g_zz - st.g_sz * st.g_sz) / det
-    st.gu_tz = (st.g_sz * st.g_st - st.g_ss * st.g_tz) / det
-    st.gu_zz = (st.g_ss * st.g_tt - st.g_st * st.g_st) / det
+    st.dsqrtg = ad.einsum("icra,kicra->kra", st.dual, de)
     return st
 
 
@@ -351,72 +316,43 @@ def magnetic_field(state: FieldState, iota_coeffs, psi_b: float) -> FieldState:
     ``iota_coeffs`` are the rotational-transform polynomial coefficients in
     s (ascending); the flux normalization makes d psi / ds = psi_b.
     """
-    s = (state.grid.rho**2)[:, None]
+    st = state
+    s = (st.grid.rho**2)[:, None]
     iota_coeffs = np.atleast_1d(np.asarray(iota_coeffs, dtype=float))
-    state.iota = npoly.polyval(s, iota_coeffs)
-    state.iota_prime = npoly.polyval(s, npoly.polyder(iota_coeffs))
-    state.psi_b = float(psi_b)
+    st.iota = npoly.polyval(s, iota_coeffs)
+    st.iota_prime = npoly.polyval(s, npoly.polyder(iota_coeffs))
+    st.psi_b = float(psi_b)
 
-    u = (state.iota - state.L_z) * psi_b
-    v = (1.0 + state.L_t) * psi_b
-    u_s = (state.iota_prime - state.L_sz) * psi_b
-    u_t = state.L_tz * (-psi_b)
-    u_z = state.L_zz * (-psi_b)
-    v_s = state.L_st * psi_b
-    v_t = state.L_tt * psi_b
-    v_z = state.L_tz * psi_b
+    # sqrt(g) B^i = psi_b (0, iota - L_z, 1 + L_t): linear in d lambda
+    lam = np.zeros((3, 3))
+    lam[1, 2], lam[2, 1] = -psi_b, psi_b
+    offset = np.zeros((3,) + s.shape)
+    offset[1], offset[2] = psi_b * st.iota, psi_b
+    d_offset = np.zeros((3, 3) + s.shape)
+    d_offset[0, 1] = psi_b * st.iota_prime
+    st.gbsup = ad.einsum("li,ira->lra", lam, st.dx[:, 1]) + offset
+    d_gbsup = ad.einsum("li,kira->klra", lam, st.ddx[:, :, 1]) + d_offset
 
-    g = state.sqrtg
-    state.bsup_t = u / g
-    state.bsup_z = v / g
-    state.bsup_t_s = (u_s - state.bsup_t * state.sqrtg_s) / g
-    state.bsup_t_t = (u_t - state.bsup_t * state.sqrtg_t) / g
-    state.bsup_t_z = (u_z - state.bsup_t * state.sqrtg_z) / g
-    state.bsup_z_s = (v_s - state.bsup_z * state.sqrtg_s) / g
-    state.bsup_z_t = (v_t - state.bsup_z * state.sqrtg_t) / g
-    state.bsup_z_z = (v_z - state.bsup_z * state.sqrtg_z) / g
-
-    state.bsub_s = state.bsup_t * state.g_st + state.bsup_z * state.g_sz
-    state.bsub_t = state.bsup_t * state.g_tt + state.bsup_z * state.g_tz
-    state.bsub_z = state.bsup_t * state.g_tz + state.bsup_z * state.g_zz
-    state.B2 = state.bsup_t * state.bsub_t + state.bsup_z * state.bsub_z
-    state.Bmag = ad.sqrt(state.B2)
-    return state
+    st.bsup = st.gbsup / st.sqrtg
+    st.dbsup = (d_gbsup - ad.einsum("lra,kra->klra", st.bsup, st.dsqrtg)) / st.sqrtg
+    st.bvec = ad.einsum("lcra,lra->cra", st.basis, st.bsup)
+    st.bsub = ad.einsum("icra,cra->ira", st.basis, st.bvec)
+    st.B2 = ad.einsum("cra,cra->ra", st.bvec, st.bvec)
+    st.Bmag = ad.sqrt(st.B2)
+    return st
 
 
 def current(state: FieldState) -> FieldState:
-    """Contravariant current from the curl of the covariant field."""
+    """Contravariant current from the curl of the covariant field.
+
+    d_k B_i = d_k e_i . B + e_i . d_k B with B = B^l e_l in cylindrical
+    components, which never forms the metric derivatives.
+    """
     st = state
-    g_st_s = st.R_ss * st.R_t + st.R_s * st.R_st + st.Z_ss * st.Z_t + st.Z_s * st.Z_st
-    g_st_t = st.R_st * st.R_t + st.R_s * st.R_tt + st.Z_st * st.Z_t + st.Z_s * st.Z_tt
-    g_st_z = st.R_sz * st.R_t + st.R_s * st.R_tz + st.Z_sz * st.Z_t + st.Z_s * st.Z_tz
-    g_sz_s = st.R_ss * st.R_z + st.R_s * st.R_sz + st.Z_ss * st.Z_z + st.Z_s * st.Z_sz
-    g_sz_t = st.R_st * st.R_z + st.R_s * st.R_tz + st.Z_st * st.Z_z + st.Z_s * st.Z_tz
-    g_sz_z = st.R_sz * st.R_z + st.R_s * st.R_zz + st.Z_sz * st.Z_z + st.Z_s * st.Z_zz
-    g_tt_s = 2.0 * (st.R_t * st.R_st + st.Z_t * st.Z_st)
-    g_tt_t = 2.0 * (st.R_t * st.R_tt + st.Z_t * st.Z_tt)
-    g_tt_z = 2.0 * (st.R_t * st.R_tz + st.Z_t * st.Z_tz)
-    g_tz_s = st.R_st * st.R_z + st.R_t * st.R_sz + st.Z_st * st.Z_z + st.Z_t * st.Z_sz
-    g_tz_t = st.R_tt * st.R_z + st.R_t * st.R_tz + st.Z_tt * st.Z_z + st.Z_t * st.Z_tz
-    g_tz_z = st.R_tz * st.R_z + st.R_t * st.R_zz + st.Z_tz * st.Z_z + st.Z_t * st.Z_zz
-    g_zz_s = 2.0 * (st.R_z * st.R_sz + st.Z_z * st.Z_sz + st.R * st.R_s)
-    g_zz_t = 2.0 * (st.R_z * st.R_tz + st.Z_z * st.Z_tz + st.R * st.R_t)
-    g_zz_z = 2.0 * (st.R_z * st.R_zz + st.Z_z * st.Z_zz + st.R * st.R_z)
-
-    bt, bz = st.bsup_t, st.bsup_z
-    st.bsub_s_t = st.bsup_t_t * st.g_st + bt * g_st_t + st.bsup_z_t * st.g_sz + bz * g_sz_t
-    st.bsub_s_z = st.bsup_t_z * st.g_st + bt * g_st_z + st.bsup_z_z * st.g_sz + bz * g_sz_z
-    st.bsub_t_s = st.bsup_t_s * st.g_tt + bt * g_tt_s + st.bsup_z_s * st.g_tz + bz * g_tz_s
-    st.bsub_t_t = st.bsup_t_t * st.g_tt + bt * g_tt_t + st.bsup_z_t * st.g_tz + bz * g_tz_t
-    st.bsub_t_z = st.bsup_t_z * st.g_tt + bt * g_tt_z + st.bsup_z_z * st.g_tz + bz * g_tz_z
-    st.bsub_z_s = st.bsup_t_s * st.g_tz + bt * g_tz_s + st.bsup_z_s * st.g_zz + bz * g_zz_s
-    st.bsub_z_t = st.bsup_t_t * st.g_tz + bt * g_tz_t + st.bsup_z_t * st.g_zz + bz * g_zz_t
-    st.bsub_z_z = st.bsup_t_z * st.g_tz + bt * g_tz_z + st.bsup_z_z * st.g_zz + bz * g_zz_z
-
-    denom = st.sqrtg * MU0
-    st.jsup_s = (st.bsub_z_t - st.bsub_t_z) / denom
-    st.jsup_t = (st.bsub_s_z - st.bsub_z_s) / denom
-    st.jsup_z = (st.bsub_t_s - st.bsub_s_t) / denom
+    e, de = st.basis, st.dbasis
+    d_bvec = ad.einsum("klcra,lra->kcra", de, st.bsup) + ad.einsum("lcra,klra->kcra", e, st.dbsup)
+    st.dbsub = ad.einsum("kicra,cra->kira", de, st.bvec) + ad.einsum("icra,kcra->kira", e, d_bvec)
+    st.jsup = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA / MU0, st.dbsub) / st.sqrtg
     return st
 
 
@@ -432,53 +368,34 @@ def force(state: FieldState, p_prime) -> FieldState:
     if pp.ndim == 1:
         pp = pp[:, None]
     st.p_prime = pp
-    st.F_s = (st.sqrtg * (st.jsup_t * st.bsup_z - st.jsup_z * st.bsup_t) - pp) * MU0
-    st.F_h = st.jsup_s * (-MU0)
+    # h = sqrt(g) (0, B^zeta, -B^theta), so e^h = h_i e^i = (h_i dual_i) / sqrt(g)
+    h = ad.einsum("il,lra->ira", _LEVI_CIVITA[0], st.gbsup)
+    st.F_s = (ad.einsum("ira,ira->ra", h, st.jsup) - pp) * MU0
+    st.F_h = st.jsup[0] * (-MU0)
     det = st.sqrtg * st.sqrtg
-    st.ehh = det * (
-        st.bsup_z * st.bsup_z * st.gu_tt
-        - 2.0 * (st.bsup_t * st.bsup_z * st.gu_tz)
-        + st.bsup_t * st.bsup_t * st.gu_zz
-    )
-    st.F_mag = ad.sqrt(st.F_s * st.F_s * st.gu_ss + st.F_h * st.F_h * st.ehh)
+    e_h = ad.einsum("ira,icra->cra", h, st.dual)
+    st.ehh = ad.einsum("cra,cra->ra", e_h, e_h) / det
+    e_s = st.dual[0]
+    gu_ss = ad.einsum("cra,cra->ra", e_s, e_s) / det
+    st.F_mag = ad.sqrt(st.F_s * st.F_s * gu_ss + st.F_h * st.F_h * st.ehh)
     return st
 
 
 def gradient_magnitude(state: FieldState, dq_s, dq_t, dq_z):
     """|grad q| from the contravariant metric, given the partials of q."""
-    quad = (
-        dq_s * dq_s * state.gu_ss
-        + dq_t * dq_t * state.gu_tt
-        + dq_z * dq_z * state.gu_zz
-        + 2.0 * (dq_s * dq_t * state.gu_st)
-        + 2.0 * (dq_s * dq_z * state.gu_sz)
-        + 2.0 * (dq_t * dq_z * state.gu_tz)
-    )
-    return ad.sqrt(quad)
+    dq = ad.stack([dq_s, dq_t, dq_z])
+    return ad.sqrt(_metric_square(state, dq))
+
+
+def _metric_square(state: FieldState, dq):
+    return ad.einsum("jra,jra->ra", ad.einsum("ira,ijra->jra", dq, state.gu), dq)
 
 
 def grad_B2_magnitude(state: FieldState):
     """Magnetic-pressure gradient magnitude |grad |B|^2| / (2 mu0) per node."""
     st = state
-    b2_s = (
-        st.bsup_t_s * st.bsub_t
-        + st.bsup_t * st.bsub_t_s
-        + st.bsup_z_s * st.bsub_z
-        + st.bsup_z * st.bsub_z_s
-    )
-    b2_t = (
-        st.bsup_t_t * st.bsub_t
-        + st.bsup_t * st.bsub_t_t
-        + st.bsup_z_t * st.bsub_z
-        + st.bsup_z * st.bsub_z_t
-    )
-    b2_z = (
-        st.bsup_t_z * st.bsub_t
-        + st.bsup_t * st.bsub_t_z
-        + st.bsup_z_z * st.bsub_z
-        + st.bsup_z * st.bsub_z_z
-    )
-    return gradient_magnitude(state, b2_s, b2_t, b2_z) / (2.0 * MU0)
+    db2 = ad.einsum("klra,lra->kra", st.dbsup, st.bsub) + ad.einsum("lra,klra->kra", st.bsup, st.dbsub)
+    return ad.sqrt(_metric_square(st, db2)) / (2.0 * MU0)
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -535,18 +452,5 @@ def f_norm(state: FieldState, grid: CollocationGrid, normalizer: float):
 
 def contravariant_basis(state: FieldState):
     """e^s, e^theta, e^zeta as cylindrical component triples (plain arrays)."""
-    e_s = np.stack([ad.value_of(state.R_s), np.zeros_like(ad.value_of(state.R)), ad.value_of(state.Z_s)])
-    e_t = np.stack([ad.value_of(state.R_t), np.zeros_like(ad.value_of(state.R)), ad.value_of(state.Z_t)])
-    e_z = np.stack([ad.value_of(state.R_z), ad.value_of(state.R), ad.value_of(state.Z_z)])
-    sqrtg = ad.value_of(state.sqrtg)
-
-    def cross(a, b):
-        return np.stack(
-            [
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            ]
-        )
-
-    return cross(e_t, e_z) / sqrtg, cross(e_z, e_s) / sqrtg, cross(e_s, e_t) / sqrtg
+    dual = ad.value_of(state.dual) / ad.value_of(state.sqrtg)
+    return dual[0], dual[1], dual[2]

@@ -3,6 +3,9 @@
 Each cylindrical coordinate (R, lambda, Z) gets one two-layer tanh MLP that
 maps the radial coordinate rho in (0, 1), through the rescaled input
 ``f(rho) = 2 rho^2 - 1``, to the full vector of Fourier coefficients.  The
+three networks are evaluated as one batched network on a leading field axis
+in the order (R, lambda, Z), which is also the order of the flat parameter
+vector, so the batch is a reshape of that vector.  The
 raw network output is composed with
 
 * the prescribed boundary coefficients, imposed exactly through the
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -44,7 +47,6 @@ __all__ = [
     "init_params",
     "mode_profiles",
     "profile_stack",
-    "stack_profiles",
     "padded_boundary",
     "params_to_vector",
     "vector_to_params",
@@ -76,35 +78,84 @@ class MLPCoefficients:
         return int(ad.value_of(self.b2).shape[0])
 
 
-@dataclass
+def _net_shapes(width: int, n_modes: int) -> list:
+    """Shapes of W0, b0, W1, b1, W2, b2 of one network."""
+    n, k = width, n_modes
+    return [(n, 1), (n,), (n, n), (n,), (k, n), (k,)]
+
+
+def _batch_shapes(width: int, n_modes: int) -> list:
+    """The same arrays with the field axis first, shaped to broadcast over a
+    radius axis: W0, b0, b1 as (F, 1, n), b2 as (F, 1, K)."""
+    n, k = width, n_modes
+    return [(1, n), (1, n), (n, n), (1, n), (k, n), (1, k)]
+
+
+def _stack_nets(nets) -> MLPCoefficients:
+    """Stack networks of one shape on a leading field axis (batch layout)."""
+    n, k = nets[0].width, nets[0].n_out
+    return MLPCoefficients(*(
+        ad.reshape(ad.stack(arrays), (len(nets),) + shape)
+        for arrays, shape in zip(zip(*(net.arrays() for net in nets)), _batch_shapes(n, k))
+    ))
+
+
 class NetParams:
-    """The three coordinate networks plus their shared mode layout."""
+    """The three coordinate networks plus their shared mode layout.
 
-    r: MLPCoefficients
-    lam: MLPCoefficients
-    z: MLPCoefficients
-    modes_cos: ModeSet
-    modes_sin: ModeSet
+    The networks come either one by one (``r``, ``lam``, ``z``) or already
+    stacked on the field axis (:meth:`from_fields`, as
+    :func:`vector_to_params` builds them from a flat vector).
+    :meth:`fields` gives the stacked form that :func:`profile_stack`
+    evaluates; the per-network objects are built on first access and are
+    authoritative from then on, so editing them is seen by later evaluations.
+    """
 
-    def __post_init__(self):
-        widths = {self.r.width, self.lam.width, self.z.width}
-        outs = {self.r.n_out, self.lam.n_out, self.z.n_out}
+    def __init__(self, r: MLPCoefficients, lam: MLPCoefficients, z: MLPCoefficients,
+                 modes_cos: ModeSet, modes_sin: ModeSet):
+        widths = {r.width, lam.width, z.width}
+        outs = {r.n_out, lam.n_out, z.n_out}
         if len(widths) != 1 or len(outs) != 1:
             raise ValueError("all three networks must share width and mode count")
-        if self.r.n_out != self.modes_cos.size:
+        self._nets, self._fields = (r, lam, z), None
+        self._init_layout(r.width, r.n_out, modes_cos, modes_sin)
+
+    @classmethod
+    def from_fields(cls, fields: MLPCoefficients, modes_cos: ModeSet, modes_sin: ModeSet) -> "NetParams":
+        """Wrap field-stacked arrays in the batch layout (see ``_batch_shapes``)."""
+        self = cls.__new__(cls)
+        self._nets, self._fields = None, fields
+        self._init_layout(int(ad.value_of(fields.w1).shape[-1]), int(ad.value_of(fields.w2).shape[1]),
+                          modes_cos, modes_sin)
+        return self
+
+    def _init_layout(self, width, n_modes, modes_cos, modes_sin):
+        if n_modes != modes_cos.size:
             raise ValueError("network output size does not match the mode set")
+        self.width, self.n_modes = width, n_modes
+        self.modes_cos, self.modes_sin = modes_cos, modes_sin
 
-    @property
-    def width(self) -> int:
-        return self.r.width
+    def _net(self, f: int) -> MLPCoefficients:
+        if self._nets is None:
+            shapes = _net_shapes(self.width, self.n_modes)
+            self._nets = tuple(
+                MLPCoefficients(*(ad.reshape(a[i], shape) for a, shape in zip(self._fields.arrays(), shapes)))
+                for i in range(3)
+            )
+            self._fields = None
+        return self._nets[f]
 
-    @property
-    def n_modes(self) -> int:
-        return self.r.n_out
+    r = property(lambda self: self._net(0))
+    lam = property(lambda self: self._net(1))
+    z = property(lambda self: self._net(2))
+
+    def fields(self) -> MLPCoefficients:
+        """The three networks on one leading field axis (R, lambda, Z)."""
+        return self._fields if self._fields is not None else _stack_nets(self._nets)
 
     @property
     def n_parameters(self) -> int:
-        return sum(ad.value_of(a).size for net in (self.r, self.lam, self.z) for a in net.arrays())
+        return 3 * sum(math.prod(shape) for shape in _net_shapes(self.width, self.n_modes))
 
 
 def params_to_vector(params: NetParams) -> np.ndarray:
@@ -118,20 +169,20 @@ def params_to_vector(params: NetParams) -> np.ndarray:
 
 
 def vector_to_params(vec, template: NetParams) -> NetParams:
-    """Rebuild NetParams from a flat vector (or Var) in the canonical layout."""
-    n = template.width
-    k = template.n_modes
-    shapes = [(n, 1), (n,), (n, n), (n,), (k, n), (k,)]
-    nets = []
-    offset = 0
-    for _ in range(3):
-        arrays = []
-        for shape in shapes:
-            size = int(np.prod(shape))
-            arrays.append(ad.reshape(vec[offset : offset + size], shape))
-            offset += size
-        nets.append(MLPCoefficients(*arrays))
-    return NetParams(nets[0], nets[1], nets[2], template.modes_cos, template.modes_sin)
+    """Rebuild NetParams from a flat vector (or Var) in the canonical layout.
+
+    The vector holds the three networks back to back with equal sizes, so
+    its (3, P) reshape has one network per row and each array is a column
+    block of it: six slices give the field-stacked arrays directly.
+    """
+    shapes = _batch_shapes(template.width, template.n_modes)
+    rows = ad.reshape(vec, (3, template.n_parameters // 3))
+    arrays, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(ad.reshape(rows[:, offset : offset + size], (3,) + shape))
+        offset += size
+    return NetParams.from_fields(MLPCoefficients(*arrays), template.modes_cos, template.modes_sin)
 
 
 def input_map(rho):
@@ -139,26 +190,25 @@ def input_map(rho):
     return 2.0 * rho * rho - 1.0
 
 
-def _affine(x: Jet2, w_t, b) -> Jet2:
-    return Jet2(
-        ad.matmul(x.value, w_t) + b,
-        ad.matmul(x.d1, w_t),
-        ad.matmul(x.d2, w_t),
-    )
+def _mlp_jets(nets: MLPCoefficients, f: Jet2):
+    """Field-stacked network outputs without the last bias, as jets in the
+    seed variable of ``f`` (components shaped (n_rho, 1)).
 
-
-def _mlp_jet(net: MLPCoefficients, f: Jet2) -> Jet2:
-    """Network output as a jet in the same seed variable as ``f``."""
-    h = _affine(f, ad.transpose(net.w0), net.b0).tanh()
-    h = _affine(h, ad.transpose(net.w1), net.b1).tanh()
-    return _affine(h, ad.transpose(net.w2), net.b2)
+    Returns one array of shape (3, F, n_rho, K): jet order (value, first,
+    second derivative), field, radius, mode.
+    """
+    h = Jet2(f.value * nets.w0 + nets.b0, f.d1 * nets.w0, f.d2 * nets.w0).tanh()
+    mix = lambda x: ad.einsum("frh,fkh->frk", x, nets.w1)  # noqa: E731
+    h = Jet2(mix(h.value) + nets.b1, mix(h.d1), mix(h.d2)).tanh()
+    return ad.einsum("jfrh,fkh->jfrk", ad.stack([h.value, h.d1, h.d2]), nets.w2)
 
 
 def mlp_forward(net: MLPCoefficients, f: float):
     """Output vector and its first/second derivatives with respect to f."""
+    nets = _stack_nets([net])
     seed = Jet2(np.array([[float(f)]]), np.array([[1.0]]), np.array([[0.0]]))
-    out = _mlp_jet(net, seed)
-    return out.value[0].copy(), out.d1[0].copy(), out.d2[0].copy()
+    raw = ad.value_of(_mlp_jets(nets, seed))[:, 0, 0]
+    return raw[0] + ad.value_of(net.b2), raw[1].copy(), raw[2].copy()
 
 
 # -- equilibrium problem definition ------------------------------------------
@@ -329,20 +379,29 @@ class ModeProfiles:
     z: SurfaceCoefficients
 
 
-@dataclass
 class ProfileStack:
     """Profile values and radial derivatives for a whole radius batch.
 
-    Arrays have shape (n_rho, n_modes) and may be numpy arrays or autodiff
-    variables; this is the hand-off format consumed by the field kernel.
+    ``jets`` has shape (3, 3, n_rho, n_modes): jet order (value, d/drho,
+    d2/drho2), field (R, lambda, Z), radius, mode.  It may be a numpy array
+    or an autodiff variable; this is the hand-off format consumed by the
+    field kernel.  Per-field jets may be given instead (``r``, ``lam``,
+    ``z``), and are available as properties either way.
     """
 
-    rho: np.ndarray
-    modes_cos: ModeSet
-    modes_sin: ModeSet
-    r: Jet2
-    lam: Jet2
-    z: Jet2
+    def __init__(self, rho, modes_cos: ModeSet, modes_sin: ModeSet,
+                 r: Optional[Jet2] = None, lam: Optional[Jet2] = None, z: Optional[Jet2] = None,
+                 jets=None):
+        if jets is None:
+            jets = ad.stack([ad.stack([getattr(x, c) for x in (r, lam, z)]) for c in ("value", "d1", "d2")])
+        self.rho, self.modes_cos, self.modes_sin, self.jets = rho, modes_cos, modes_sin, jets
+
+    def field(self, f: int) -> Jet2:
+        return Jet2(self.jets[0, f], self.jets[1, f], self.jets[2, f])
+
+    r = property(lambda self: self.field(0))
+    lam = property(lambda self: self.field(1))
+    z = property(lambda self: self.field(2))
 
 
 def _rho_power_jet(rho: np.ndarray, mode_set: ModeSet) -> Jet2:
@@ -355,22 +414,34 @@ def _rho_power_jet(rho: np.ndarray, mode_set: ModeSet) -> Jet2:
     return Jet2(p0, m * p1, m * (m - 1.0) * p2)
 
 
+def _jet_array(jets) -> np.ndarray:
+    """Per-field constant jets as one (3, F, n_rho, K) array."""
+    return np.stack([np.stack(np.broadcast_arrays(*(getattr(j, c) for j in jets)))
+                     for c in ("value", "d1", "d2")])
+
+
 @dataclass
 class ProfileConstants:
     """Radius- and boundary-dependent constants of the profile composition.
 
-    Everything here is parameter-independent, so the solver builds it once
-    per grid and reuses it for every loss evaluation.
+    Per field the profile is ``X = rho^m (phi N + X_b)`` with the raw network
+    output N, the distance factor ``phi = 1 - rho^2`` (1 for lambda) and the
+    boundary coefficients X_b (0 for lambda); the pinned sine (0,0) mode is
+    zeroed in ``rho^m``.  As a jet this is linear in N's jet:
+
+        X_j = sum_i binom(j, i) P_{j-i} N_i + C_j,   P = rho^m phi,  C = rho^m X_b,
+
+    so ``compose`` (the binomial operator, shape (3, 3, F, n_rho, K)), ``P``
+    and ``C`` are all it takes.  Everything here is parameter-independent,
+    so the solver builds it once per grid and reuses it for every loss
+    evaluation.
     """
 
     rho: np.ndarray
     f: Jet2
-    phi: Jet2
-    pow_cos: Jet2
-    pow_sin: Jet2
-    rb: np.ndarray
-    zb: np.ndarray
-    live: np.ndarray
+    P: np.ndarray
+    C: np.ndarray
+    compose: np.ndarray
 
     @classmethod
     def build(
@@ -384,15 +455,24 @@ class ProfileConstants:
         if np.any(rho <= 0.0) or np.any(rho >= 1.0):
             raise ValueError("rho must lie strictly inside (0, 1)")
         col = rho[:, None]
+        live = np.where(modes_sin.fixed_mask, 0.0, 1.0)[None, :]
+        pow_cos = _rho_power_jet(rho, modes_cos)
+        pow_sin = _rho_power_jet(rho, modes_sin) * live
+        phi = Jet2(1.0 - col * col, -2.0 * col, np.full_like(col, -2.0))
+        powers = (pow_cos, pow_sin, pow_sin)
+        P = _jet_array([pow_cos * phi, pow_sin, pow_sin * phi])
+        boundary = (padded_boundary(input.boundary_r, modes_cos), 0.0, padded_boundary(input.boundary_z, modes_sin))
+        C = _jet_array([p * b for p, b in zip(powers, boundary)])
+        compose = np.zeros((3,) + P.shape)
+        for j in range(3):
+            for i in range(j + 1):
+                compose[j, i] = math.comb(j, i) * P[j - i]
         return cls(
             rho=rho,
             f=Jet2(input_map(col), 4.0 * col, np.full_like(col, 4.0)),
-            phi=Jet2(1.0 - col * col, -2.0 * col, np.full_like(col, -2.0)),
-            pow_cos=_rho_power_jet(rho, modes_cos),
-            pow_sin=_rho_power_jet(rho, modes_sin),
-            rb=padded_boundary(input.boundary_r, modes_cos)[None, :],
-            zb=padded_boundary(input.boundary_z, modes_sin)[None, :],
-            live=np.where(modes_sin.fixed_mask, 0.0, 1.0)[None, :],
+            P=P,
+            C=C,
+            compose=compose,
         )
 
 
@@ -405,60 +485,21 @@ def profile_stack(
     """Composed mode profiles with exact first/second rho-derivatives.
 
     Accepts network parameters holding numpy arrays or autodiff variables;
-    the radial grid must lie strictly inside (0, 1).
+    the radial grid must lie strictly inside (0, 1).  The last network bias
+    is constant in rho, so it enters the composition as ``P b2``.
     """
     c = constants or ProfileConstants.build(
         input, params.modes_cos, params.modes_sin, rho
     )
-    nn_r = _mlp_jet(params.r, c.f)
-    nn_l = _mlp_jet(params.lam, c.f)
-    nn_z = _mlp_jet(params.z, c.f)
-
-    r = c.pow_cos * (c.phi * nn_r + c.rb)
-    lam = c.pow_sin * nn_l * c.live
-    z = c.pow_sin * (c.phi * nn_z + c.zb) * c.live
-    return ProfileStack(c.rho, params.modes_cos, params.modes_sin, r, lam, z)
+    nets = params.fields()
+    raw = _mlp_jets(nets, c.f)
+    jets = ad.einsum("jifrk,ifrk->jfrk", c.compose, raw) + c.P * nets.b2 + c.C
+    return ProfileStack(c.rho, params.modes_cos, params.modes_sin, jets=jets)
 
 
 def mode_profiles(params: NetParams, input: EquilibriumInput, rho: float) -> ModeProfiles:
     """Profiles and radial derivatives of every coefficient at one radius."""
-    stack = profile_stack(params, input, [float(rho)])
-
-    def row(jet: Jet2, modes: ModeSet) -> SurfaceCoefficients:
-        return SurfaceCoefficients(
-            modes,
-            ad.value_of(jet.value)[0],
-            d_rho=ad.value_of(jet.d1)[0],
-            d_rho2=ad.value_of(jet.d2)[0],
-        )
-
-    return ModeProfiles(
-        rho=float(rho),
-        r=row(stack.r, params.modes_cos),
-        lam=row(stack.lam, params.modes_sin),
-        z=row(stack.z, params.modes_sin),
-    )
-
-
-def stack_profiles(profiles: Sequence[ModeProfiles]) -> ProfileStack:
-    """Bundle per-surface profiles into the batch format the kernel expects."""
-    if not profiles:
-        raise ValueError("need at least one surface")
-    rho = np.array([p.rho for p in profiles])
-
-    def gather(pick) -> Jet2:
-        return Jet2(
-            np.stack([pick(p).values for p in profiles]),
-            np.stack([pick(p).d_rho for p in profiles]),
-            np.stack([pick(p).d_rho2 for p in profiles]),
-        )
-
-    first = profiles[0]
-    return ProfileStack(
-        rho,
-        first.r.mode_set,
-        first.lam.mode_set,
-        gather(lambda p: p.r),
-        gather(lambda p: p.lam),
-        gather(lambda p: p.z),
-    )
+    jets = ad.value_of(profile_stack(params, input, [float(rho)]).jets)[:, :, 0]
+    modes = (params.modes_cos, params.modes_sin, params.modes_sin)
+    r, lam, z = (SurfaceCoefficients(modes[f], *jets[:, f]) for f in range(3))
+    return ModeProfiles(rho=float(rho), r=r, lam=lam, z=z)

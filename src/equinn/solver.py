@@ -134,8 +134,7 @@ class LossAssembler:
             input.M, input.N, input.n_fp
         )
         self.width = width
-        self.cos_tables = spectral.trig_tables(self.modes_cos, grid.theta, grid.zeta)
-        self.sin_tables = spectral.trig_tables(self.modes_sin, grid.theta, grid.zeta)
+        self.tables = spectral.field_tables(self.modes_cos, self.modes_sin, grid.theta, grid.zeta)
         self.constants = nf.ProfileConstants.build(
             input, self.modes_cos, self.modes_sin, grid.rho
         )
@@ -149,7 +148,7 @@ class LossAssembler:
 
     def field_state(self, params: NetParams) -> mk.FieldState:
         stack = nf.profile_stack(params, self.input, self.grid.rho, self.constants)
-        state = mk.geometry(stack, self.grid, self.cos_tables, self.sin_tables)
+        state = mk.geometry(stack, self.grid, self.tables)
         mk.magnetic_field(state, self.input.iota, self.input.psi_b)
         mk.current(state)
         mk.force(state, self.p_prime)
@@ -258,9 +257,19 @@ def _strong_wolfe(evaluate, f0, g0_dot_p, c1, c2, max_iter):
 
     ``evaluate(alpha)`` returns (f, dphi, payload); non-finite trials are
     treated as too-far and bracketed down.  If the curvature condition is
-    unattainable within the budget, the best sufficient-decrease point is
-    accepted (the quasi-Newton update guards on y.s anyway).  Returns
-    (alpha, payload) or (None, None) on failure.
+    unattainable within the budget, the first trial that met the weak
+    condition (sufficient decrease, slope at least c2 times the initial one)
+    is accepted, else the best sufficient-decrease point (the quasi-Newton
+    update guards on y.s anyway).  Returns (alpha, payload) or (None, None)
+    on failure.
+
+    The loss is a mean of norms, with a kink wherever one node's force
+    passes through zero.  When the minimum along the ray sits on a kink the
+    slope jumps there and the strong condition cannot hold, so the zoom
+    closes in on the kink.  A step that ends on it leaves a one-sided
+    gradient that sends the next search uphill in every direction tried,
+    and the stage stalls; the weak point lies past the kink instead
+    (Lewis & Overton, Math. Prog. 141, 2013).
     """
     lo = (0.0, f0, g0_dot_p, None)
     alpha = 1.0
@@ -274,7 +283,7 @@ def _strong_wolfe(evaluate, f0, g0_dot_p, c1, c2, max_iter):
         if abs(dphi) <= -c2 * g0_dot_p:
             return _polish(evaluate, f0, g0_dot_p, c1, alpha, f, dphi, payload)
         if dphi >= 0.0:
-            return _zoom(evaluate, f0, g0_dot_p, c1, c2, trial, lo, max_iter)
+            return _zoom(evaluate, f0, g0_dot_p, c1, c2, trial, lo, max_iter, weak=trial)
         lo = trial
         alpha = 2.0 * alpha
     if lo[0] > 0.0:
@@ -303,12 +312,14 @@ def _polish(evaluate, f0, g0_dot_p, c1, alpha, f, dphi, payload):
     return alpha, payload
 
 
-def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter):
+def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter, weak=None):
     """Shrink [lo, hi] until the strong conditions hold at an interior point.
 
     lo always satisfies sufficient decrease (or is the origin); hi may carry
     a non-finite value from an overlapping-surface trial, in which case the
-    interval is bisected rather than interpolated.
+    interval is bisected rather than interpolated.  ``weak`` is the first
+    trial known to meet the weak conditions, the fallback if the strong
+    ones are never met.
     """
     a_lo, f_lo, d_lo, p_lo = lo
     a_hi, f_hi, _, _ = hi
@@ -324,7 +335,10 @@ def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter):
         if not np.isfinite(a) or a <= low + 0.1 * span or a >= high - 0.1 * span:
             a = 0.5 * (a_lo + a_hi)
         f, dphi, payload = evaluate(a)
-        if not np.isfinite(f) or f > f0 + c1 * a * g0_dot_p or f >= f_lo:
+        decrease = np.isfinite(f) and f <= f0 + c1 * a * g0_dot_p
+        if weak is None and decrease and dphi >= c2 * g0_dot_p:
+            weak = (a, f, dphi, payload)
+        if not decrease or f >= f_lo:
             a_hi, f_hi = a, f
         else:
             if abs(dphi) <= -c2 * g0_dot_p:
@@ -334,6 +348,8 @@ def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter):
             a_lo, f_lo, d_lo, p_lo = a, f, dphi, payload
         if abs(a_hi - a_lo) < 1e-16:
             break
+    if weak is not None:
+        return weak[0], weak[3]
     if a_lo > 0.0 and p_lo is not None:
         # sufficient decrease holds at lo even though curvature never did
         return a_lo, p_lo
@@ -367,24 +383,21 @@ def bfgs_stage(
         f, g = value_and_grad(x)
     except (NonFiniteLossError, JacobianSignError) as exc:
         raise Diverged(f"stage 2 start point is invalid: {exc}", 0, x) from exc
-    ident = np.eye(n)
-    h = ident.copy()
+    h = np.eye(n)
+    outer = np.empty_like(h)
     records = []
     status = "max-iter"
     tried_steepest = False
     first_update = True
 
-    def matvec(mat, vec):
-        return np.einsum("ij,j->i", mat, vec, optimize=False)
-
     for it in range(1, config.max_iter + 1):
         if np.max(np.abs(g)) <= config.grad_tol:
             status = "grad-tol"
             break
-        p = -matvec(h, g)
+        p = -np.einsum("ij,j->i", h, g, optimize=False)
         if np.dot(g, p) >= 0.0:
             # stale curvature turned the direction uphill; restart from I
-            h = ident.copy()
+            h = np.eye(n)
             p = -g.copy()
 
         cache = {}
@@ -406,7 +419,7 @@ def bfgs_stage(
                 status = "param-stall"
                 break
             tried_steepest = True
-            h = ident.copy()
+            h = np.eye(n)
             cache.clear()
 
             def evaluate_sd(alpha, x=x, g=g):
@@ -445,17 +458,27 @@ def bfgs_stage(
         ys = float(np.dot(y, s))
         if ys > 0.0:
             if first_update:
-                h = ident * (ys / float(np.dot(y, y)))
+                h = np.eye(n) * (ys / float(np.dot(y, y)))
                 first_update = False
-            hy = matvec(h, y)
-            yhy = float(np.dot(y, hy))
-            rho = 1.0 / ys
-            h = (
-                h
-                - rho * (np.outer(s, hy) + np.outer(hy, s))
-                + rho * (1.0 + yhy * rho) * np.outer(s, s)
-            )
+            _bfgs_update(h, s, y, outer)
     return x, records, status
+
+
+def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, outer: np.ndarray) -> None:
+    """In-place inverse-Hessian update with the curvature pair (s, y), y.s > 0.
+
+    The textbook form (I - rho s y^T) H (I - rho y s^T) + rho s s^T, with
+    rho = 1 / y.s, is the rank-2 correction H += s w^T + w s^T with
+    w = rho (1 + rho y.Hy) s / 2 - rho Hy.  ``outer`` is an n-by-n scratch
+    array, so no temporary of that size is allocated.  The matrix-vector
+    product is an einsum, so no BLAS call is made.
+    """
+    hy = np.einsum("ij,j->i", h, y, optimize=False)
+    rho = 1.0 / float(np.dot(y, s))
+    w = (0.5 * rho * (1.0 + rho * float(np.dot(y, hy)))) * s - rho * hy
+    np.multiply.outer(s, w, out=outer)
+    h += outer
+    h += outer.T
 
 
 # -- full solve ---------------------------------------------------------------
@@ -550,7 +573,7 @@ def solve(
 
 def _finalize(assembler, input, config, x, history, reason, on_checkpoint):
     if on_checkpoint is not None:
-        on_checkpoint(len(history), x)
+        on_checkpoint(history[-1].iteration if history else 0, x)
     try:
         metrics = assembler.metrics(x)
         fvol = metrics["f_vol_norm"]

@@ -31,6 +31,7 @@ __all__ = [
     "mode_set_pair",
     "fourier_angle",
     "trig_tables",
+    "field_tables",
     "synthesize",
     "project",
     "spectral_width",
@@ -166,6 +167,17 @@ def trig_tables(mode_set: ModeSet, theta: np.ndarray, zeta: np.ndarray) -> TrigT
         val, dt, dz = s, m * c, -nf * c
         dtt, dtz, dzz = -m * m * s, m * nf * s, -nf * nf * s
     return TrigTables(val, dt, dz, dtt, dtz, dzz, theta.size, zeta.size)
+
+
+def field_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarray:
+    """Trigonometric tables per field (R cosine; lambda, Z sine) in one array.
+
+    Shape (3 fields, 6, n_modes, n_theta * n_zeta); the second axis runs over
+    value, dt, dz, dtt, dtz, dzz as in :class:`TrigTables`.
+    """
+    tabs = [trig_tables(m, theta, zeta) for m in (modes_cos, modes_sin)]
+    cos, sin = (np.stack([t.value, t.dt, t.dz, t.dtt, t.dtz, t.dzz]) for t in tabs)
+    return np.stack([cos, sin, sin])
 
 
 @dataclass

@@ -215,3 +215,60 @@ def test_grad_check_constant_loss():
 def test_grad_check_rejects_bad_step():
     with pytest.raises(ValueError):
         grad_check(lambda p: ad.sum_all(p), np.ones(3), step=0.0)
+
+
+# -- field-axis primitives ------------------------------------------------------------
+
+NEW_OPS = {
+    "einsum_contract_columns": lambda a, b: ad.einsum("ij,kj->ik", a, b * b),
+    "einsum_contract_rows": lambda a, b: ad.einsum("ij,ik->jk", a, ad.tanh(b)),
+    "einsum_outer": lambda a, b: ad.einsum("ij,kj->ikj", a, b),
+    "einsum_constant": lambda a, b: ad.einsum("ij,jk->ik", a, np.arange(12.0).reshape(4, 3)) + b[:, :3],
+    "stack_mixed": lambda a, b: ad.stack([a, np.ones((3, 4)), a * b], axis=1),
+    "permuted_rows": lambda a, b: a[np.ix_([2, 0, 1], [3, 1, 2, 0])] * b,
+    "repeated_rows": lambda a, b: a[np.array([0, 0, 2])] * b,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEW_OPS))
+def test_field_axis_op_gradients_match_fd(name):
+    op = NEW_OPS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    a0 = rng.normal(size=(3, 4))
+    b0 = rng.normal(size=(3, 4))
+
+    def loss_of(vec):
+        a = ad.reshape(vec[: a0.size], a0.shape)
+        b = ad.reshape(vec[a0.size :], b0.shape)
+        out = op(a, b)
+        return ad.mean_all(out * out)
+
+    x0 = np.concatenate([a0.ravel(), b0.ravel()])
+    _, grad = loss_gradient(loss_of, x0)
+    fd = fd_gradient(lambda v: float(ad.value_of(loss_of(Var(v)))), x0)
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9), name
+
+
+def test_einsum_matches_numpy():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3, 5, 7))
+    b = rng.normal(size=(3, 5, 7))
+    for spec in ("ijra,jra->ira", "ijra,kra->ijkra", "ijra,ira->jra", "ijra,jra->i"):
+        want = np.einsum(spec, a, b)
+        got = ad.einsum(spec, a, b)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13), spec
+    with pytest.raises(ValueError):
+        ad.einsum("ii,i->i", np.eye(2), np.ones(2))
+
+
+def test_sqrt_gradient_is_zero_at_zero():
+    val, grad = loss_gradient(lambda p: ad.sum_all(ad.sqrt(p * p)), np.array([0.0, -2.0]))
+    assert val == 2.0
+    assert np.array_equal(grad, [0.0, -1.0])
+
+
+def test_loss_gradient_rejects_nonfinite_gradient():
+    # finite value 0, but the power rule evaluates 0.5 * 0 ** -0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ad.NonFiniteLossError, match="gradient"):
+            loss_gradient(lambda p: ad.sum_all((p * p) ** 0.5), np.array([0.0, 1.0]))

@@ -301,3 +301,69 @@ def test_loss_frozen_at_3d_init():
     x = x0 + 0.02 * np.random.default_rng(1).normal(size=x0.size)
     assert abs(asm.loss_value(x) - 2.186466439593671) <= 1e-12 * 2.186466439593671
 
+
+
+def test_dshape_tape_stays_within_node_budget():
+    from equinn.autodiff import Var
+
+    input, config = cli_io.parse_case("dshape")
+    grid = CollocationGrid.build(config.n_rho, input.M, input.N, input.n_fp)
+    asm = sv.LossAssembler(input, config.width, grid)
+    root = asm._loss_expr(Var(nf.params_to_vector(asm.template)))
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert len(seen) <= 150
+
+
+# -- optimizer details -----------------------------------------------------------------
+
+
+def test_inplace_bfgs_update_matches_textbook_formula():
+    rng = np.random.default_rng(4)
+    n = 9
+    a = rng.normal(size=(n, n))
+    h = a @ a.T + n * np.eye(n)
+    s = rng.normal(size=n)
+    y = s + 0.3 * rng.normal(size=n)
+    assert y @ s > 0.0
+    rho = 1.0 / (y @ s)
+    left = np.eye(n) - rho * np.outer(s, y)
+    want = left @ h @ left.T + rho * np.outer(s, s)
+    got = h.copy()
+    sv._bfgs_update(got, s, y, np.empty_like(got))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_final_checkpoint_is_numbered_with_the_last_iteration():
+    seen = []
+    sol = sv.solve(
+        tiny_input(), tiny_config(checkpoint_every=10),
+        on_checkpoint=lambda it, vec: seen.append(it),
+    )
+    ran = sum(1 for r in sol.history if r.stage != "init")
+    assert max(seen) == ran == sol.history[-1].iteration
+    assert seen[-1] == ran
+
+
+def test_zero_force_gradient_is_finite():
+    input, grid, asm, x0 = small_problem()
+    degenerate = nf.EquilibriumInput(
+        input.boundary_r, input.boundary_z, np.array([0.0]), input.iota,
+        0.0, input.n_fp, input.M, input.N,
+    )
+    val, grad = sv.LossAssembler(degenerate, 2, grid).value_and_grad(x0)
+    assert val == 0.0
+    assert np.all(np.isfinite(grad))
+
+
+def test_bfgs_does_not_stall_on_a_kink():
+    # |x0| + 0.1 (x1 - 1)^2: the line minimum of the first step lies on the kink
+    def vg(x):
+        return abs(x[0]) + 0.1 * (x[1] - 1.0) ** 2, np.array([np.sign(x[0]), 0.2 * (x[1] - 1.0)])
+
+    x, records, status = bfgs_stage(np.array([1.0, -2.0]), vg, BFGSConfig(max_iter=60))
+    assert abs(x[1] - 1.0) < 1e-3 and abs(x[0]) < 1e-3
