@@ -20,6 +20,7 @@ thread count and of collocation-node ordering.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -61,12 +62,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # einsum with optimize=False never dispatches to BLAS, keeping the
-    # summation order fixed for any thread count.
-    return np.einsum("ij,jk->ik", a, b, optimize=False)
 
 
 def _exact_sum(a: np.ndarray):
@@ -135,14 +130,9 @@ class Var:
     def __sub__(self, other):
         if isinstance(other, Var):
             out = Var(self.value - other.value, (self, other))
-            out._vjp = lambda g: (
-                _unbroadcast(g, self.shape),
-                _unbroadcast(-g, other.shape),
-            )
+            out._vjp = lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
             return out
-        out = Var(self.value - np.asarray(other), (self,))
-        out._vjp = lambda g: (_unbroadcast(g, self.shape),)
-        return out
+        return self + (-np.asarray(other))
 
     def __rsub__(self, other):
         out = Var(np.asarray(other) - self.value, (self,))
@@ -206,8 +196,7 @@ class Var:
 
     def __getitem__(self, idx):
         out = Var(self.value[idx], (self,))
-        add = _add_distinct if _distinct(idx, self.shape) else np.add.at
-        out._vjp = lambda g: (_Scatter(add, idx, g),)
+        out._vjp = lambda g: (_Slice(idx, g),)
         return out
 
     @property
@@ -232,7 +221,7 @@ class Var:
         The first gradient reaching a node is stored as is, since it may be
         an array that other vector-Jacobian products share; the second is
         added out of place, and later ones go in place into that new array.
-        Slice gradients (:class:`_Scatter`) go in place into a zero buffer.
+        Slice gradients (:class:`_Slice`) go in place into a zero buffer.
         """
         order = _toposort(self)
         for node in order:
@@ -243,12 +232,12 @@ class Var:
             if node._vjp is None or node.grad is None:
                 continue
             for parent, pg in zip(node._parents, node._vjp(node.grad)):
-                if type(pg) is _Scatter:
+                if type(pg) is _Slice:
                     if id(parent) not in owned:
                         zero = np.zeros(parent.shape, dtype=parent.value.dtype)
                         parent.grad = zero if parent.grad is None else zero + parent.grad
                         owned.add(id(parent))
-                    pg.add(parent.grad, pg.idx, pg.g)
+                    pg.add_to(parent.grad)
                 elif parent.grad is None:
                     parent.grad = pg
                 elif id(parent) in owned:
@@ -258,33 +247,18 @@ class Var:
                     owned.add(id(parent))
 
 
-class _Scatter(NamedTuple):
-    """Gradient of ``x[idx]``: ``g`` at ``idx``, zero elsewhere.
+class _Slice(NamedTuple):
+    """Gradient of ``x[idx]``: ``g`` at ``idx`` and zero elsewhere."""
 
-    :meth:`Var.backward` adds it into the parent's gradient in place, so
-    several slices of one array share one full-size buffer.
-    """
-
-    add: Callable
     idx: object
     g: np.ndarray
 
-
-def _add_distinct(full, idx, g):
-    full[idx] += g
-
-
-def _distinct(idx, shape) -> bool:
-    """True if ``x[idx]`` reads no element twice: basic indices, or integer
-    arrays on the leading axes that address distinct positions.  Then the
-    gradient scatters by assignment, much faster than ``np.add.at``."""
-    idx = idx if isinstance(idx, tuple) else (idx,)
-    if all(isinstance(i, (int, np.integer, slice, type(None))) for i in idx):
-        return True
-    if not all(isinstance(i, np.ndarray) and i.dtype.kind in "iu" for i in idx):
-        return False
-    flat = np.ravel_multi_index(np.broadcast_arrays(*idx), shape[: len(idx)], mode="wrap")
-    return np.unique(flat).size == flat.size
+    def add_to(self, full: np.ndarray) -> None:
+        idx = self.idx if isinstance(self.idx, tuple) else (self.idx,)
+        if all(isinstance(i, (int, np.integer, slice, type(None), type(Ellipsis))) for i in idx):
+            full[self.idx] += self.g
+        else:  # integer arrays may repeat an index
+            np.add.at(full, self.idx, self.g)
 
 
 def _toposort(root: Var) -> list:
@@ -340,38 +314,30 @@ def sqrt(x):
 
 def matmul(a, b):
     """2D matrix product, BLAS-free, differentiable in both operands."""
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return _matmul(np.asarray(a), np.asarray(b))
-    av, bv = value_of(a), value_of(b)
-    parents = tuple(x for x in (a, b) if isinstance(x, Var))
-    out = Var(_matmul(av, bv), parents)
-
-    def vjp(g):
-        grads = []
-        if isinstance(a, Var):
-            grads.append(_matmul(g, bv.T))
-        if isinstance(b, Var):
-            grads.append(_matmul(av.T, g))
-        return tuple(grads)
-
-    out._vjp = vjp
-    return out
+    return einsum("ij,jk->ik", a, b)
 
 
-def einsum(subscripts: str, a, b):
-    """Two-operand ``np.einsum`` (explicit ``->`` form), BLAS-free and
-    differentiable in every operand that is a :class:`Var`.
-
-    Each index of an operand must appear in the other operand or in the
-    output, and no operand may repeat an index, so the gradient of one
-    operand is the contraction of the output gradient with the other.
-    """
+@functools.lru_cache(maxsize=None)
+def _einsum_plan(subscripts: str) -> tuple:
     ins, out_idx = subscripts.replace(" ", "").split("->")
     ia, ib = ins.split(",")
     for own, other in ((ia, ib), (ib, ia)):
         if len(set(own)) != len(own) or not set(own) <= set(other + out_idx):
             raise ValueError(f"einsum {subscripts!r}: unsupported index pattern")
-    av, bv = value_of(a), value_of(b)
+    return ia, ib, out_idx
+
+
+def einsum(subscripts: str, a, b):
+    """Two-operand ``np.einsum`` (explicit ``->`` form) differentiable in
+    every :class:`Var` operand.  ``optimize=False`` never dispatches to
+    BLAS, so the summation order is fixed for any thread count.
+
+    Each index of an operand must appear in the other operand or in the
+    output, and no operand may repeat one, so the gradient of an operand is
+    the contraction of the output gradient with the other.
+    """
+    ia, ib, out_idx = _einsum_plan(subscripts)
+    av, bv = np.asarray(value_of(a)), np.asarray(value_of(b))
     val = np.einsum(subscripts, av, bv, optimize=False)
     parents = tuple(x for x in (a, b) if isinstance(x, Var))
     if not parents:

@@ -412,21 +412,9 @@ def load_checkpoint(path) -> tuple[NetParams, bytes, int]:
     modes_cos, modes_sin = spectral.mode_set_pair(M, N, n_fp)
     if k != modes_cos.size:
         raise ValueError(f"{path}: inconsistent mode count")
-    per_net = width + width + width * width + width + k * width + k
-    if vec.size != 3 * per_net:
+    template = NetParams.zeros(width, modes_cos, modes_sin)
+    if vec.size != template.n_parameters:
         raise ValueError(f"{path}: parameter payload has wrong length")
-    zeros = lambda *shape: np.zeros(shape)
-    template = NetParams(
-        *[
-            nf.MLPCoefficients(
-                zeros(width, 1), zeros(width), zeros(width, width),
-                zeros(width), zeros(k, width), zeros(k),
-            )
-            for _ in range(3)
-        ],
-        modes_cos,
-        modes_sin,
-    )
     params = nf.vector_to_params(vec, template)
     return params, digest, iteration
 
@@ -567,7 +555,7 @@ def theta_star_contours(
             return float(np.sum(coeff * mm * np.cos(mm * t - nn * zeta)))
 
         probe = 2.0 * np.pi * np.arange(720) / 720.0
-        slopes = 1.0 + np.array([dlam(t) for t in probe])
+        slopes = 1.0 + (coeff * mm * np.cos(np.outer(probe, mm) - nn * zeta)).sum(axis=1)
         if slopes.min() <= 0.0:
             raise ThetaStarError(
                 f"theta + lambda is non-monotone on surface rho={rho:.4f}: "
@@ -577,10 +565,11 @@ def theta_star_contours(
             theta = invert_theta_star(lam, dlam, float(target))
             if abs(theta + lam(theta) - float(target)) > 1e-10:
                 raise ThetaStarError("contour solve lost precision")
-            r, z = _surface_rz(
-                solution.params, solution.input, rho_eval, np.array([theta]), zeta
+            r, z = (
+                spectral.synthesize(c, np.array([theta]), np.array([zeta])).value[0, 0]
+                for c in (prof.r, prof.z)
             )
-            rows.append((float(target), float(rho), float(r[0]), float(z[0])))
+            rows.append((float(target), float(rho), float(r), float(z)))
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
 
@@ -600,6 +589,17 @@ def spectral_widths(params: NetParams, input: EquilibriumInput, rho) -> np.ndarr
     batched profile evaluation; see :func:`spectral.spectral_width`."""
     value = ad.value_of(nf.profile_stack(params, input, rho).jets)[0]
     return ((value[0] ** 2 + value[2] ** 2) * params.modes_cos.m.astype(float) ** 2).sum(axis=1)
+
+
+def _write_sections(solution: Solution, out: Path, zeta: float = 0.0) -> dict:
+    """poincare.csv and theta_star.csv at one toroidal angle."""
+    files = {"poincare": out / "poincare.csv", "theta_star": out / "theta_star.csv"}
+    rows = poincare_section(solution, zeta=zeta).rows()
+    _write_table(files["poincare"], "surface_index,rho,theta,R,Z",
+                 [(int(i), float(r), float(t), float(rr), float(zz)) for i, r, t, rr, zz in rows])
+    _write_table(files["theta_star"], "theta_star,rho,R,Z",
+                 [tuple(map(float, row)) for row in theta_star_contours(solution, zeta=zeta)])
+    return files
 
 
 def export_metrics(solution: Solution, out_dir) -> dict:
@@ -627,25 +627,7 @@ def export_metrics(solution: Solution, out_dir) -> dict:
         [(rec.iteration, rec.stage, float(rec.loss)) for rec in solution.history],
     )
 
-    poincare = poincare_section(solution)
-    files["poincare"] = out / "poincare.csv"
-    _write_table(
-        files["poincare"],
-        "surface_index,rho,theta,R,Z",
-        [
-            (int(i), float(r), float(t), float(rr), float(zz))
-            for i, r, t, rr, zz in poincare.rows()
-        ],
-    )
-
-    contours = theta_star_contours(solution)
-    files["theta_star"] = out / "theta_star.csv"
-    _write_table(
-        files["theta_star"],
-        "theta_star,rho,R,Z",
-        [(float(a), float(b), float(c), float(d)) for a, b, c, d in contours],
-    )
-
+    files.update(_write_sections(solution, out))
     summary = {
         "f_vol_norm": float(solution.f_vol_norm),
         "termination_reason": solution.termination_reason,
@@ -750,8 +732,7 @@ def _cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_case(input, config, out / "case.txt")
     digest = case_digest(input, config)
-    modes = spectral.mode_set_pair(input.M, input.N, input.n_fp)
-    template = nf.init_params(modes, config.width, config.seed, input)
+    template = NetParams.zeros(config.width, *spectral.mode_set_pair(input.M, input.N, input.n_fp))
 
     def on_checkpoint(iteration, vec):
         snap = nf.vector_to_params(np.asarray(vec, dtype=float), template)
@@ -826,21 +807,7 @@ def _cmd_poincare(args) -> int:
     )
     out = _out_dir(args.out, str(Path(args.checkpoint).parent))
     out.mkdir(parents=True, exist_ok=True)
-    export = poincare_section(solution, zeta=args.zeta)
-    _write_table(
-        out / "poincare.csv",
-        "surface_index,rho,theta,R,Z",
-        [
-            (int(i), float(r), float(t), float(rr), float(zz))
-            for i, r, t, rr, zz in export.rows()
-        ],
-    )
-    contours = theta_star_contours(solution, zeta=args.zeta)
-    _write_table(
-        out / "theta_star.csv",
-        "theta_star,rho,R,Z",
-        [(float(a), float(b), float(c), float(d)) for a, b, c, d in contours],
-    )
+    _write_sections(solution, out, zeta=args.zeta)
     print(f"sections written to {out}")
     return 0
 

@@ -142,6 +142,9 @@ class CollocationGrid:
         return (i, rem // self.zeta.size, rem % self.zeta.size)
 
 
+AXES = "stz"
+
+
 def _names() -> dict:
     """Attribute name -> (tensor, index) for the per-node quantities.
 
@@ -166,7 +169,6 @@ def _names() -> dict:
     return table
 
 
-AXES = "stz"
 _NAMES = _names()
 
 
@@ -174,39 +176,36 @@ _NAMES = _names()
 class FieldState:
     """Per-node geometric and magnetic quantities as tensors, filled in stages.
 
-    Every tensor ends in the node axes (n_rho, n_theta * n_zeta); leading
-    axes index coordinates (s, theta, zeta) and fields (R, lambda, Z).  A
-    derivative index comes first, so ``dx[i, f]`` is d_i of field f and
-    ``dbsub[k, i]`` is d_k B_i.  Single components are read by name, e.g.
-    ``state.R_t``, ``state.g_st``, ``state.bsub_z_t`` (d B_zeta / d theta).
-
-    ``basis[i, c]`` is the covariant basis vector e_i with cylindrical
-    components c = (R, phi, Z), e_i = (d_i R, R delta_i_zeta, d_i Z), and
-    ``dbasis[k, i, c]`` its derivative d_k of those components; ``dual[i]``
-    = sqrt(g) e^i = e_{i+1} x e_{i+2}.  The metrics ``g`` and ``gu`` are
-    contractions of these, computed on access; the loss needs neither.
+    Tensors end in the node axes (n_rho, n_theta * n_zeta); leading axes
+    index coordinates (s, theta, zeta), fields (R, lambda, Z) or cylindrical
+    components (R, phi, Z), a derivative index first: ``dx[i, f]`` is d_i of
+    field f.  ``dx[:, ::2]`` is the (R, Z) part of the covariant basis e_i,
+    whose phi component is R for e_zeta only; ``dual[i]`` = sqrt(g) e^i.
+    Single components are read by name (``state.R_t``, ``state.g_st``,
+    ``state.bsub_z_t`` = d B_zeta / d theta); ``g``, ``gu``, ``bsup``,
+    ``bsub`` and their derivatives are computed on access.
     """
 
     grid: CollocationGrid
     psi_b: float = 0.0
+    weights: object = 1.0  # per angular node: 2 where a node also stands for its mirror image
     x: object = None  # (3 fields, ...): R, lambda, Z
     dx: object = None  # (3 axes, 3 fields, ...)
     ddx: object = None  # (3, 3 axes, 3 fields, ...), symmetric
-    basis: object = None  # (3 axes, 3 components, ...)
-    dbasis: object = None  # (3 axes, 3 axes, 3 components, ...)
-    dual: object = None  # (3 axes, 3 components, ...)
     sqrtg: object = None
     dsqrtg: object = None  # (3 axes, ...)
+    dual: object = None  # (3 axes, 3 components, ...)
     iota: object = None
     iota_prime: object = None
-    gbsup: object = None  # (3, ...): sqrt(g) B^i
-    bsup: object = None  # (3, ...): B^i, B^s = 0
-    dbsup: object = None  # (3 axes, 3, ...)
-    bvec: object = None  # (3 components, ...): B = B^i e_i
-    bsub: object = None  # (3, ...): B_i
-    dbsub: object = None  # (3 axes, 3, ...)
-    B2: object = None
-    Bmag: object = None
+    gbsup: object = None  # (2, ...): sqrt(g) (B^theta, B^zeta)
+    b: object = None  # (2, ...): (B^theta, B^zeta)
+    db: object = None  # (3 axes, 2, ...)
+    b_plane: object = None  # (2 components, ...): (B_R, B_Z)
+    b_phi: object = None
+    db_plane: object = None  # (3 axes, 2 components, ...)
+    db_phi: object = None  # (3 axes, ...)
+    edb: object = None  # (3 axes k, 3 axes i, ...): e_i . d_k B, (R, Z) part
+    d_rbphi: object = None  # (3 axes, ...): d_k (R B_phi)
     jsup: object = None  # (3, ...): J^i
     p_prime: object = None
     F_s: object = None
@@ -217,12 +216,42 @@ class FieldState:
     @property
     def g(self):
         """Covariant metric g_ij = e_i . e_j, shape (3, 3, ...)."""
-        return ad.einsum("icra,jcra->ijra", self.basis, self.basis)
+        plane = self.dx[:, ::2]
+        return ad.einsum("icra,jcra->ijra", plane, plane) + self.x[0] * self.x[0] * _ZZ
 
     @property
     def gu(self):
         """Contravariant metric g^ij = e^i . e^j, shape (3, 3, ...)."""
         return ad.einsum("icra,jcra->ijra", self.dual, self.dual) / (self.sqrtg * self.sqrtg)
+
+    @property
+    def bsup(self):
+        """B^i; B^s = 0 on nested surfaces."""
+        return ad.stack([ad.value_of(self.b[0]) * 0.0, self.b[0], self.b[1]])
+
+    @property
+    def dbsup(self):
+        """d_k B^i, shape (3 axes k, 3, ...)."""
+        return ad.stack([ad.value_of(self.db[:, 0]) * 0.0, self.db[:, 0], self.db[:, 1]], axis=1)
+
+    @property
+    def bsub(self):
+        """B_i = e_i . B, shape (3, ...)."""
+        return ad.einsum("icra,cra->ira", self.dx[:, ::2], self.b_plane) + self.x[0] * self.b_phi * _Z
+
+    @property
+    def dbsub(self):
+        """d_k B_i = d_k e_i . B + e_i . d_k B, shape (3 axes k, 3, ...)."""
+        sym = ad.einsum("kicra,cra->kira", self.ddx[:, :, ::2], self.b_plane)
+        return sym + self.edb + ad.einsum("kra,i->kira", self.d_rbphi, _Z[:, 0, 0])
+
+    @property
+    def B2(self):
+        return ad.einsum("cra,cra->ra", self.b_plane, self.b_plane) + self.b_phi * self.b_phi
+
+    @property
+    def Bmag(self):
+        return ad.sqrt(self.B2)
 
     def __getattr__(self, name):
         try:
@@ -255,30 +284,34 @@ def _check_jacobian(sqrtg, grid: CollocationGrid) -> None:
         )
 
 
-# cylindrical components (R, phi, Z) from the fields (R, lambda, Z): the
-# phi slot takes lambda's place and holds R in e_zeta only
-_RZ = np.array([1.0, 0.0, 1.0])[:, None, None]
-_PHI_ZETA = np.zeros((3, 3, 1, 1))
-_PHI_ZETA[2, 1] = 1.0
-# cyclic index shifts for cross products
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+# cross2(a, b) = a_R b_Z - a_Z b_R = a . rot(b) for in-plane (R, Z) vectors,
+# rot(b) = (b_Z, -b_R) = sum_c b_c _ROT[c]
+_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+# in-plane part of sqrt(g) e^i is R * sum_j _PLANE[i, j] rot(e_j)
+_PLANE = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+# (lambda_theta, lambda_zeta) -> (-lambda_zeta, lambda_theta)
+_LAM = np.array([[0.0, -1.0], [1.0, 0.0]])
+# sqrt(g) (B^theta, B^zeta) -> h = sqrt(g) (0, B^zeta, -B^theta)
+_H = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+_Z = np.array([0.0, 0.0, 1.0])[:, None, None]
+_ZZ = _Z[:, None] * _Z[None, :]
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i in range(3):
-    _LEVI_CIVITA[_i, _NEXT[_i], _AFTER[_i]] = 1.0
-    _LEVI_CIVITA[_i, _AFTER[_i], _NEXT[_i]] = -1.0
+    _LEVI_CIVITA[_i, (_i + 1) % 3, (_i + 2) % 3] = 1.0
+    _LEVI_CIVITA[_i, (_i + 2) % 3, (_i + 1) % 3] = -1.0
 
 
 def geometry(profiles: ProfileStack, grid: CollocationGrid, tables=None) -> FieldState:
-    """Synthesize the map, Jacobian and both metric forms on the grid.
+    """Synthesize the map, its derivatives, the Jacobian and the dual basis.
 
     Radial derivatives arrive as d/d rho in the profile jets and convert to
     flux derivatives through d/ds = d/drho / (2 rho).  ``tables`` are the
     field-stacked trigonometric tables (:func:`spectral.field_tables`); they
     depend only on (mode sets, grid) and may be passed in precomputed.
 
-    The covariant basis is one tensor ``e[i, c]`` with cylindrical
-    components c = (R, phi, Z), e_i = (d_i R, R delta_i_zeta, d_i Z); the
-    metric, its derivatives and the Jacobian are contractions of it.
+    The covariant basis e_i = (d_i R, R delta_i_zeta, d_i Z) has its (R, Z)
+    part in ``dx[:, ::2]``; with the in-plane cross product cross2 the
+    Jacobian is sqrt(g) = R cross2(e_theta, e_s).
     """
     if tables is None:
         tables = spectral.field_tables(profiles.modes_cos, profiles.modes_sin, grid.theta, grid.zeta)
@@ -298,61 +331,69 @@ def geometry(profiles: ProfileStack, grid: CollocationGrid, tables=None) -> Fiel
         (3, 3) + st.x.shape,
     )
 
-    e = st.dx * _RZ + st.x[0] * _PHI_ZETA
-    de = st.ddx * _RZ + st.dx[:, 0, None, None] * _PHI_ZETA
-    st.basis, st.dbasis = e, de
-    st.dual = e[np.ix_(_NEXT, _NEXT)] * e[np.ix_(_AFTER, _AFTER)] - e[np.ix_(_NEXT, _AFTER)] * e[
-        np.ix_(_AFTER, _NEXT)
-    ]
-    st.sqrtg = ad.einsum("cra,cra->ra", e[2], st.dual[2])
+    R, plane = st.x[0], st.dx[:, ::2]
+    rot = ad.einsum("icra,cd->idra", plane, _ROT)
+    cross = ad.einsum("jcra,kcra->jkra", plane, rot)  # cross2(e_j, e_k)
+    w = cross[1, 0]
+    st.sqrtg = R * w
     _check_jacobian(st.sqrtg, grid)
-    st.dsqrtg = ad.einsum("icra,kicra->kra", st.dual, de)
+    tilt = ad.einsum("ij,jcra->icra", _PLANE, rot)
+    w_k = ad.einsum("kicra,icra->kra", st.ddx[:, :, ::2], tilt)
+    st.dsqrtg = st.dx[:, 0] * w + R * w_k
+    inplane = R * tilt
+    # phi part cross2(e_{i+2}, e_{i+1}) = -eps_ijk cross2(e_j, e_k) / 2
+    phi = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA * -0.5, cross)
+    st.dual = ad.stack([inplane[:, 0], phi, inplane[:, 1]], axis=1)
     return st
 
 
 def magnetic_field(state: FieldState, iota_coeffs, psi_b: float) -> FieldState:
-    """Fill contravariant and covariant field components and their partials.
+    """Fill the field components and their partials.
 
     ``iota_coeffs`` are the rotational-transform polynomial coefficients in
-    s (ascending); the flux normalization makes d psi / ds = psi_b.
+    s (ascending); the flux normalization makes d psi / ds = psi_b, and
+    sqrt(g) (B^theta, B^zeta) = psi_b (iota - L_z, 1 + L_t).
     """
     st = state
     s = (st.grid.rho**2)[:, None]
     iota_coeffs = np.atleast_1d(np.asarray(iota_coeffs, dtype=float))
     st.iota = npoly.polyval(s, iota_coeffs)
     st.iota_prime = npoly.polyval(s, npoly.polyder(iota_coeffs))
-    st.psi_b = float(psi_b)
+    st.psi_b = psi = float(psi_b)
 
-    # sqrt(g) B^i = psi_b (0, iota - L_z, 1 + L_t): linear in d lambda
-    lam = np.zeros((3, 3))
-    lam[1, 2], lam[2, 1] = -psi_b, psi_b
-    offset = np.zeros((3,) + s.shape)
-    offset[1], offset[2] = psi_b * st.iota, psi_b
-    d_offset = np.zeros((3, 3) + s.shape)
-    d_offset[0, 1] = psi_b * st.iota_prime
-    st.gbsup = ad.einsum("li,ira->lra", lam, st.dx[:, 1]) + offset
-    d_gbsup = ad.einsum("li,kira->klra", lam, st.ddx[:, :, 1]) + d_offset
+    offset = np.zeros((2,) + s.shape)
+    offset[0], offset[1] = psi * st.iota, psi
+    d_offset = np.zeros((3, 2) + s.shape)
+    d_offset[0, 0] = psi * st.iota_prime
+    st.gbsup = ad.einsum("lm,mra->lra", psi * _LAM, st.dx[1:, 1]) + offset
+    d_gbsup = ad.einsum("lm,kmra->klra", psi * _LAM, st.ddx[:, 1:, 1]) + d_offset
+    st.b = st.gbsup / st.sqrtg
+    st.db = (d_gbsup - ad.einsum("lra,kra->klra", st.b, st.dsqrtg)) / st.sqrtg
 
-    st.bsup = st.gbsup / st.sqrtg
-    st.dbsup = (d_gbsup - ad.einsum("lra,kra->klra", st.bsup, st.dsqrtg)) / st.sqrtg
-    st.bvec = ad.einsum("lcra,lra->cra", st.basis, st.bsup)
-    st.bsub = ad.einsum("icra,cra->ira", st.basis, st.bvec)
-    st.B2 = ad.einsum("cra,cra->ra", st.bvec, st.bvec)
-    st.Bmag = ad.sqrt(st.B2)
+    R, plane = st.x[0], st.dx[1:, ::2]
+    st.b_plane = ad.einsum("lcra,lra->cra", plane, st.b)
+    st.b_phi = R * st.b[1]
+    st.db_plane = ad.einsum("klcra,lra->kcra", st.ddx[:, 1:, ::2], st.b) + ad.einsum(
+        "lcra,klra->kcra", plane, st.db
+    )
+    st.db_phi = st.dx[:, 0] * st.b[1] + R * st.db[:, 1]
     return st
 
 
 def current(state: FieldState) -> FieldState:
-    """Contravariant current from the curl of the covariant field.
+    """Contravariant current J^i = eps_ijk d_j B_k / (mu0 sqrt(g)).
 
-    d_k B_i = d_k e_i . B + e_i . d_k B with B = B^l e_l in cylindrical
-    components, which never forms the metric derivatives.
+    d_j B_k = d_j e_k . B + e_k . d_j B.  The first term is symmetric in
+    (j, k) in the (R, Z) plane and drops from the curl; the phi component
+    adds d_j (R B_phi) to d_j B_zeta.
     """
     st = state
-    e, de = st.basis, st.dbasis
-    d_bvec = ad.einsum("klcra,lra->kcra", de, st.bsup) + ad.einsum("lcra,klra->kcra", e, st.dbsup)
-    st.dbsub = ad.einsum("kicra,cra->kira", de, st.bvec) + ad.einsum("icra,kcra->kira", e, d_bvec)
-    st.jsup = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA / MU0, st.dbsub) / st.sqrtg
+    st.edb = ad.einsum("icra,kcra->kira", st.dx[:, ::2], st.db_plane)
+    st.d_rbphi = st.dx[:, 0] * st.b_phi + st.x[0] * st.db_phi
+    curl = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA / MU0, st.edb) + ad.einsum(
+        "ij,jra->ira", _LEVI_CIVITA[:, :, 2] / MU0, st.d_rbphi
+    )
+    st.jsup = curl / st.sqrtg
     return st
 
 
@@ -369,7 +410,7 @@ def force(state: FieldState, p_prime) -> FieldState:
         pp = pp[:, None]
     st.p_prime = pp
     # h = sqrt(g) (0, B^zeta, -B^theta), so e^h = h_i e^i = (h_i dual_i) / sqrt(g)
-    h = ad.einsum("il,lra->ira", _LEVI_CIVITA[0], st.gbsup)
+    h = ad.einsum("il,lra->ira", _H, st.gbsup)
     st.F_s = (ad.einsum("ira,ira->ra", h, st.jsup) - pp) * MU0
     st.F_h = st.jsup[0] * (-MU0)
     det = st.sqrtg * st.sqrtg
@@ -403,7 +444,7 @@ def grad_B2_magnitude(state: FieldState):
 
 def _node_weights(state: FieldState, grid: CollocationGrid) -> np.ndarray:
     """|sqrt(g)| times the s-measure 2 rho d rho, per node (uniform angles)."""
-    absg = np.abs(ad.value_of(state.sqrtg))
+    absg = np.abs(ad.value_of(state.sqrtg)) * state.weights
     radial = (2.0 * grid.rho * grid.rho_weights)[:, None]
     return absg * radial
 
@@ -411,9 +452,8 @@ def _node_weights(state: FieldState, grid: CollocationGrid) -> np.ndarray:
 def volume(state: FieldState, grid: CollocationGrid) -> float:
     """Plasma volume of the full torus."""
     w = _node_weights(state, grid)
-    dtheta = 2.0 * np.pi / grid.theta.size
-    dzeta = 2.0 * np.pi / grid.zeta.size
-    return float(w.sum() * dtheta * dzeta)
+    n_angles = np.broadcast_to(state.weights, (grid.n_angular,)).sum()
+    return float(w.sum() * (2.0 * np.pi) ** 2 / n_angles)
 
 
 def volume_average(q, state: FieldState, grid: CollocationGrid) -> float:
@@ -425,13 +465,13 @@ def volume_average(q, state: FieldState, grid: CollocationGrid) -> float:
 
 def surface_average(q, state: FieldState, grid: CollocationGrid, index: int) -> float:
     """Flux-surface average of q on the surface at grid.rho[index]."""
-    absg = np.abs(ad.value_of(state.sqrtg)[index])
+    absg = (np.abs(ad.value_of(state.sqrtg)) * state.weights)[index]
     q = ad.value_of(q)[index]
     return float((q * absg).sum() / absg.sum())
 
 
 def surface_average_profile(q, state: FieldState, grid: CollocationGrid) -> np.ndarray:
-    absg = np.abs(ad.value_of(state.sqrtg))
+    absg = np.abs(ad.value_of(state.sqrtg)) * state.weights
     q = ad.value_of(q)
     return (q * absg).sum(axis=1) / absg.sum(axis=1)
 

@@ -43,6 +43,7 @@ __all__ = [
     "ProfileStack",
     "ProfileConstants",
     "input_map",
+    "net_shapes",
     "mlp_forward",
     "init_params",
     "mode_profiles",
@@ -78,69 +79,62 @@ class MLPCoefficients:
         return int(ad.value_of(self.b2).shape[0])
 
 
-def _net_shapes(width: int, n_modes: int) -> list:
-    """Shapes of W0, b0, W1, b1, W2, b2 of one network."""
-    n, k = width, n_modes
+def net_shapes(n: int, k: int, batch: bool = False) -> list:
+    """Shapes of W0, b0, W1, b1, W2, b2 of one network of width n and K = k
+    outputs; in the batch layout the vectors broadcast over a radius axis."""
+    if batch:
+        return [(1, n), (1, n), (n, n), (1, n), (k, n), (1, k)]
     return [(n, 1), (n,), (n, n), (n,), (k, n), (k,)]
-
-
-def _batch_shapes(width: int, n_modes: int) -> list:
-    """The same arrays with the field axis first, shaped to broadcast over a
-    radius axis: W0, b0, b1 as (F, 1, n), b2 as (F, 1, K)."""
-    n, k = width, n_modes
-    return [(1, n), (1, n), (n, n), (1, n), (k, n), (1, k)]
 
 
 def _stack_nets(nets) -> MLPCoefficients:
     """Stack networks of one shape on a leading field axis (batch layout)."""
-    n, k = nets[0].width, nets[0].n_out
-    return MLPCoefficients(*(
-        ad.reshape(ad.stack(arrays), (len(nets),) + shape)
-        for arrays, shape in zip(zip(*(net.arrays() for net in nets)), _batch_shapes(n, k))
-    ))
+    shapes = net_shapes(nets[0].width, nets[0].n_out, batch=True)
+    columns = zip(*(net.arrays() for net in nets))
+    return MLPCoefficients(*(ad.reshape(ad.stack(a), (len(nets),) + s) for a, s in zip(columns, shapes)))
 
 
 class NetParams:
     """The three coordinate networks plus their shared mode layout.
 
-    The networks come either one by one (``r``, ``lam``, ``z``) or already
-    stacked on the field axis (:meth:`from_fields`, as
-    :func:`vector_to_params` builds them from a flat vector).
-    :meth:`fields` gives the stacked form that :func:`profile_stack`
-    evaluates; the per-network objects are built on first access and are
-    authoritative from then on, so editing them is seen by later evaluations.
+    Built from the networks one by one (``r``, ``lam``, ``z``) or stacked on
+    the field axis in the batch layout (:meth:`from_fields`, as
+    :func:`vector_to_params` does).  :meth:`fields` gives the stacked form
+    that :func:`profile_stack` evaluates; the per-network objects are built
+    on first access and are authoritative from then on.
     """
 
     def __init__(self, r: MLPCoefficients, lam: MLPCoefficients, z: MLPCoefficients,
                  modes_cos: ModeSet, modes_sin: ModeSet):
-        widths = {r.width, lam.width, z.width}
-        outs = {r.n_out, lam.n_out, z.n_out}
-        if len(widths) != 1 or len(outs) != 1:
+        if len({r.width, lam.width, z.width}) != 1 or len({r.n_out, lam.n_out, z.n_out}) != 1:
             raise ValueError("all three networks must share width and mode count")
         self._nets, self._fields = (r, lam, z), None
-        self._init_layout(r.width, r.n_out, modes_cos, modes_sin)
+        self._layout(r.width, r.n_out, modes_cos, modes_sin)
 
     @classmethod
     def from_fields(cls, fields: MLPCoefficients, modes_cos: ModeSet, modes_sin: ModeSet) -> "NetParams":
-        """Wrap field-stacked arrays in the batch layout (see ``_batch_shapes``)."""
         self = cls.__new__(cls)
         self._nets, self._fields = None, fields
-        self._init_layout(int(ad.value_of(fields.w1).shape[-1]), int(ad.value_of(fields.w2).shape[1]),
-                          modes_cos, modes_sin)
+        _, k, n = ad.value_of(fields.w2).shape
+        self._layout(n, k, modes_cos, modes_sin)
         return self
 
-    def _init_layout(self, width, n_modes, modes_cos, modes_sin):
+    @classmethod
+    def zeros(cls, width: int, modes_cos: ModeSet, modes_sin: ModeSet) -> "NetParams":
+        """All-zero networks, e.g. as the layout template of :func:`vector_to_params`."""
+        nets = [MLPCoefficients(*(np.zeros(s) for s in net_shapes(width, modes_cos.size))) for _ in range(3)]
+        return cls(*nets, modes_cos, modes_sin)
+
+    def _layout(self, width, n_modes, modes_cos, modes_sin):
         if n_modes != modes_cos.size:
             raise ValueError("network output size does not match the mode set")
-        self.width, self.n_modes = width, n_modes
-        self.modes_cos, self.modes_sin = modes_cos, modes_sin
+        self.width, self.n_modes, self.modes_cos, self.modes_sin = width, n_modes, modes_cos, modes_sin
 
     def _net(self, f: int) -> MLPCoefficients:
         if self._nets is None:
-            shapes = _net_shapes(self.width, self.n_modes)
+            arrays, shapes = self._fields.arrays(), net_shapes(self.width, self.n_modes)
             self._nets = tuple(
-                MLPCoefficients(*(ad.reshape(a[i], shape) for a, shape in zip(self._fields.arrays(), shapes)))
-                for i in range(3)
+                MLPCoefficients(*(ad.reshape(a[i], s) for a, s in zip(arrays, shapes))) for i in range(3)
             )
             self._fields = None
         return self._nets[f]
@@ -155,7 +149,7 @@ class NetParams:
 
     @property
     def n_parameters(self) -> int:
-        return 3 * sum(math.prod(shape) for shape in _net_shapes(self.width, self.n_modes))
+        return 3 * sum(math.prod(s) for s in net_shapes(self.width, self.n_modes))
 
 
 def params_to_vector(params: NetParams) -> np.ndarray:
@@ -175,10 +169,9 @@ def vector_to_params(vec, template: NetParams) -> NetParams:
     its (3, P) reshape has one network per row and each array is a column
     block of it: six slices give the field-stacked arrays directly.
     """
-    shapes = _batch_shapes(template.width, template.n_modes)
     rows = ad.reshape(vec, (3, template.n_parameters // 3))
     arrays, offset = [], 0
-    for shape in shapes:
+    for shape in net_shapes(template.width, template.n_modes, batch=True):
         size = math.prod(shape)
         arrays.append(ad.reshape(rows[:, offset : offset + size], (3,) + shape))
         offset += size
@@ -424,17 +417,12 @@ def _jet_array(jets) -> np.ndarray:
 class ProfileConstants:
     """Radius- and boundary-dependent constants of the profile composition.
 
-    Per field the profile is ``X = rho^m (phi N + X_b)`` with the raw network
-    output N, the distance factor ``phi = 1 - rho^2`` (1 for lambda) and the
-    boundary coefficients X_b (0 for lambda); the pinned sine (0,0) mode is
-    zeroed in ``rho^m``.  As a jet this is linear in N's jet:
-
-        X_j = sum_i binom(j, i) P_{j-i} N_i + C_j,   P = rho^m phi,  C = rho^m X_b,
-
-    so ``compose`` (the binomial operator, shape (3, 3, F, n_rho, K)), ``P``
-    and ``C`` are all it takes.  Everything here is parameter-independent,
-    so the solver builds it once per grid and reuses it for every loss
-    evaluation.
+    Per field X = rho^m (phi N + X_b) with the raw network output N,
+    phi = 1 - rho^2 (1 for lambda) and boundary coefficients X_b (0 for
+    lambda; the pinned sine (0,0) mode is zeroed in rho^m).  As a jet,
+    X_j = sum_i binom(j, i) P_{j-i} N_i + C_j with P = rho^m phi and
+    C = rho^m X_b; ``compose`` holds the binomial operator.  All of it is
+    parameter-independent, so the solver builds it once per grid.
     """
 
     rho: np.ndarray
@@ -467,13 +455,7 @@ class ProfileConstants:
         for j in range(3):
             for i in range(j + 1):
                 compose[j, i] = math.comb(j, i) * P[j - i]
-        return cls(
-            rho=rho,
-            f=Jet2(input_map(col), 4.0 * col, np.full_like(col, 4.0)),
-            P=P,
-            C=C,
-            compose=compose,
-        )
+        return cls(rho, Jet2(input_map(col), 4.0 * col, np.full_like(col, 4.0)), P, C, compose)
 
 
 def profile_stack(

@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -124,8 +125,29 @@ class Diverged(RuntimeError):
         self.last_vector = last_vector
 
 
+def _mirror_rows(grid: CollocationGrid):
+    """Poloidal rows and node weights that cover the grid up to symmetry.
+
+    Stellarator symmetry makes the force magnitude even under (theta, zeta)
+    -> (-theta, -zeta), so on the uniform grids of
+    :meth:`CollocationGrid.build` rows j <= n_theta / 2, weighted 2 except
+    the self-mirrored rows 0 and n_theta / 2, sum to the full grid.
+    Returns ``(n_theta, ones)`` for any other grid.
+    """
+    n_theta, n_zeta = grid.theta.size, grid.zeta.size
+    if not (np.array_equal(grid.theta, 2.0 * np.pi * np.arange(n_theta) / n_theta)
+            and np.array_equal(grid.zeta, 2.0 * np.pi * np.arange(n_zeta) / (grid.n_fp * n_zeta))):
+        return n_theta, np.ones(grid.n_angular)
+    j = np.arange(n_theta // 2 + 1)
+    weights = np.where((j == 0) | (2 * j == n_theta), 1.0, 2.0)
+    return j.size, np.repeat(weights, n_zeta)
+
+
 class LossAssembler:
-    """Caches grid constants and evaluates loss, gradient and diagnostics."""
+    """Caches grid constants and evaluates loss, gradient and diagnostics.
+
+    Both run on the weighted symmetry-reduced grid of :func:`_mirror_rows`.
+    """
 
     def __init__(self, input: EquilibriumInput, width: int, grid: CollocationGrid):
         self.input = input
@@ -134,21 +156,33 @@ class LossAssembler:
             input.M, input.N, input.n_fp
         )
         self.width = width
-        self.tables = spectral.field_tables(self.modes_cos, self.modes_sin, grid.theta, grid.zeta)
+        rows, self.loss_weights = _mirror_rows(grid)
+        self.loss_grid = CollocationGrid(grid.rho, grid.theta[:rows], grid.zeta, grid.n_fp)
+        self.loss_tables = self._tables(self.loss_grid)
         self.constants = nf.ProfileConstants.build(
             input, self.modes_cos, self.modes_sin, grid.rho
         )
         s = grid.rho**2
         self.p_prime = input.pressure_prime(s)
-        self.template = nf.init_params(
-            (self.modes_cos, self.modes_sin), width, 0, input
-        )
+        self.template = NetParams.zeros(width, self.modes_cos, self.modes_sin)
+
+    def _tables(self, grid):
+        return spectral.field_tables(self.modes_cos, self.modes_sin, grid.theta, grid.zeta)
+
+    @functools.cached_property
+    def tables(self):
+        """Full-grid tables, built on first use; loss and metrics do not need them."""
+        return self._tables(self.grid)
 
     # -- evaluation ------------------------------------------------------
 
-    def field_state(self, params: NetParams) -> mk.FieldState:
+    def field_state(self, params: NetParams, reduced: bool = False) -> mk.FieldState:
+        """Kernel state on the full grid, or on the symmetry-reduced one."""
+        grid, tables = (self.loss_grid, self.loss_tables) if reduced else (self.grid, self.tables)
         stack = nf.profile_stack(params, self.input, self.grid.rho, self.constants)
-        state = mk.geometry(stack, self.grid, self.tables)
+        state = mk.geometry(stack, grid, tables)
+        if reduced:
+            state.weights = self.loss_weights
         mk.magnetic_field(state, self.input.iota, self.input.psi_b)
         mk.current(state)
         mk.force(state, self.p_prime)
@@ -156,8 +190,11 @@ class LossAssembler:
 
     def _loss_expr(self, vec):
         params = nf.vector_to_params(vec, self.template)
-        state = self.field_state(params)
-        return ad.mean_all(state.F_mag)
+        return self._mean_force(self.field_state(params, reduced=True))
+
+    def _mean_force(self, state):
+        """Mean per-node force magnitude over the full grid, exactly rounded."""
+        return ad.sum_all(state.F_mag * state.weights) / self.grid.n_nodes
 
     def loss_value(self, vec: np.ndarray) -> float:
         out = self._loss_expr(np.asarray(vec))
@@ -185,16 +222,17 @@ class LossAssembler:
     def metrics(self, vec: np.ndarray) -> dict:
         """Normalized residual diagnostics on the training grid."""
         params = nf.vector_to_params(np.asarray(vec, dtype=float), self.template)
-        state = self.field_state(params)
+        state = self.field_state(params, reduced=True)
+        grid = self.loss_grid
         grad_b2 = mk.grad_B2_magnitude(state)
-        normalizer = mk.volume_average(grad_b2, state, self.grid)
-        fnorm, fvol = mk.f_norm(state, self.grid, normalizer)
-        profile = mk.surface_average_profile(fnorm, state, self.grid)
+        normalizer = mk.volume_average(grad_b2, state, grid)
+        fnorm, fvol = mk.f_norm(state, grid, normalizer)
+        profile = mk.surface_average_profile(fnorm, state, grid)
         return {
             "f_vol_norm": fvol,
             "f_norm_profile": profile,
             "normalizer": normalizer,
-            "loss": float(ad.mean_all(state.F_mag)),
+            "loss": float(self._mean_force(state)),
         }
 
     def f_vol_norm(self, vec: np.ndarray) -> float:
@@ -261,15 +299,9 @@ def _strong_wolfe(evaluate, f0, g0_dot_p, c1, c2, max_iter):
     condition (sufficient decrease, slope at least c2 times the initial one)
     is accepted, else the best sufficient-decrease point (the quasi-Newton
     update guards on y.s anyway).  Returns (alpha, payload) or (None, None)
-    on failure.
-
-    The loss is a mean of norms, with a kink wherever one node's force
-    passes through zero.  When the minimum along the ray sits on a kink the
-    slope jumps there and the strong condition cannot hold, so the zoom
-    closes in on the kink.  A step that ends on it leaves a one-sided
-    gradient that sends the next search uphill in every direction tried,
-    and the stage stalls; the weak point lies past the kink instead
-    (Lewis & Overton, Math. Prog. 141, 2013).
+    on failure.  The weak point matters at a kink of the loss (a node's
+    force passing through zero): the zoom closes in on the kink, and a step
+    that ends on it can leave every next search uphill.
     """
     lo = (0.0, f0, g0_dot_p, None)
     alpha = 1.0
@@ -317,9 +349,8 @@ def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter, weak=None):
 
     lo always satisfies sufficient decrease (or is the origin); hi may carry
     a non-finite value from an overlapping-surface trial, in which case the
-    interval is bisected rather than interpolated.  ``weak`` is the first
-    trial known to meet the weak conditions, the fallback if the strong
-    ones are never met.
+    interval is bisected rather than interpolated.  ``weak``: see
+    :func:`_strong_wolfe`.
     """
     a_lo, f_lo, d_lo, p_lo = lo
     a_hi, f_hi, _, _ = hi
@@ -467,11 +498,9 @@ def bfgs_stage(
 def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, outer: np.ndarray) -> None:
     """In-place inverse-Hessian update with the curvature pair (s, y), y.s > 0.
 
-    The textbook form (I - rho s y^T) H (I - rho y s^T) + rho s s^T, with
-    rho = 1 / y.s, is the rank-2 correction H += s w^T + w s^T with
-    w = rho (1 + rho y.Hy) s / 2 - rho Hy.  ``outer`` is an n-by-n scratch
-    array, so no temporary of that size is allocated.  The matrix-vector
-    product is an einsum, so no BLAS call is made.
+    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s equals
+    H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy; ``outer`` is
+    n-by-n scratch.  BLAS-free, like every contraction here.
     """
     hy = np.einsum("ij,j->i", h, y, optimize=False)
     rho = 1.0 / float(np.dot(y, s))

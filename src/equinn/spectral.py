@@ -170,13 +170,10 @@ def trig_tables(mode_set: ModeSet, theta: np.ndarray, zeta: np.ndarray) -> TrigT
 
 
 def field_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarray:
-    """Trigonometric tables per field (R cosine; lambda, Z sine) in one array.
-
-    Shape (3 fields, 6, n_modes, n_theta * n_zeta); the second axis runs over
-    value, dt, dz, dtt, dtz, dzz as in :class:`TrigTables`.
-    """
-    tabs = [trig_tables(m, theta, zeta) for m in (modes_cos, modes_sin)]
-    cos, sin = (np.stack([t.value, t.dt, t.dz, t.dtt, t.dtz, t.dzz]) for t in tabs)
+    """Tables per field (R cosine; lambda, Z sine), shape (3, 6, n_modes,
+    n_theta * n_zeta), second axis as in :class:`TrigTables`."""
+    cos, sin = (trig_tables(m, theta, zeta) for m in (modes_cos, modes_sin))
+    cos, sin = (np.stack([t.value, t.dt, t.dz, t.dtt, t.dtz, t.dzz]) for t in (cos, sin))
     return np.stack([cos, sin, sin])
 
 
