@@ -218,10 +218,9 @@ class Var:
     def backward(self):
         """Accumulate gradients of this (scalar) node into the trace.
 
-        The first gradient reaching a node is stored as is, since it may be
-        an array that other vector-Jacobian products share; the second is
-        added out of place, and later ones go in place into that new array.
-        Slice gradients (:class:`_Slice`) go in place into a zero buffer.
+        A node's first gradient is stored as is (other products may share
+        it), the second is added out of place and later ones in place;
+        slice gradients (:class:`_Slice`) go in place into a zero buffer.
         """
         order = _toposort(self)
         for node in order:
@@ -255,10 +254,10 @@ class _Slice(NamedTuple):
 
     def add_to(self, full: np.ndarray) -> None:
         idx = self.idx if isinstance(self.idx, tuple) else (self.idx,)
-        if all(isinstance(i, (int, np.integer, slice, type(None), type(Ellipsis))) for i in idx):
-            full[self.idx] += self.g
-        else:  # integer arrays may repeat an index
+        if any(isinstance(i, (np.ndarray, list)) for i in idx):  # may repeat an index
             np.add.at(full, self.idx, self.g)
+        else:
+            full[self.idx] += self.g
 
 
 def _toposort(root: Var) -> list:
@@ -318,41 +317,31 @@ def matmul(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _einsum_plan(subscripts: str) -> tuple:
-    ins, out_idx = subscripts.replace(" ", "").split("->")
+def _einsum_vjp_specs(subscripts: str) -> tuple:
+    ins, out = subscripts.replace(" ", "").split("->")
     ia, ib = ins.split(",")
     for own, other in ((ia, ib), (ib, ia)):
-        if len(set(own)) != len(own) or not set(own) <= set(other + out_idx):
+        if len(set(own)) != len(own) or not set(own) <= set(other + out):
             raise ValueError(f"einsum {subscripts!r}: unsupported index pattern")
-    return ia, ib, out_idx
+    return f"{out},{ib}->{ia}", f"{out},{ia}->{ib}"
 
 
 def einsum(subscripts: str, a, b):
     """Two-operand ``np.einsum`` (explicit ``->`` form) differentiable in
-    every :class:`Var` operand.  ``optimize=False`` never dispatches to
-    BLAS, so the summation order is fixed for any thread count.
-
-    Each index of an operand must appear in the other operand or in the
-    output, and no operand may repeat one, so the gradient of an operand is
-    the contraction of the output gradient with the other.
+    every :class:`Var` operand; ``optimize=False`` never calls BLAS, so the
+    summation order is fixed for any thread count.  Each index of an operand
+    must appear in the other or in the output, without repeats.
     """
-    ia, ib, out_idx = _einsum_plan(subscripts)
-    av, bv = np.asarray(value_of(a)), np.asarray(value_of(b))
-    val = np.einsum(subscripts, av, bv, optimize=False)
     parents = tuple(x for x in (a, b) if isinstance(x, Var))
     if not parents:
-        return val
-    out = Var(val, parents)
-
-    def vjp(g):
-        grads = []
-        if isinstance(a, Var):
-            grads.append(np.einsum(f"{out_idx},{ib}->{ia}", g, bv, optimize=False))
-        if isinstance(b, Var):
-            grads.append(np.einsum(f"{out_idx},{ia}->{ib}", g, av, optimize=False))
-        return tuple(grads)
-
-    out._vjp = vjp
+        return np.einsum(subscripts, a, b, optimize=False)
+    spec_a, spec_b = _einsum_vjp_specs(subscripts)
+    av, bv = value_of(a), value_of(b)
+    out = Var(np.einsum(subscripts, av, bv, optimize=False), parents)
+    out._vjp = lambda g: tuple(
+        np.einsum(spec, g, other, optimize=False)
+        for x, spec, other in ((a, spec_a, bv), (b, spec_b, av)) if isinstance(x, Var)
+    )
     return out
 
 
@@ -519,11 +508,9 @@ def loss_gradient(loss: Callable, params: np.ndarray):
     if grad is None:
         grad = np.zeros_like(leaf.value)
     grad = np.asarray(grad, dtype=float)
-    bad = ~np.isfinite(grad)
-    if bad.any():
-        raise NonFiniteLossError(
-            f"gradient has {int(bad.sum())} non-finite entries, first at index {int(np.argmax(bad))}"
-        )
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size:
+        raise NonFiniteLossError(f"gradient has {bad.size} non-finite entries, first at index {bad[0]}")
     return val, grad
 
 

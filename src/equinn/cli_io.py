@@ -591,6 +591,13 @@ def spectral_widths(params: NetParams, input: EquilibriumInput, rho) -> np.ndarr
     return ((value[0] ** 2 + value[2] ** 2) * params.modes_cos.m.astype(float) ** 2).sum(axis=1)
 
 
+def _write_fnorm(out: Path, rho, profile, widths) -> Path:
+    path = out / "fnorm_profile.csv"
+    rows = [(float(r), float(f), float(w)) for r, f, w in zip(rho, profile, widths)]
+    _write_table(path, "rho,f_norm_avg,spectral_width", rows)
+    return path
+
+
 def _write_sections(solution: Solution, out: Path, zeta: float = 0.0) -> dict:
     """poincare.csv and theta_star.csv at one toroidal angle."""
     files = {"poincare": out / "poincare.csv", "theta_star": out / "theta_star.csv"}
@@ -610,15 +617,7 @@ def export_metrics(solution: Solution, out_dir) -> dict:
 
     # per-surface residuals and spectral width
     msp = spectral_widths(solution.params, solution.input, solution.rho)
-    files["fnorm_profile"] = out / "fnorm_profile.csv"
-    _write_table(
-        files["fnorm_profile"],
-        "rho,f_norm_avg,spectral_width",
-        [
-            (float(r), float(f), float(w))
-            for r, f, w in zip(solution.rho, solution.f_norm_profile, msp)
-        ],
-    )
+    files["fnorm_profile"] = _write_fnorm(out, solution.rho, solution.f_norm_profile, msp)
 
     files["loss_history"] = out / "loss_history.csv"
     _write_table(
@@ -773,15 +772,7 @@ def _cmd_eval(args) -> int:
 
     out = _out_dir(args.out, str(Path(args.checkpoint).parent))
     out.mkdir(parents=True, exist_ok=True)
-    msp = spectral_widths(params, input, grid.rho)
-    _write_table(
-        out / "fnorm_profile.csv",
-        "rho,f_norm_avg,spectral_width",
-        [
-            (float(r), float(f), float(w))
-            for r, f, w in zip(grid.rho, metrics["f_norm_profile"], msp)
-        ],
-    )
+    _write_fnorm(out, grid.rho, metrics["f_norm_profile"], spectral_widths(params, input, grid.rho))
     summary = {
         "f_vol_norm": metrics["f_vol_norm"],
         "loss": metrics["loss"],

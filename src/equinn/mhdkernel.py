@@ -245,13 +245,8 @@ class FieldState:
         sym = ad.einsum("kicra,cra->kira", self.ddx[:, :, ::2], self.b_plane)
         return sym + self.edb + ad.einsum("kra,i->kira", self.d_rbphi, _Z[:, 0, 0])
 
-    @property
-    def B2(self):
-        return ad.einsum("cra,cra->ra", self.b_plane, self.b_plane) + self.b_phi * self.b_phi
-
-    @property
-    def Bmag(self):
-        return ad.sqrt(self.B2)
+    B2 = property(lambda self: ad.einsum("cra,cra->ra", self.b_plane, self.b_plane) + self.b_phi**2)
+    Bmag = property(lambda self: ad.sqrt(self.B2))
 
     def __getattr__(self, name):
         try:
@@ -289,8 +284,6 @@ def _check_jacobian(sqrtg, grid: CollocationGrid) -> None:
 _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 # in-plane part of sqrt(g) e^i is R * sum_j _PLANE[i, j] rot(e_j)
 _PLANE = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-# (lambda_theta, lambda_zeta) -> (-lambda_zeta, lambda_theta)
-_LAM = np.array([[0.0, -1.0], [1.0, 0.0]])
 # sqrt(g) (B^theta, B^zeta) -> h = sqrt(g) (0, B^zeta, -B^theta)
 _H = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 _Z = np.array([0.0, 0.0, 1.0])[:, None, None]
@@ -365,8 +358,9 @@ def magnetic_field(state: FieldState, iota_coeffs, psi_b: float) -> FieldState:
     offset[0], offset[1] = psi * st.iota, psi
     d_offset = np.zeros((3, 2) + s.shape)
     d_offset[0, 0] = psi * st.iota_prime
-    st.gbsup = ad.einsum("lm,mra->lra", psi * _LAM, st.dx[1:, 1]) + offset
-    d_gbsup = ad.einsum("lm,kmra->klra", psi * _LAM, st.ddx[:, 1:, 1]) + d_offset
+    # psi (-L_z, L_t) + (psi iota, psi), linear in (L_t, L_z)
+    st.gbsup = ad.einsum("lm,mra->lra", psi * _ROT, st.dx[1:, 1]) + offset
+    d_gbsup = ad.einsum("lm,kmra->klra", psi * _ROT, st.ddx[:, 1:, 1]) + d_offset
     st.b = st.gbsup / st.sqrtg
     st.db = (d_gbsup - ad.einsum("lra,kra->klra", st.b, st.dsqrtg)) / st.sqrtg
 
@@ -425,18 +419,14 @@ def force(state: FieldState, p_prime) -> FieldState:
 def gradient_magnitude(state: FieldState, dq_s, dq_t, dq_z):
     """|grad q| from the contravariant metric, given the partials of q."""
     dq = ad.stack([dq_s, dq_t, dq_z])
-    return ad.sqrt(_metric_square(state, dq))
-
-
-def _metric_square(state: FieldState, dq):
-    return ad.einsum("jra,jra->ra", ad.einsum("ira,ijra->jra", dq, state.gu), dq)
+    return ad.sqrt(ad.einsum("jra,jra->ra", ad.einsum("ira,ijra->jra", dq, state.gu), dq))
 
 
 def grad_B2_magnitude(state: FieldState):
     """Magnetic-pressure gradient magnitude |grad |B|^2| / (2 mu0) per node."""
     st = state
     db2 = ad.einsum("klra,lra->kra", st.dbsup, st.bsub) + ad.einsum("lra,klra->kra", st.bsup, st.dbsub)
-    return ad.sqrt(_metric_square(st, db2)) / (2.0 * MU0)
+    return gradient_magnitude(st, *db2) / (2.0 * MU0)
 
 
 # -- quadrature ----------------------------------------------------------------

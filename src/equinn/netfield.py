@@ -375,11 +375,10 @@ class ModeProfiles:
 class ProfileStack:
     """Profile values and radial derivatives for a whole radius batch.
 
-    ``jets`` has shape (3, 3, n_rho, n_modes): jet order (value, d/drho,
-    d2/drho2), field (R, lambda, Z), radius, mode.  It may be a numpy array
-    or an autodiff variable; this is the hand-off format consumed by the
-    field kernel.  Per-field jets may be given instead (``r``, ``lam``,
-    ``z``), and are available as properties either way.
+    ``jets`` (numpy array or autodiff variable, the kernel's input) has
+    shape (3, 3, n_rho, n_modes): jet order (value, d/drho, d2/drho2),
+    field (R, lambda, Z), radius, mode.  Per-field jets ``r``, ``lam``,
+    ``z`` may be given instead and are available as properties.
     """
 
     def __init__(self, rho, modes_cos: ModeSet, modes_sin: ModeSet,
@@ -409,8 +408,7 @@ def _rho_power_jet(rho: np.ndarray, mode_set: ModeSet) -> Jet2:
 
 def _jet_array(jets) -> np.ndarray:
     """Per-field constant jets as one (3, F, n_rho, K) array."""
-    return np.stack([np.stack(np.broadcast_arrays(*(getattr(j, c) for j in jets)))
-                     for c in ("value", "d1", "d2")])
+    return np.stack([np.stack(np.broadcast_arrays(*(getattr(j, c) for j in jets))) for c in Jet2.__slots__])
 
 
 @dataclass

@@ -158,7 +158,9 @@ class LossAssembler:
         self.width = width
         rows, self.loss_weights = _mirror_rows(grid)
         self.loss_grid = CollocationGrid(grid.rho, grid.theta[:rows], grid.zeta, grid.n_fp)
-        self.loss_tables = self._tables(self.loss_grid)
+        self.loss_tables = spectral.field_tables(
+            self.modes_cos, self.modes_sin, self.loss_grid.theta, self.loss_grid.zeta
+        )
         self.constants = nf.ProfileConstants.build(
             input, self.modes_cos, self.modes_sin, grid.rho
         )
@@ -166,13 +168,10 @@ class LossAssembler:
         self.p_prime = input.pressure_prime(s)
         self.template = NetParams.zeros(width, self.modes_cos, self.modes_sin)
 
-    def _tables(self, grid):
-        return spectral.field_tables(self.modes_cos, self.modes_sin, grid.theta, grid.zeta)
-
     @functools.cached_property
     def tables(self):
         """Full-grid tables, built on first use; loss and metrics do not need them."""
-        return self._tables(self.grid)
+        return spectral.field_tables(self.modes_cos, self.modes_sin, self.grid.theta, self.grid.zeta)
 
     # -- evaluation ------------------------------------------------------
 
@@ -295,13 +294,12 @@ def _strong_wolfe(evaluate, f0, g0_dot_p, c1, c2, max_iter):
 
     ``evaluate(alpha)`` returns (f, dphi, payload); non-finite trials are
     treated as too-far and bracketed down.  If the curvature condition is
-    unattainable within the budget, the first trial that met the weak
-    condition (sufficient decrease, slope at least c2 times the initial one)
-    is accepted, else the best sufficient-decrease point (the quasi-Newton
-    update guards on y.s anyway).  Returns (alpha, payload) or (None, None)
-    on failure.  The weak point matters at a kink of the loss (a node's
-    force passing through zero): the zoom closes in on the kink, and a step
-    that ends on it can leave every next search uphill.
+    unattainable, as on a kink of the loss where one node's force passes
+    zero, the first trial that met the weak condition (sufficient decrease,
+    slope at least c2 times the initial one) is accepted, else the best
+    sufficient-decrease point.  A step that ends on the kink itself can
+    leave every next search uphill.  Returns (alpha, payload) or
+    (None, None) on failure.
     """
     lo = (0.0, f0, g0_dot_p, None)
     alpha = 1.0
@@ -349,8 +347,7 @@ def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter, weak=None):
 
     lo always satisfies sufficient decrease (or is the origin); hi may carry
     a non-finite value from an overlapping-surface trial, in which case the
-    interval is bisected rather than interpolated.  ``weak``: see
-    :func:`_strong_wolfe`.
+    interval is bisected rather than interpolated; ``weak``: see above.
     """
     a_lo, f_lo, d_lo, p_lo = lo
     a_hi, f_hi, _, _ = hi
@@ -402,11 +399,23 @@ def bfgs_stage(
     'target-reached', 'max-iter'}.
     """
 
-    def eval_point(x):
-        try:
-            return value_and_grad(x)
-        except (NonFiniteLossError, JacobianSignError):
-            return np.inf, None
+    def search(x, f, g, p):
+        """(x, f, g) at the accepted step along p, or None."""
+        cache = {}
+
+        def evaluate(alpha):
+            xt = x + alpha * p
+            try:
+                ft, gt = value_and_grad(xt)
+            except (NonFiniteLossError, JacobianSignError):
+                return np.inf, np.inf, None
+            cache[alpha] = (xt, ft, gt)
+            return ft, float(np.dot(gt, p)), alpha
+
+        alpha, key = _strong_wolfe(
+            evaluate, f, float(np.dot(g, p)), config.c1, config.c2, config.max_line_search
+        )
+        return None if alpha is None else cache[key]
 
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -431,47 +440,21 @@ def bfgs_stage(
             h = np.eye(n)
             p = -g.copy()
 
-        cache = {}
-
-        def evaluate(alpha, x=x, p=p):
-            xt = x + alpha * p
-            ft, gt = eval_point(xt)
-            if gt is None:
-                return np.inf, np.inf, None
-            cache[alpha] = (xt, ft, gt)
-            return ft, float(np.dot(gt, p)), alpha
-
-        alpha, key = _strong_wolfe(
-            evaluate, f, float(np.dot(g, p)), config.c1, config.c2,
-            config.max_line_search,
-        )
-        if alpha is None:
+        step = search(x, f, g, p)
+        if step is None:
             if tried_steepest:
                 status = "param-stall"
                 break
             tried_steepest = True
             h = np.eye(n)
-            cache.clear()
-
-            def evaluate_sd(alpha, x=x, g=g):
-                xt = x - alpha * g
-                ft, gt = eval_point(xt)
-                if gt is None:
-                    return np.inf, np.inf, None
-                cache[alpha] = (xt, ft, gt)
-                return ft, float(np.dot(gt, -g)), alpha
-
-            alpha, key = _strong_wolfe(
-                evaluate_sd, f, float(-np.dot(g, g)), config.c1, config.c2,
-                config.max_line_search,
-            )
-            if alpha is None:
+            step = search(x, f, g, -g)
+            if step is None:
                 status = "param-stall"
                 break
         else:
             tried_steepest = False
 
-        x_new, f_new, g_new = cache[key]
+        x_new, f_new, g_new = step
         s = x_new - x
         y = g_new - g
         x, f, g = x_new, f_new, g_new

@@ -172,9 +172,12 @@ def trig_tables(mode_set: ModeSet, theta: np.ndarray, zeta: np.ndarray) -> TrigT
 def field_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarray:
     """Tables per field (R cosine; lambda, Z sine), shape (3, 6, n_modes,
     n_theta * n_zeta), second axis as in :class:`TrigTables`."""
-    cos, sin = (trig_tables(m, theta, zeta) for m in (modes_cos, modes_sin))
-    cos, sin = (np.stack([t.value, t.dt, t.dz, t.dtt, t.dtz, t.dzz]) for t in (cos, sin))
-    return np.stack([cos, sin, sin])
+    tables = np.empty((3, 6, modes_cos.size, np.size(theta) * np.size(zeta)))
+    for f, modes in enumerate((modes_cos, modes_sin)):
+        t = trig_tables(modes, theta, zeta)
+        np.stack([t.value, t.dt, t.dz, t.dtt, t.dtz, t.dzz], out=tables[f])
+    tables[2] = tables[1]
+    return tables
 
 
 @dataclass

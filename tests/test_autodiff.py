@@ -258,7 +258,7 @@ def test_einsum_matches_numpy():
         got = ad.einsum(spec, a, b)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13), spec
     with pytest.raises(ValueError):
-        ad.einsum("ii,i->i", np.eye(2), np.ones(2))
+        ad.einsum("ii,i->i", Var(np.eye(2)), np.ones(2))
 
 
 def test_sqrt_gradient_is_zero_at_zero():
