@@ -191,8 +191,8 @@ def _mlp_jets(nets: MLPCoefficients, f: Jet2):
     second derivative), field, radius, mode.
     """
     h = Jet2(f.value * nets.w0 + nets.b0, f.d1 * nets.w0, f.d2 * nets.w0).tanh()
-    mix = lambda x: ad.einsum("frh,fkh->frk", x, nets.w1)  # noqa: E731
-    h = Jet2(mix(h.value) + nets.b1, mix(h.d1), mix(h.d2)).tanh()
+    h = Jet2(*(ad.einsum("frh,fkh->frk", x, nets.w1) for x in (h.value, h.d1, h.d2)))
+    h = Jet2(h.value + nets.b1, h.d1, h.d2).tanh()
     return ad.einsum("jfrh,fkh->jfrk", ad.stack([h.value, h.d1, h.d2]), nets.w2)
 
 

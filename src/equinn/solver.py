@@ -175,21 +175,25 @@ class LossAssembler:
 
     # -- evaluation ------------------------------------------------------
 
-    def field_state(self, params: NetParams, reduced: bool = False) -> mk.FieldState:
-        """Kernel state on the full grid, or on the symmetry-reduced one."""
-        grid, tables = (self.loss_grid, self.loss_tables) if reduced else (self.grid, self.tables)
+    def field_state(self, params: NetParams) -> mk.FieldState:
+        """Kernel state on the full grid."""
+        return self._state(params, self.grid, self.tables)
+
+    def _state(self, params, grid, tables, weights=1.0):
         stack = nf.profile_stack(params, self.input, self.grid.rho, self.constants)
         state = mk.geometry(stack, grid, tables)
-        if reduced:
-            state.weights = self.loss_weights
+        state.weights = weights
         mk.magnetic_field(state, self.input.iota, self.input.psi_b)
         mk.current(state)
         mk.force(state, self.p_prime)
         return state
 
+    def _reduced_state(self, params):
+        return self._state(params, self.loss_grid, self.loss_tables, self.loss_weights)
+
     def _loss_expr(self, vec):
         params = nf.vector_to_params(vec, self.template)
-        return self._mean_force(self.field_state(params, reduced=True))
+        return self._mean_force(self._reduced_state(params))
 
     def _mean_force(self, state):
         """Mean per-node force magnitude over the full grid, exactly rounded."""
@@ -221,7 +225,7 @@ class LossAssembler:
     def metrics(self, vec: np.ndarray) -> dict:
         """Normalized residual diagnostics on the training grid."""
         params = nf.vector_to_params(np.asarray(vec, dtype=float), self.template)
-        state = self.field_state(params, reduced=True)
+        state = self._reduced_state(params)
         grid = self.loss_grid
         grad_b2 = mk.grad_B2_magnitude(state)
         normalizer = mk.volume_average(grad_b2, state, grid)

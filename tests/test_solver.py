@@ -302,6 +302,21 @@ def test_loss_frozen_at_3d_init():
     assert abs(asm.loss_value(x) - 2.186466439593671) <= 1e-12 * 2.186466439593671
 
 
+@pytest.mark.parametrize("n_theta", [0, 13])
+def test_symmetry_reduced_loss_and_metrics_match_full_grid(n_theta):
+    from equinn import autodiff as ad, mhdkernel as mk
+
+    asm0, x0 = ellipse_problem()
+    grid = CollocationGrid.build(4, asm0.input.M, asm0.input.N, asm0.input.n_fp, n_theta=n_theta)
+    asm = sv.LossAssembler(asm0.input, 3, grid)
+    assert asm.loss_grid.theta.size < grid.theta.size
+    x = x0 + 0.02 * np.random.default_rng(2).normal(size=x0.size)
+    full = asm.field_state(nf.vector_to_params(x, asm.template))
+    assert abs(asm.loss_value(x) / float(ad.mean_all(full.F_mag)) - 1.0) < 1e-13
+    normalizer = mk.volume_average(mk.grad_B2_magnitude(full), full, grid)
+    fvol = mk.f_norm(full, grid, normalizer)[1]
+    assert abs(asm.metrics(x)["f_vol_norm"] / fvol - 1.0) < 1e-12
+
 
 def test_dshape_tape_stays_within_node_budget():
     from equinn.autodiff import Var
