@@ -340,22 +340,21 @@ def init_params(
     if input.axis_r is None and rb[modes_cos.index_of(0, 0)] == 0.0:
         raise ValueError("no axis guess and the boundary has no (0,0) R mode")
 
-    streams = np.random.SeedSequence(seed).spawn(3)
     nets = []
+    for stream in np.random.SeedSequence(seed).spawn(3):
+        rng = np.random.default_rng(stream)
+        w0 = rng.normal(0.0, 0.01, size=(width, 1))
+        w1 = rng.normal(0.0, 0.01, size=(width, width))
+        w2 = rng.normal(0.0, 0.01, size=(k, width))
+        nets.append(MLPCoefficients(w0, np.zeros(width), w1, np.zeros(width), w2, np.zeros(k)))
     targets = [
         _axis_targets(input, modes_cos, rb, input.axis_r),
         np.zeros(k),
         _axis_targets(input, modes_sin, zb, input.axis_z),
     ]
-    for stream, target in zip(streams, targets):
-        rng = np.random.default_rng(stream)
-        w0 = rng.normal(0.0, 0.01, size=(width, 1))
-        w1 = rng.normal(0.0, 0.01, size=(width, width))
-        w2 = rng.normal(0.0, 0.01, size=(k, width))
-        net = MLPCoefficients(w0, np.zeros(width), w1, np.zeros(width), w2, np.zeros(k))
-        raw, _, _ = mlp_forward(net, input_map(0.0))
+    axis = Jet2(np.array([[input_map(0.0)]]), np.array([[1.0]]), np.array([[0.0]]))
+    for net, target, raw in zip(nets, targets, _mlp_jets(_stack_nets(nets), axis)[0, :, 0]):
         net.b2 = target - raw
-        nets.append(net)
     return NetParams(nets[0], nets[1], nets[2], modes_cos, modes_sin)
 
 
@@ -396,21 +395,6 @@ class ProfileStack:
     z = property(lambda self: self.field(2))
 
 
-def _rho_power_jet(rho: np.ndarray, mode_set: ModeSet) -> Jet2:
-    """Jets of rho^m for every mode, exact for all m >= 0 (rho > 0)."""
-    rho = rho[:, None]
-    m = mode_set.m.astype(float)[None, :]
-    p0 = rho ** mode_set.m[None, :]
-    p1 = rho ** np.maximum(mode_set.m[None, :] - 1, 0)
-    p2 = rho ** np.maximum(mode_set.m[None, :] - 2, 0)
-    return Jet2(p0, m * p1, m * (m - 1.0) * p2)
-
-
-def _jet_array(jets) -> np.ndarray:
-    """Per-field constant jets as one (3, F, n_rho, K) array."""
-    return np.stack([np.stack(np.broadcast_arrays(*(getattr(j, c) for j in jets))) for c in Jet2.__slots__])
-
-
 @dataclass
 class ProfileConstants:
     """Radius- and boundary-dependent constants of the profile composition.
@@ -441,19 +425,22 @@ class ProfileConstants:
         if np.any(rho <= 0.0) or np.any(rho >= 1.0):
             raise ValueError("rho must lie strictly inside (0, 1)")
         col = rho[:, None]
-        live = np.where(modes_sin.fixed_mask, 0.0, 1.0)[None, :]
-        pow_cos = _rho_power_jet(rho, modes_cos)
-        pow_sin = _rho_power_jet(rho, modes_sin) * live
-        phi = Jet2(1.0 - col * col, -2.0 * col, np.full_like(col, -2.0))
-        powers = (pow_cos, pow_sin, pow_sin)
-        P = _jet_array([pow_cos * phi, pow_sin, pow_sin * phi])
-        boundary = (padded_boundary(input.boundary_r, modes_cos), 0.0, padded_boundary(input.boundary_z, modes_sin))
-        C = _jet_array([p * b for p, b in zip(powers, boundary)])
+        m = np.stack([modes_cos.m, modes_sin.m, modes_sin.m])[:, None, :]  # (field, 1, mode)
+        live = np.stack([np.ones(modes_cos.size), *[np.where(modes_sin.fixed_mask, 0.0, 1.0)] * 2])[:, None, :]
+        # jets of rho^m, exact for all m >= 0 (rho > 0)
+        pw = np.stack([col**m, m * col ** np.maximum(m - 1, 0), m * (m - 1.0) * col ** np.maximum(m - 2, 0)]) * live
+        phi = np.zeros((3, 3) + col.shape)
+        phi[0] = 1.0
+        phi[:, ::2] = np.stack([1.0 - col * col, -2.0 * col, np.full_like(col, -2.0)])[:, None]
+        P = np.stack([pw[0] * phi[0], pw[1] * phi[0] + pw[0] * phi[1],
+                      pw[2] * phi[0] + 2.0 * (pw[1] * phi[1]) + pw[0] * phi[2]])
+        boundary = np.stack([padded_boundary(input.boundary_r, modes_cos), np.zeros(modes_cos.size),
+                             padded_boundary(input.boundary_z, modes_sin)])[:, None, :]
         compose = np.zeros((3,) + P.shape)
         for j in range(3):
             for i in range(j + 1):
                 compose[j, i] = math.comb(j, i) * P[j - i]
-        return cls(rho, Jet2(input_map(col), 4.0 * col, np.full_like(col, 4.0)), P, C, compose)
+        return cls(rho, Jet2(input_map(col), 4.0 * col, np.full_like(col, 4.0)), P, pw * boundary, compose)
 
 
 def profile_stack(
