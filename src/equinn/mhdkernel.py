@@ -183,12 +183,11 @@ class FieldState:
     whose phi component is R for e_zeta only; ``dual[i]`` = sqrt(g) e^i.
     Single components are read by name (``state.R_t``, ``state.g_st``,
     ``state.bsub_z_t`` = d B_zeta / d theta); ``g``, ``gu``, ``bsup``,
-    ``bsub`` and their derivatives are computed on access.
+    ``bsub`` and their derivatives are computed on first access and kept.
     """
 
     grid: CollocationGrid
     psi_b: float = 0.0
-    weights: object = 1.0  # per angular node: 2 where a node also stands for its mirror image
     x: object = None  # (3 fields, ...): R, lambda, Z
     dx: object = None  # (3 axes, 3 fields, ...)
     ddx: object = None  # (3, 3 axes, 3 fields, ...), symmetric
@@ -213,50 +212,57 @@ class FieldState:
     ehh: object = None
     F_mag: object = None
 
-    @property
-    def g(self):
-        """Covariant metric g_ij = e_i . e_j, shape (3, 3, ...)."""
-        plane = self.dx[:, ::2]
-        return ad.einsum("icra,jcra->ijra", plane, plane) + self.x[0] * self.x[0] * _ZZ
-
-    @property
-    def gu(self):
-        """Contravariant metric g^ij = e^i . e^j, shape (3, 3, ...)."""
-        return ad.einsum("icra,jcra->ijra", self.dual, self.dual) / (self.sqrtg * self.sqrtg)
-
-    @property
-    def bsup(self):
-        """B^i; B^s = 0 on nested surfaces."""
-        return ad.stack([ad.value_of(self.b[0]) * 0.0, self.b[0], self.b[1]])
-
-    @property
-    def dbsup(self):
-        """d_k B^i, shape (3 axes k, 3, ...)."""
-        return ad.stack([ad.value_of(self.db[:, 0]) * 0.0, self.db[:, 0], self.db[:, 1]], axis=1)
-
-    @property
-    def bsub(self):
-        """B_i = e_i . B, shape (3, ...)."""
-        return ad.einsum("icra,cra->ira", self.dx[:, ::2], self.b_plane) + self.x[0] * self.b_phi * _Z
-
-    @property
-    def dbsub(self):
-        """d_k B_i = d_k e_i . B + e_i . d_k B, shape (3 axes k, 3, ...)."""
-        sym = ad.einsum("kicra,cra->kira", self.ddx[:, :, ::2], self.b_plane)
-        return sym + self.edb + ad.einsum("kra,i->kira", self.d_rbphi, _Z[:, 0, 0])
-
-    B2 = property(lambda self: ad.einsum("cra,cra->ra", self.b_plane, self.b_plane) + self.b_phi**2)
-    Bmag = property(lambda self: ad.sqrt(self.B2))
-
     def __getattr__(self, name):
-        try:
+        # reached only for names not stored on the instance; the state is
+        # filled once, stage by stage, so every value is kept once computed
+        if name in _DERIVED:
+            value = _DERIVED[name](self)
+        elif name in _NAMES:
             tensor, index = _NAMES[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        value = getattr(self, tensor)
-        if value is None:
-            raise AttributeError(f"{name} is not computed yet")
-        return value[index]
+            value = getattr(self, tensor)
+            if value is None:
+                raise AttributeError(f"{name} is not computed yet")
+            value = value[index]
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+
+def _metric(st):
+    """Covariant metric g_ij = e_i . e_j, shape (3, 3, ...)."""
+    plane = st.dx[:, ::2]
+    return ad.einsum("icra,jcra->ijra", plane, plane) + st.x[0] * st.x[0] * _ZZ
+
+
+def _inverse_metric(st):
+    """Contravariant metric g^ij = e^i . e^j, shape (3, 3, ...)."""
+    return ad.einsum("icra,jcra->ijra", st.dual, st.dual) / (st.sqrtg * st.sqrtg)
+
+
+def _bsub(st):
+    """B_i = e_i . B, shape (3, ...)."""
+    return ad.einsum("icra,cra->ira", st.dx[:, ::2], st.b_plane) + st.x[0] * st.b_phi * _Z
+
+
+def _dbsub(st):
+    """d_k B_i = d_k e_i . B + e_i . d_k B, shape (3 axes k, 3, ...)."""
+    sym = ad.einsum("kicra,cra->kira", st.ddx[:, :, ::2], st.b_plane)
+    return sym + st.edb + ad.einsum("kra,i->kira", st.d_rbphi, _Z[:, 0, 0])
+
+
+# computed on first access: g, gu, B^i (B^s = 0 on nested surfaces), d_k B^i
+# with shape (3 axes k, 3, ...), B_i, d_k B_i, |B|^2 and |B|
+_DERIVED = {
+    "g": _metric,
+    "gu": _inverse_metric,
+    "bsup": lambda st: ad.stack([ad.value_of(st.b[0]) * 0.0, st.b[0], st.b[1]]),
+    "dbsup": lambda st: ad.stack([ad.value_of(st.db[:, 0]) * 0.0, st.db[:, 0], st.db[:, 1]], axis=1),
+    "bsub": _bsub,
+    "dbsub": _dbsub,
+    "B2": lambda st: ad.einsum("cra,cra->ra", st.b_plane, st.b_plane) + st.b_phi**2,
+    "Bmag": lambda st: ad.sqrt(st.B2),
+}
 
 
 def _check_jacobian(sqrtg, grid: CollocationGrid) -> None:
@@ -434,7 +440,7 @@ def grad_B2_magnitude(state: FieldState):
 
 def _node_weights(state: FieldState, grid: CollocationGrid) -> np.ndarray:
     """|sqrt(g)| times the s-measure 2 rho d rho, per node (uniform angles)."""
-    absg = np.abs(ad.value_of(state.sqrtg)) * state.weights
+    absg = np.abs(ad.value_of(state.sqrtg))
     radial = (2.0 * grid.rho * grid.rho_weights)[:, None]
     return absg * radial
 
@@ -442,8 +448,9 @@ def _node_weights(state: FieldState, grid: CollocationGrid) -> np.ndarray:
 def volume(state: FieldState, grid: CollocationGrid) -> float:
     """Plasma volume of the full torus."""
     w = _node_weights(state, grid)
-    n_angles = np.broadcast_to(state.weights, (grid.n_angular,)).sum()
-    return float(w.sum() * (2.0 * np.pi) ** 2 / n_angles)
+    dtheta = 2.0 * np.pi / grid.theta.size
+    dzeta = 2.0 * np.pi / grid.zeta.size
+    return float(w.sum() * dtheta * dzeta)
 
 
 def volume_average(q, state: FieldState, grid: CollocationGrid) -> float:
@@ -455,13 +462,13 @@ def volume_average(q, state: FieldState, grid: CollocationGrid) -> float:
 
 def surface_average(q, state: FieldState, grid: CollocationGrid, index: int) -> float:
     """Flux-surface average of q on the surface at grid.rho[index]."""
-    absg = (np.abs(ad.value_of(state.sqrtg)) * state.weights)[index]
+    absg = np.abs(ad.value_of(state.sqrtg)[index])
     q = ad.value_of(q)[index]
     return float((q * absg).sum() / absg.sum())
 
 
 def surface_average_profile(q, state: FieldState, grid: CollocationGrid) -> np.ndarray:
-    absg = np.abs(ad.value_of(state.sqrtg)) * state.weights
+    absg = np.abs(ad.value_of(state.sqrtg))
     q = ad.value_of(q)
     return (q * absg).sum(axis=1) / absg.sum(axis=1)
 

@@ -11,7 +11,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -125,29 +124,8 @@ class Diverged(RuntimeError):
         self.last_vector = last_vector
 
 
-def _mirror_rows(grid: CollocationGrid):
-    """Poloidal rows and node weights that cover the grid up to symmetry.
-
-    Stellarator symmetry makes the force magnitude even under (theta, zeta)
-    -> (-theta, -zeta), so on the uniform grids of
-    :meth:`CollocationGrid.build` rows j <= n_theta / 2, weighted 2 except
-    the self-mirrored rows 0 and n_theta / 2, sum to the full grid.
-    Returns ``(n_theta, ones)`` for any other grid.
-    """
-    n_theta, n_zeta = grid.theta.size, grid.zeta.size
-    if not (np.array_equal(grid.theta, 2.0 * np.pi * np.arange(n_theta) / n_theta)
-            and np.array_equal(grid.zeta, 2.0 * np.pi * np.arange(n_zeta) / (grid.n_fp * n_zeta))):
-        return n_theta, np.ones(grid.n_angular)
-    j = np.arange(n_theta // 2 + 1)
-    weights = np.where((j == 0) | (2 * j == n_theta), 1.0, 2.0)
-    return j.size, np.repeat(weights, n_zeta)
-
-
 class LossAssembler:
-    """Caches grid constants and evaluates loss, gradient and diagnostics.
-
-    Both run on the weighted symmetry-reduced grid of :func:`_mirror_rows`.
-    """
+    """Caches grid constants and evaluates loss, gradient and diagnostics."""
 
     def __init__(self, input: EquilibriumInput, width: int, grid: CollocationGrid):
         self.input = input
@@ -156,10 +134,8 @@ class LossAssembler:
             input.M, input.N, input.n_fp
         )
         self.width = width
-        rows, self.loss_weights = _mirror_rows(grid)
-        self.loss_grid = CollocationGrid(grid.rho, grid.theta[:rows], grid.zeta, grid.n_fp)
-        self.loss_tables = spectral.field_tables(
-            self.modes_cos, self.modes_sin, self.loss_grid.theta, self.loss_grid.zeta
+        self.tables = spectral.field_tables(
+            self.modes_cos, self.modes_sin, grid.theta, grid.zeta
         )
         self.constants = nf.ProfileConstants.build(
             input, self.modes_cos, self.modes_sin, grid.rho
@@ -168,36 +144,20 @@ class LossAssembler:
         self.p_prime = input.pressure_prime(s)
         self.template = NetParams.zeros(width, self.modes_cos, self.modes_sin)
 
-    @functools.cached_property
-    def tables(self):
-        """Full-grid tables, built on first use; loss and metrics do not need them."""
-        return spectral.field_tables(self.modes_cos, self.modes_sin, self.grid.theta, self.grid.zeta)
-
     # -- evaluation ------------------------------------------------------
 
     def field_state(self, params: NetParams) -> mk.FieldState:
-        """Kernel state on the full grid."""
-        return self._state(params, self.grid, self.tables)
-
-    def _state(self, params, grid, tables, weights=1.0):
         stack = nf.profile_stack(params, self.input, self.grid.rho, self.constants)
-        state = mk.geometry(stack, grid, tables)
-        state.weights = weights
+        state = mk.geometry(stack, self.grid, self.tables)
         mk.magnetic_field(state, self.input.iota, self.input.psi_b)
         mk.current(state)
         mk.force(state, self.p_prime)
         return state
 
-    def _reduced_state(self, params):
-        return self._state(params, self.loss_grid, self.loss_tables, self.loss_weights)
-
     def _loss_expr(self, vec):
         params = nf.vector_to_params(vec, self.template)
-        return self._mean_force(self._reduced_state(params))
-
-    def _mean_force(self, state):
-        """Mean per-node force magnitude over the full grid, exactly rounded."""
-        return ad.sum_all(state.F_mag * state.weights) / self.grid.n_nodes
+        state = self.field_state(params)
+        return ad.mean_all(state.F_mag)
 
     def loss_value(self, vec: np.ndarray) -> float:
         out = self._loss_expr(np.asarray(vec))
@@ -225,17 +185,16 @@ class LossAssembler:
     def metrics(self, vec: np.ndarray) -> dict:
         """Normalized residual diagnostics on the training grid."""
         params = nf.vector_to_params(np.asarray(vec, dtype=float), self.template)
-        state = self._reduced_state(params)
-        grid = self.loss_grid
+        state = self.field_state(params)
         grad_b2 = mk.grad_B2_magnitude(state)
-        normalizer = mk.volume_average(grad_b2, state, grid)
-        fnorm, fvol = mk.f_norm(state, grid, normalizer)
-        profile = mk.surface_average_profile(fnorm, state, grid)
+        normalizer = mk.volume_average(grad_b2, state, self.grid)
+        fnorm, fvol = mk.f_norm(state, self.grid, normalizer)
+        profile = mk.surface_average_profile(fnorm, state, self.grid)
         return {
             "f_vol_norm": fvol,
             "f_norm_profile": profile,
             "normalizer": normalizer,
-            "loss": float(self._mean_force(state)),
+            "loss": float(ad.mean_all(state.F_mag)),
         }
 
     def f_vol_norm(self, vec: np.ndarray) -> float:
@@ -298,12 +257,9 @@ def _strong_wolfe(evaluate, f0, g0_dot_p, c1, c2, max_iter):
 
     ``evaluate(alpha)`` returns (f, dphi, payload); non-finite trials are
     treated as too-far and bracketed down.  If the curvature condition is
-    unattainable, as on a kink of the loss where one node's force passes
-    zero, the first trial that met the weak condition (sufficient decrease,
-    slope at least c2 times the initial one) is accepted, else the best
-    sufficient-decrease point.  A step that ends on the kink itself can
-    leave every next search uphill.  Returns (alpha, payload) or
-    (None, None) on failure.
+    unattainable within the budget, the best sufficient-decrease point is
+    accepted (the quasi-Newton update guards on y.s anyway).  Returns
+    (alpha, payload) or (None, None) on failure.
     """
     lo = (0.0, f0, g0_dot_p, None)
     alpha = 1.0
@@ -317,7 +273,7 @@ def _strong_wolfe(evaluate, f0, g0_dot_p, c1, c2, max_iter):
         if abs(dphi) <= -c2 * g0_dot_p:
             return _polish(evaluate, f0, g0_dot_p, c1, alpha, f, dphi, payload)
         if dphi >= 0.0:
-            return _zoom(evaluate, f0, g0_dot_p, c1, c2, trial, lo, max_iter, weak=trial)
+            return _zoom(evaluate, f0, g0_dot_p, c1, c2, trial, lo, max_iter)
         lo = trial
         alpha = 2.0 * alpha
     if lo[0] > 0.0:
@@ -346,12 +302,12 @@ def _polish(evaluate, f0, g0_dot_p, c1, alpha, f, dphi, payload):
     return alpha, payload
 
 
-def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter, weak=None):
+def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter):
     """Shrink [lo, hi] until the strong conditions hold at an interior point.
 
     lo always satisfies sufficient decrease (or is the origin); hi may carry
     a non-finite value from an overlapping-surface trial, in which case the
-    interval is bisected rather than interpolated; ``weak``: see above.
+    interval is bisected rather than interpolated.
     """
     a_lo, f_lo, d_lo, p_lo = lo
     a_hi, f_hi, _, _ = hi
@@ -367,10 +323,7 @@ def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter, weak=None):
         if not np.isfinite(a) or a <= low + 0.1 * span or a >= high - 0.1 * span:
             a = 0.5 * (a_lo + a_hi)
         f, dphi, payload = evaluate(a)
-        decrease = np.isfinite(f) and f <= f0 + c1 * a * g0_dot_p
-        if weak is None and decrease and dphi >= c2 * g0_dot_p:
-            weak = (a, f, dphi, payload)
-        if not decrease or f >= f_lo:
+        if not np.isfinite(f) or f > f0 + c1 * a * g0_dot_p or f >= f_lo:
             a_hi, f_hi = a, f
         else:
             if abs(dphi) <= -c2 * g0_dot_p:
@@ -380,8 +333,6 @@ def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter, weak=None):
             a_lo, f_lo, d_lo, p_lo = a, f, dphi, payload
         if abs(a_hi - a_lo) < 1e-16:
             break
-    if weak is not None:
-        return weak[0], weak[3]
     if a_lo > 0.0 and p_lo is not None:
         # sufficient decrease holds at lo even though curvature never did
         return a_lo, p_lo
@@ -398,13 +349,15 @@ def bfgs_stage(
     """Full-memory quasi-Newton minimization with strong-Wolfe steps.
 
     Curvature pairs with non-positive y.s are skipped; a failed line search
-    falls back to one steepest-descent retry before terminating.  Returns
-    ``(x, records, status)`` with status in {'param-stall', 'grad-tol',
-    'target-reached', 'max-iter'}.
+    falls back to one steepest-descent retry, and a search that fails or
+    stalls on a kink to one retry along the gradients of both sides, before
+    terminating.  Returns ``(x, records, status)`` with status in
+    {'param-stall', 'grad-tol', 'target-reached', 'max-iter'}.
     """
 
     def search(x, f, g, p):
-        """(x, f, g) at the accepted step along p, or None."""
+        """(x, f, g) at the accepted step along p, or None; and the gradient
+        at the nearest trial where the loss rises along p, or None."""
         cache = {}
 
         def evaluate(alpha):
@@ -413,13 +366,15 @@ def bfgs_stage(
                 ft, gt = value_and_grad(xt)
             except (NonFiniteLossError, JacobianSignError):
                 return np.inf, np.inf, None
-            cache[alpha] = (xt, ft, gt)
-            return ft, float(np.dot(gt, p)), alpha
+            cache[alpha] = (xt, ft, gt, float(np.dot(gt, p)))
+            return ft, cache[alpha][3], alpha
 
         alpha, key = _strong_wolfe(
             evaluate, f, float(np.dot(g, p)), config.c1, config.c2, config.max_line_search
         )
-        return None if alpha is None else cache[key]
+        rising = [a for a, trial in cache.items() if trial[3] > 0.0]
+        far = cache[min(rising)][2] if rising else None
+        return (None if alpha is None else cache[key][:3]), far
 
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -444,19 +399,27 @@ def bfgs_stage(
             h = np.eye(n)
             p = -g.copy()
 
-        step = search(x, f, g, p)
-        if step is None:
-            if tried_steepest:
-                status = "param-stall"
-                break
+        step, far = search(x, f, g, p)
+        if step is not None:
+            tried_steepest = False
+        elif not tried_steepest:
             tried_steepest = True
             h = np.eye(n)
-            step = search(x, f, g, -g)
-            if step is None:
-                status = "param-stall"
-                break
-        else:
-            tried_steepest = False
+            step, far = search(x, f, g, -g)
+        if far is not None and (step is None or np.max(np.abs(step[0] - x)) < config.param_tol):
+            # a kink of the loss (one node's force passing zero) can turn
+            # every direction from the one-sided gradient g uphill at once;
+            # where the search stalls so, retry along minus the least-norm
+            # point of g and the gradient beyond the kink
+            p = -_least_norm_point(g, far)
+            if float(np.dot(g, p)) < 0.0 and float(np.dot(far, p)) < 0.0:
+                escape = search(x, f, g, p)[0]
+                if escape is not None and np.max(np.abs(escape[0] - x)) >= config.param_tol:
+                    h = np.eye(n)
+                    step = escape
+        if step is None:
+            status = "param-stall"
+            break
 
         x_new, f_new, g_new = step
         s = x_new - x
@@ -480,6 +443,16 @@ def bfgs_stage(
                 first_update = False
             _bfgs_update(h, s, y, outer)
     return x, records, status
+
+
+def _least_norm_point(a, b):
+    """The point of the segment between a and b closest to 0."""
+    d = b - a
+    dd = float(np.dot(d, d))
+    if dd == 0.0:
+        return a
+    t = min(max(float(np.dot(b, d)) / dd, 0.0), 1.0)
+    return t * a + (1.0 - t) * b
 
 
 def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, outer: np.ndarray) -> None:

@@ -350,3 +350,12 @@ def test_grid_weights_partition_unity():
     assert abs(grid.rho_weights.sum() - 1.0) < 1e-14
     assert grid.theta.size == 12 and grid.zeta.size == 8
     assert grid.zeta[-1] < 2 * np.pi / 4
+
+
+def test_derived_tensors_are_computed_once_and_kept():
+    grid, state = torus_state(n_rho=4, n_theta=10, with_force=False)
+    gu = state.gu
+    assert state.gu is gu and state.gu_ss is state.gu_ss
+    np.testing.assert_array_equal(state.gu_st, gu[0, 1])
+    with pytest.raises(AttributeError, match="not computed yet"):
+        mk.FieldState(grid=grid).R_t
