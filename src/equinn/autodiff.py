@@ -254,7 +254,11 @@ class _Slice(NamedTuple):
 
     def add_to(self, full: np.ndarray) -> None:
         idx = self.idx if isinstance(self.idx, tuple) else (self.idx,)
-        if any(isinstance(i, (np.ndarray, list)) for i in idx):  # may repeat an index
+        if len(idx) == 1 and np.ndim(idx[0]) == 1 and np.asarray(idx[0]).dtype.kind in "iu":
+            # rows of the leading axis, maybe repeated: one slab add per row
+            for j, row in enumerate(idx[0]):
+                full[row] += self.g[j]
+        elif any(isinstance(i, (np.ndarray, list)) for i in idx):  # may repeat an index
             np.add.at(full, self.idx, self.g)
         else:
             full[self.idx] += self.g

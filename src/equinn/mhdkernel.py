@@ -149,14 +149,20 @@ def _names() -> dict:
     """Attribute name -> (tensor, index) for the per-node quantities.
 
     Suffixes _s, _t, _z are partial derivatives with respect to s, theta,
-    zeta; the field prefixes are R, L (lambda) and Z.
+    zeta; the field prefixes are R, L (lambda) and Z.  Only the lambda
+    derivatives the field needs exist (no L, L_s, L_ss).
     """
-    table = {"R": ("x", (0,)), "lam": ("x", (1,)), "Z": ("x", (2,))}
+    table = {}
     for i, a in enumerate(AXES):
-        for f, p in enumerate("RLZ"):
-            table[f"{p}_{a}"] = ("dx", (i, f))
-            for k in range(i, 3):
-                table[f"{p}_{a}{AXES[k]}"] = ("ddx", (i, k, f))
+        table[f"R_{a}"] = ("dR", (i,))
+        table[f"Z_{a}"] = ("e", (i, 1))
+        for k in range(i, 3):
+            table[f"R_{a}{AXES[k]}"] = ("de", (i, k, 0))
+            table[f"Z_{a}{AXES[k]}"] = ("de", (i, k, 1))
+        if i > 0:
+            table[f"L_{a}"] = ("dlam", (i - 1,))
+        for k in range(max(i, 1), 3):
+            table[f"L_{a}{AXES[k]}"] = ("ddlam", (i, k - 1))
         table[f"sqrtg_{a}"] = ("dsqrtg", (i,))
         for name in ("bsup", "bsub", "jsup"):
             table[f"{name}_{a}"] = (name, (i,))
@@ -177,10 +183,10 @@ class FieldState:
     """Per-node geometric and magnetic quantities as tensors, filled in stages.
 
     Tensors end in the node axes (n_rho, n_theta * n_zeta); leading axes
-    index coordinates (s, theta, zeta), fields (R, lambda, Z) or cylindrical
-    components (R, phi, Z), a derivative index first: ``dx[i, f]`` is d_i of
-    field f.  ``dx[:, ::2]`` is the (R, Z) part of the covariant basis e_i,
-    whose phi component is R for e_zeta only; ``dual[i]`` = sqrt(g) e^i.
+    index coordinates (s, theta, zeta) or cylindrical components (R, phi,
+    Z), a derivative index first: ``e[i]`` = d_i (R, Z) is the (R, Z) part
+    of the covariant basis e_i, whose phi component is R for e_zeta only;
+    ``de[k, i]`` = d_k e[i], and ``dual[i]`` = sqrt(g) e^i.
     Single components are read by name (``state.R_t``, ``state.g_st``,
     ``state.bsub_z_t`` = d B_zeta / d theta); ``g``, ``gu``, ``bsup``,
     ``bsub`` and their derivatives are computed on first access and kept.
@@ -188,9 +194,12 @@ class FieldState:
 
     grid: CollocationGrid
     psi_b: float = 0.0
-    x: object = None  # (3 fields, ...): R, lambda, Z
-    dx: object = None  # (3 axes, 3 fields, ...)
-    ddx: object = None  # (3, 3 axes, 3 fields, ...), symmetric
+    R: object = None
+    e: object = None  # (3 axes, 2 components, ...): d_i (R, Z)
+    dR: object = None  # (3 axes, ...): d_i R = e[:, 0]
+    de: object = None  # (3, 3 axes, 2 components, ...): d_k d_i (R, Z), symmetric
+    dlam: object = None  # (2, ...): (L_t, L_z)
+    ddlam: object = None  # (3 axes k, 2, ...): d_k (L_t, L_z)
     sqrtg: object = None
     dsqrtg: object = None  # (3 axes, ...)
     dual: object = None  # (3 axes, 3 components, ...)
@@ -231,8 +240,7 @@ class FieldState:
 
 def _metric(st):
     """Covariant metric g_ij = e_i . e_j, shape (3, 3, ...)."""
-    plane = st.dx[:, ::2]
-    return ad.einsum("icra,jcra->ijra", plane, plane) + st.x[0] * st.x[0] * _ZZ
+    return ad.einsum("icra,jcra->ijra", st.e, st.e) + st.R * st.R * _ZZ
 
 
 def _inverse_metric(st):
@@ -242,12 +250,12 @@ def _inverse_metric(st):
 
 def _bsub(st):
     """B_i = e_i . B, shape (3, ...)."""
-    return ad.einsum("icra,cra->ira", st.dx[:, ::2], st.b_plane) + st.x[0] * st.b_phi * _Z
+    return ad.einsum("icra,cra->ira", st.e, st.b_plane) + st.R * st.b_phi * _Z
 
 
 def _dbsub(st):
     """d_k B_i = d_k e_i . B + e_i . d_k B, shape (3 axes k, 3, ...)."""
-    sym = ad.einsum("kicra,cra->kira", st.ddx[:, :, ::2], st.b_plane)
+    sym = ad.einsum("kicra,cra->kira", st.de, st.b_plane)
     return sym + st.edb + ad.einsum("kra,i->kira", st.d_rbphi, _Z[:, 0, 0])
 
 
@@ -300,45 +308,67 @@ for _i in range(3):
     _LEVI_CIVITA[_i, (_i + 2) % 3, (_i + 1) % 3] = -1.0
 
 
+def _jet_rows(rho: np.ndarray):
+    """Weights taking the profile jets (rho-order, field, radius) to the
+    s-derivative rows of each synthesis: R; d_i (R, Z) for i = s, t, z;
+    d_q (R, Z) for the pairs q of _PAIRS; lambda and d_s lambda."""
+    alpha = 1.0 / (2.0 * rho)
+    to_s = np.zeros((3, 3, rho.size))  # (s-order, rho-order, radius)
+    to_s[0, 0], to_s[1, 1], to_s[2, 1], to_s[2, 2] = 1.0, alpha, -alpha * alpha / rho, alpha * alpha
+    eye = np.eye(3)
+    plane = eye[::2][None, :, None, :, None]  # (1, component, 1, field, 1)
+    return (
+        to_s[0][:, None, :] * eye[0][:, None],
+        to_s[[1, 0, 0]][:, None, :, None, :] * plane,
+        to_s[[2, 1, 1, 0, 0, 0]][:, None, :, None, :] * plane,
+        to_s[:2][:, :, None, :] * eye[1][:, None],
+    )
+
+
+# the second derivatives d_q (R, Z), q = ss, st, sz, tt, tz, zz, pair the
+# tables (value, t, z, tt, tz, zz) with jets of s-order (2, 1, 1, 0, 0, 0);
+# _PAIRS spreads them over the symmetric 3 x 3 (k, i)
+_PAIRS = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+
+
 def geometry(profiles: ProfileStack, grid: CollocationGrid, tables=None) -> FieldState:
     """Synthesize the map, its derivatives, the Jacobian and the dual basis.
 
     Radial derivatives arrive as d/d rho in the profile jets and convert to
     flux derivatives through d/ds = d/drho / (2 rho).  ``tables`` are the
-    field-stacked trigonometric tables (:func:`spectral.field_tables`); they
-    depend only on (mode sets, grid) and may be passed in precomputed.
+    cosine and sine tables (:func:`spectral.pair_tables`); they depend only
+    on (mode sets, grid) and may be passed in precomputed.  Each synthesis
+    runs only on the rows it needs: lambda enters the field only through
+    its theta and zeta derivatives.
 
     The covariant basis e_i = (d_i R, R delta_i_zeta, d_i Z) has its (R, Z)
-    part in ``dx[:, ::2]``; with the in-plane cross product cross2 the
-    Jacobian is sqrt(g) = R cross2(e_theta, e_s).
+    part in ``e``; with the in-plane cross product cross2 the Jacobian is
+    sqrt(g) = R cross2(e_theta, e_s).
     """
     if tables is None:
-        tables = spectral.field_tables(profiles.modes_cos, profiles.modes_sin, grid.theta, grid.zeta)
-    rho = profiles.rho
-    alpha = 1.0 / (2.0 * rho)
-    to_s = np.zeros((3, 3, rho.size))
-    to_s[0, 0], to_s[1, 1], to_s[2, 1], to_s[2, 2] = 1.0, alpha, -alpha * alpha / rho, alpha * alpha
-    x0, x1, x2 = (ad.einsum("ir,ifrk->frk", to_s[j], profiles.jets) for j in range(3))
-    s0 = ad.einsum("frk,fdka->dfra", x0, tables)  # value, t, z, tt, tz, zz
-    s1 = ad.einsum("frk,fdka->dfra", x1, tables[:, :3])  # s, st, sz
-    s2 = ad.einsum("frk,fka->fra", x2, tables[:, 0])  # ss
-    x_st, x_sz, x_tz = s1[1], s1[2], s0[4]
-    st = FieldState(grid=grid, x=s0[0])
-    st.dx = ad.stack([s1[0], s0[1], s0[2]])
-    st.ddx = ad.reshape(
-        ad.stack([s2, x_st, x_sz, x_st, s0[3], x_tz, x_sz, x_tz, s0[5]]),
-        (3, 3) + st.x.shape,
-    )
+        tables = spectral.pair_tables(profiles.modes_cos, profiles.modes_sin, grid.theta, grid.zeta)
+    jets = profiles.jets
+    to_r, to_e, to_de, to_lam = _jet_rows(profiles.rho)
+    st = FieldState(grid=grid)
+    st.R = ad.einsum("rk,ka->ra", ad.einsum("ofr,ofrk->rk", to_r, jets), tables[0, 0])
+    st.e = ad.einsum("iprk,pika->ipra", ad.einsum("ipofr,ofrk->iprk", to_e, jets), tables[:, :3])
+    d2 = ad.einsum("qprk,pqka->qpra", ad.einsum("qpofr,ofrk->qprk", to_de, jets), tables)
+    st.de = ad.reshape(d2[_PAIRS], (3, 3) + st.e.shape[1:])
+    lam = ad.einsum("jofr,ofrk->jrk", to_lam, jets)
+    l0 = ad.einsum("rk,dka->dra", lam[0], tables[1, 1:])  # t, z, tt, tz, zz
+    st.dlam = l0[:2]
+    st.ddlam = ad.stack([ad.einsum("rk,dka->dra", lam[1], tables[1, 1:3]), l0[2:4], l0[3:]])
 
-    R, plane = st.x[0], st.dx[:, ::2]
+    R, plane = st.R, st.e
+    st.dR = plane[:, 0]
     rot = ad.einsum("icra,cd->idra", plane, _ROT)
     cross = ad.einsum("jcra,kcra->jkra", plane, rot)  # cross2(e_j, e_k)
     w = cross[1, 0]
     st.sqrtg = R * w
     _check_jacobian(st.sqrtg, grid)
     tilt = ad.einsum("ij,jcra->icra", _PLANE, rot)
-    w_k = ad.einsum("kicra,icra->kra", st.ddx[:, :, ::2], tilt)
-    st.dsqrtg = st.dx[:, 0] * w + R * w_k
+    w_k = ad.einsum("kicra,icra->kra", st.de, tilt)
+    st.dsqrtg = st.dR * w + R * w_k
     inplane = R * tilt
     # phi part cross2(e_{i+2}, e_{i+1}) = -eps_ijk cross2(e_j, e_k) / 2
     phi = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA * -0.5, cross)
@@ -365,18 +395,18 @@ def magnetic_field(state: FieldState, iota_coeffs, psi_b: float) -> FieldState:
     d_offset = np.zeros((3, 2) + s.shape)
     d_offset[0, 0] = psi * st.iota_prime
     # psi (-L_z, L_t) + (psi iota, psi), linear in (L_t, L_z)
-    st.gbsup = ad.einsum("lm,mra->lra", psi * _ROT, st.dx[1:, 1]) + offset
-    d_gbsup = ad.einsum("lm,kmra->klra", psi * _ROT, st.ddx[:, 1:, 1]) + d_offset
+    st.gbsup = ad.einsum("lm,mra->lra", psi * _ROT, st.dlam) + offset
+    d_gbsup = ad.einsum("lm,kmra->klra", psi * _ROT, st.ddlam) + d_offset
     st.b = st.gbsup / st.sqrtg
     st.db = (d_gbsup - ad.einsum("lra,kra->klra", st.b, st.dsqrtg)) / st.sqrtg
 
-    R, plane = st.x[0], st.dx[1:, ::2]
+    R, plane = st.R, st.e[1:]
     st.b_plane = ad.einsum("lcra,lra->cra", plane, st.b)
     st.b_phi = R * st.b[1]
-    st.db_plane = ad.einsum("klcra,lra->kcra", st.ddx[:, 1:, ::2], st.b) + ad.einsum(
+    st.db_plane = ad.einsum("klcra,lra->kcra", st.de[:, 1:], st.b) + ad.einsum(
         "lcra,klra->kcra", plane, st.db
     )
-    st.db_phi = st.dx[:, 0] * st.b[1] + R * st.db[:, 1]
+    st.db_phi = st.dR * st.b[1] + R * st.db[:, 1]
     return st
 
 
@@ -388,8 +418,8 @@ def current(state: FieldState) -> FieldState:
     adds d_j (R B_phi) to d_j B_zeta.
     """
     st = state
-    st.edb = ad.einsum("icra,kcra->kira", st.dx[:, ::2], st.db_plane)
-    st.d_rbphi = st.dx[:, 0] * st.b_phi + st.x[0] * st.db_phi
+    st.edb = ad.einsum("icra,kcra->kira", st.e, st.db_plane)
+    st.d_rbphi = st.dR * st.b_phi + st.R * st.db_phi
     curl = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA / MU0, st.edb) + ad.einsum(
         "ij,jra->ira", _LEVI_CIVITA[:, :, 2] / MU0, st.d_rbphi
     )

@@ -134,7 +134,7 @@ class LossAssembler:
             input.M, input.N, input.n_fp
         )
         self.width = width
-        self.tables = spectral.field_tables(
+        self.tables = spectral.pair_tables(
             self.modes_cos, self.modes_sin, grid.theta, grid.zeta
         )
         self.constants = nf.ProfileConstants.build(

@@ -31,7 +31,7 @@ __all__ = [
     "mode_set_pair",
     "fourier_angle",
     "trig_tables",
-    "field_tables",
+    "pair_tables",
     "synthesize",
     "project",
     "spectral_width",
@@ -169,14 +169,32 @@ def trig_tables(mode_set: ModeSet, theta: np.ndarray, zeta: np.ndarray) -> TrigT
     return TrigTables(val, dt, dz, dtt, dtz, dzz, theta.size, zeta.size)
 
 
-def field_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarray:
-    """Tables per field (R cosine; lambda, Z sine), shape (3, 6, n_modes,
-    n_theta * n_zeta), second axis as in :class:`TrigTables`."""
-    tables = np.empty((3, 6, modes_cos.size, np.size(theta) * np.size(zeta)))
-    for f, modes in enumerate((modes_cos, modes_sin)):
-        t = trig_tables(modes, theta, zeta)
-        np.stack([t.value, t.dt, t.dz, t.dtt, t.dtz, t.dzz], out=tables[f])
-    tables[2] = tables[1]
+def pair_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarray:
+    """Cosine and sine tables, shape (2, 6, n_modes, n_theta * n_zeta),
+    second axis as in :class:`TrigTables`.
+
+    The two parities share their (m, n), so one cosine and one sine of the
+    angle serve both; entries equal those of :func:`trig_tables`.
+    """
+    if not (np.array_equal(modes_cos.m, modes_sin.m) and np.array_equal(modes_cos.n, modes_sin.n)):
+        raise ValueError("cosine and sine mode sets must share their (m, n)")
+    theta = np.asarray(theta, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    angle = (
+        modes_cos.m[:, None, None] * theta[None, :, None]
+        - (modes_cos.n * modes_cos.n_fp)[:, None, None] * zeta[None, None, :]
+    ).reshape(modes_cos.size, theta.size * zeta.size)
+    m = modes_cos.m.astype(float)[:, None]
+    nf = (modes_cos.n * modes_cos.n_fp).astype(float)[:, None]
+    tables = np.empty((2, 6) + angle.shape)
+    c, s = np.cos(angle, out=tables[0, 0]), np.sin(angle, out=tables[1, 0])
+    # each parity's value v and its derivative w along the angle
+    for t, v, w in ((tables[0], c, -s), (tables[1], s, c)):
+        np.multiply(m, w, out=t[1])
+        np.multiply(-nf, w, out=t[2])
+        np.multiply(-m * m, v, out=t[3])
+        np.multiply(m * nf, v, out=t[4])
+        np.multiply(-nf * nf, v, out=t[5])
     return tables
 
 
