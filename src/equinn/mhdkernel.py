@@ -238,36 +238,18 @@ class FieldState:
         return value
 
 
-def _metric(st):
-    """Covariant metric g_ij = e_i . e_j, shape (3, 3, ...)."""
-    return ad.einsum("icra,jcra->ijra", st.e, st.e) + st.R * st.R * _ZZ
-
-
-def _inverse_metric(st):
-    """Contravariant metric g^ij = e^i . e^j, shape (3, 3, ...)."""
-    return ad.einsum("icra,jcra->ijra", st.dual, st.dual) / (st.sqrtg * st.sqrtg)
-
-
-def _bsub(st):
-    """B_i = e_i . B, shape (3, ...)."""
-    return ad.einsum("icra,cra->ira", st.e, st.b_plane) + st.R * st.b_phi * _Z
-
-
-def _dbsub(st):
-    """d_k B_i = d_k e_i . B + e_i . d_k B, shape (3 axes k, 3, ...)."""
-    sym = ad.einsum("kicra,cra->kira", st.de, st.b_plane)
-    return sym + st.edb + ad.einsum("kra,i->kira", st.d_rbphi, _Z[:, 0, 0])
-
-
-# computed on first access: g, gu, B^i (B^s = 0 on nested surfaces), d_k B^i
-# with shape (3 axes k, 3, ...), B_i, d_k B_i, |B|^2 and |B|
+# computed on first access, shapes (3, ...) or (3 axes k, 3, ...)
 _DERIVED = {
-    "g": _metric,
-    "gu": _inverse_metric,
+    "g": lambda st: ad.einsum("icra,jcra->ijra", st.e, st.e) + st.R * st.R * _ZZ,  # g_ij = e_i . e_j
+    "gu": lambda st: ad.einsum("icra,jcra->ijra", st.dual, st.dual) / (st.sqrtg * st.sqrtg),  # e^i . e^j
+    # B^i and d_k B^i; B^s = 0 on nested surfaces
     "bsup": lambda st: ad.stack([ad.value_of(st.b[0]) * 0.0, st.b[0], st.b[1]]),
     "dbsup": lambda st: ad.stack([ad.value_of(st.db[:, 0]) * 0.0, st.db[:, 0], st.db[:, 1]], axis=1),
-    "bsub": _bsub,
-    "dbsub": _dbsub,
+    "bsub": lambda st: ad.einsum("icra,cra->ira", st.e, st.b_plane) + st.R * st.b_phi * _Z,  # e_i . B
+    # d_k B_i = d_k e_i . B + e_i . d_k B
+    "dbsub": lambda st: (
+        ad.einsum("kicra,cra->kira", st.de, st.b_plane) + st.edb + ad.einsum("kra,i->kira", st.d_rbphi, _Z[:, 0, 0])
+    ),
     "B2": lambda st: ad.einsum("cra,cra->ra", st.b_plane, st.b_plane) + st.b_phi**2,
     "Bmag": lambda st: ad.sqrt(st.B2),
 }

@@ -147,7 +147,9 @@ class TrigTables:
     n_zeta: int
 
 
-def trig_tables(mode_set: ModeSet, theta: np.ndarray, zeta: np.ndarray) -> TrigTables:
+def _tables(mode_set: ModeSet, theta, zeta, parities) -> np.ndarray:
+    """Tables of ``mode_set``'s (m, n) for each parity, shape (parities, 6,
+    n_modes, n_theta * n_zeta), second axis as in :class:`TrigTables`."""
     theta = np.asarray(theta, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     if theta.size == 0 or zeta.size == 0:
@@ -155,47 +157,32 @@ def trig_tables(mode_set: ModeSet, theta: np.ndarray, zeta: np.ndarray) -> TrigT
     angle = (
         mode_set.m[:, None, None] * theta[None, :, None]
         - (mode_set.n * mode_set.n_fp)[:, None, None] * zeta[None, None, :]
-    )
-    angle = angle.reshape(mode_set.size, theta.size * zeta.size)
+    ).reshape(mode_set.size, theta.size * zeta.size)
     m = mode_set.m.astype(float)[:, None]
     nf = (mode_set.n * mode_set.n_fp).astype(float)[:, None]
     c, s = np.cos(angle), np.sin(angle)
-    if mode_set.parity == COSINE:
-        val, dt, dz = c, -m * s, nf * s
-        dtt, dtz, dzz = -m * m * c, m * nf * c, -nf * nf * c
-    else:
-        val, dt, dz = s, m * c, -nf * c
-        dtt, dtz, dzz = -m * m * s, m * nf * s, -nf * nf * s
-    return TrigTables(val, dt, dz, dtt, dtz, dzz, theta.size, zeta.size)
+    tables = np.empty((len(parities), 6) + angle.shape)
+    for t, parity in zip(tables, parities):
+        # the basis function and its derivative along the angle
+        t[0], w = (c, -s) if parity == COSINE else (s, c)
+        for row, factor in zip(t[1:], (m, -nf)):
+            np.multiply(factor, w, out=row)
+        for row, factor in zip(t[3:], (-m * m, m * nf, -nf * nf)):
+            np.multiply(factor, t[0], out=row)
+    return tables
+
+
+def trig_tables(mode_set: ModeSet, theta: np.ndarray, zeta: np.ndarray) -> TrigTables:
+    t = _tables(mode_set, theta, zeta, (mode_set.parity,))[0]
+    return TrigTables(*t, np.size(theta), np.size(zeta))
 
 
 def pair_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarray:
-    """Cosine and sine tables, shape (2, 6, n_modes, n_theta * n_zeta),
-    second axis as in :class:`TrigTables`.
-
-    The two parities share their (m, n), so one cosine and one sine of the
-    angle serve both; entries equal those of :func:`trig_tables`.
-    """
+    """Cosine and sine tables of one (m, n) set, shape (2, 6, n_modes,
+    n_theta * n_zeta), second axis as in :class:`TrigTables`."""
     if not (np.array_equal(modes_cos.m, modes_sin.m) and np.array_equal(modes_cos.n, modes_sin.n)):
         raise ValueError("cosine and sine mode sets must share their (m, n)")
-    theta = np.asarray(theta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    angle = (
-        modes_cos.m[:, None, None] * theta[None, :, None]
-        - (modes_cos.n * modes_cos.n_fp)[:, None, None] * zeta[None, None, :]
-    ).reshape(modes_cos.size, theta.size * zeta.size)
-    m = modes_cos.m.astype(float)[:, None]
-    nf = (modes_cos.n * modes_cos.n_fp).astype(float)[:, None]
-    tables = np.empty((2, 6) + angle.shape)
-    c, s = np.cos(angle, out=tables[0, 0]), np.sin(angle, out=tables[1, 0])
-    # each parity's value v and its derivative w along the angle
-    for t, v, w in ((tables[0], c, -s), (tables[1], s, c)):
-        np.multiply(m, w, out=t[1])
-        np.multiply(-nf, w, out=t[2])
-        np.multiply(-m * m, v, out=t[3])
-        np.multiply(m * nf, v, out=t[4])
-        np.multiply(-nf * nf, v, out=t[5])
-    return tables
+    return _tables(modes_cos, theta, zeta, (COSINE, SINE))
 
 
 @dataclass
