@@ -129,14 +129,9 @@ _heap_pad = 0
 
 
 def _retain_freed_heap(n_bytes: int) -> None:
-    """Have glibc keep up to ``n_bytes`` of freed memory at the heap top.
-
-    A loss gradient allocates a few kilobytes of intermediates per node and
-    frees them all at once when the tape goes; trimmed off the heap, they
-    fault back in on the next evaluation (about 23,000 minor faults, a fifth
-    of a gradient, at 24,576 nodes).  Process-wide, only ever raised; no
-    effect with other C libraries.
-    """
+    """Have glibc keep ``n_bytes`` of freed memory at the heap top (process-wide,
+    only ever raised): a gradient frees kilobytes of tape per node at once, and
+    trimmed off the heap they fault back in, 23,000 minor faults at 24,576 nodes."""
     global _heap_pad
     if n_bytes > _heap_pad:
         try:
@@ -432,9 +427,11 @@ def bfgs_stage(
         if far is not None and (step is None or np.max(np.abs(step[0] - x)) < config.param_tol):
             # a kink of the loss (one node's force passing zero) can turn
             # every direction from the one-sided gradient g uphill at once;
-            # where the search stalls so, retry along minus the least-norm
-            # point of g and the gradient beyond the kink
-            p = -_least_norm_point(g, far)
+            # where the search stalls so, retry along minus the point of the
+            # segment from g to the gradient beyond the kink closest to 0
+            d = far - g
+            t = min(max(float(np.dot(far, d)) / float(np.dot(d, d)), 0.0), 1.0) if d.any() else 1.0
+            p = -(t * g + (1.0 - t) * far)
             if float(np.dot(g, p)) < 0.0 and float(np.dot(far, p)) < 0.0:
                 escape = search(x, f, g, p)[0]
                 if escape is not None and np.max(np.abs(escape[0] - x)) >= config.param_tol:
@@ -466,16 +463,6 @@ def bfgs_stage(
                 first_update = False
             _bfgs_update(h, s, y, outer)
     return x, records, status
-
-
-def _least_norm_point(a, b):
-    """The point of the segment between a and b closest to 0."""
-    d = b - a
-    dd = float(np.dot(d, d))
-    if dd == 0.0:
-        return a
-    t = min(max(float(np.dot(b, d)) / dd, 0.0), 1.0)
-    return t * a + (1.0 - t) * b
 
 
 def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, outer: np.ndarray) -> None:
