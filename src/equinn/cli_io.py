@@ -632,7 +632,7 @@ def export_metrics(solution: Solution, out_dir) -> dict:
         "termination_reason": solution.termination_reason,
         "n_parameters": solution.params.n_parameters,
         "final_loss": float(solution.history[-1].loss) if solution.history else None,
-        "iterations": len(solution.history),
+        "iterations": solution.history[-1].iteration if solution.history else 0,
         "wall_time_s": float(solution.history[-1].wall_time) if solution.history else 0.0,
         "width": solution.params.width,
         "M": solution.input.M,

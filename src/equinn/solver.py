@@ -1,7 +1,12 @@
 """Loss assembly and the two-stage minimization of the force residual.
 
 The loss is the plain mean over all collocation nodes of the per-node force
-magnitude from the field kernel; nodes are not volume-weighted.  Training
+magnitude from the field kernel; nodes are not volume-weighted.  The map is
+stellarator-symmetric, so |F| is even under (theta, zeta) -> (-theta, -zeta),
+which maps the uniform angular grid onto itself: the loss and its gradient
+run on the rows theta <= pi only, each weighted by the number of nodes it
+stands for (1 or 2), and equal the full-grid mean up to last-bit differences
+between mirror nodes.  Diagnostics run on the full grid.  Training
 runs an adaptive-moment first-order stage (decoupled weight decay,
 bias-corrected moments) followed by a full-memory quasi-Newton stage with a
 strong-Wolfe line search.  Both stages are deterministic given the seed, and
@@ -33,7 +38,6 @@ __all__ = [
     "LossRecord",
     "Solution",
     "LossAssembler",
-    "loss",
     "adamw_stage",
     "bfgs_stage",
     "solve",
@@ -141,12 +145,42 @@ def _retain_freed_heap(n_bytes: int) -> None:
         _heap_pad = n_bytes
 
 
+def _mirror_half(grid: CollocationGrid) -> tuple[CollocationGrid, np.ndarray]:
+    """The rows theta <= pi of ``grid`` and the weight of each of their nodes.
+
+    (theta, zeta) -> (-theta, -zeta) maps row i to row n_theta - i (mod
+    n_theta) and a row's zeta nodes onto each other; a row that is its own
+    mirror image gets weight 1, every other kept row 2.  The kept rows are a
+    prefix of the node order, so node indices stay full-grid indices, and
+    since sqrt(g) is even too, the first overlapping node in that order is
+    a kept one: the Jacobian check on the half grid names the same node.
+    """
+    n_t, n_z = grid.theta.size, grid.zeta.size
+    off = np.concatenate([
+        grid.theta - 2.0 * np.pi * np.arange(n_t) / n_t,
+        grid.zeta - 2.0 * np.pi * np.arange(n_z) / (grid.n_fp * n_z),
+    ])
+    if not np.max(np.abs(off)) <= 1e-12:
+        raise ValueError(
+            "the loss needs uniform endpoint-exclusive angular grids on "
+            "theta in [0, 2 pi) and zeta in [0, 2 pi / n_fp)"
+        )
+    rows = np.arange(n_t // 2 + 1)
+    weights = np.repeat(np.where((2 * rows) % n_t == 0, 1.0, 2.0), n_z)
+    return CollocationGrid(grid.rho, grid.theta[: rows.size], grid.zeta, grid.n_fp), weights
+
+
 class LossAssembler:
-    """Caches grid constants and evaluates loss, gradient and diagnostics."""
+    """Caches grid constants and evaluates loss, gradient and diagnostics.
+
+    The loss runs on the mirror half of ``grid`` (:func:`_mirror_half`);
+    :meth:`field_state` and :meth:`metrics` run on all of ``grid``.
+    """
 
     def __init__(self, input: EquilibriumInput, width: int, grid: CollocationGrid):
         self.input = input
         self.grid = grid
+        self.half_grid, self.half_weights = _mirror_half(grid)
         self.modes_cos, self.modes_sin = spectral.mode_set_pair(
             input.M, input.N, input.n_fp
         )
@@ -154,28 +188,32 @@ class LossAssembler:
         self.tables = spectral.pair_tables(
             self.modes_cos, self.modes_sin, grid.theta, grid.zeta
         )
+        self.half_tables = self.tables[..., : self.half_weights.size]
         self.constants = nf.ProfileConstants.build(
             input, self.modes_cos, self.modes_sin, grid.rho
         )
         s = grid.rho**2
         self.p_prime = input.pressure_prime(s)
         self.template = NetParams.zeros(width, self.modes_cos, self.modes_sin)
-        _retain_freed_heap(8192 * grid.n_nodes)
+        _retain_freed_heap(8192 * self.half_grid.n_nodes)
 
     # -- evaluation ------------------------------------------------------
 
-    def field_state(self, params: NetParams) -> mk.FieldState:
-        stack = nf.profile_stack(params, self.input, self.grid.rho, self.constants)
-        state = mk.geometry(stack, self.grid, self.tables)
+    def _state(self, params: NetParams, grid: CollocationGrid, tables) -> mk.FieldState:
+        stack = nf.profile_stack(params, self.input, grid.rho, self.constants)
+        state = mk.geometry(stack, grid, tables)
         mk.magnetic_field(state, self.input.iota, self.input.psi_b)
         mk.current(state)
         mk.force(state, self.p_prime)
         return state
 
+    def field_state(self, params: NetParams) -> mk.FieldState:
+        return self._state(params, self.grid, self.tables)
+
     def _loss_expr(self, vec):
         params = nf.vector_to_params(vec, self.template)
-        state = self.field_state(params)
-        return ad.mean_all(state.F_mag)
+        state = self._state(params, self.half_grid, self.half_tables)
+        return ad.sum_all(state.F_mag * self.half_weights) / self.grid.n_nodes
 
     def loss_value(self, vec: np.ndarray) -> float:
         out = self._loss_expr(np.asarray(vec))
@@ -217,12 +255,6 @@ class LossAssembler:
 
     def f_vol_norm(self, vec: np.ndarray) -> float:
         return self.metrics(vec)["f_vol_norm"]
-
-
-def loss(params: NetParams, input: EquilibriumInput, grid: CollocationGrid) -> float:
-    """Mean per-node force magnitude; the training objective."""
-    assembler = LossAssembler(input, params.width, grid)
-    return assembler.loss_value(nf.params_to_vector(params))
 
 
 # -- stage 1: adaptive moments -------------------------------------------------
@@ -401,7 +433,7 @@ def bfgs_stage(
     except (NonFiniteLossError, JacobianSignError) as exc:
         raise Diverged(f"stage 2 start point is invalid: {exc}", 0, x) from exc
     h = np.eye(n)
-    outer = np.empty_like(h)
+    outer = np.empty((min(n, _BLOCK), n))
     records = []
     status = "max-iter"
     tried_steepest = False
@@ -465,19 +497,26 @@ def bfgs_stage(
     return x, records, status
 
 
+_BLOCK = 128
+
+
 def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, outer: np.ndarray) -> None:
     """In-place inverse-Hessian update with the curvature pair (s, y), y.s > 0.
 
     (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s equals
-    H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy; ``outer`` is
-    n-by-n scratch.  BLAS-free, like every contraction here.
+    H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy, added in blocks
+    of _BLOCK rows so that ``outer``, (min(n, _BLOCK), n) scratch or larger,
+    stays in cache and no transposed read is made.  BLAS-free, like every
+    contraction here.
     """
     hy = np.einsum("ij,j->i", h, y, optimize=False)
     rho = 1.0 / float(np.dot(y, s))
     w = (0.5 * rho * (1.0 + rho * float(np.dot(y, hy)))) * s - rho * hy
-    np.multiply.outer(s, w, out=outer)
-    h += outer
-    h += outer.T
+    for lo in range(0, s.size, _BLOCK):
+        hi = min(lo + _BLOCK, s.size)
+        blk = outer[: hi - lo]
+        h[lo:hi] += np.multiply.outer(s[lo:hi], w, out=blk)
+        h[lo:hi] += np.multiply.outer(w[lo:hi], s, out=blk)
 
 
 # -- full solve ---------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "synthesize",
     "project",
     "spectral_width",
-    "default_angles",
 ]
 
 COSINE = "cos"
@@ -262,14 +261,3 @@ def spectral_width(r_coeffs: SurfaceCoefficients, z_coeffs: SurfaceCoefficients)
     m2 = r_coeffs.mode_set.m.astype(float) ** 2
     return float(np.sum(m2 * (r_coeffs.values**2 + z_coeffs.values**2)))
 
-
-def default_angles(M: int, N: int, n_fp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform endpoint-exclusive grids, 4x oversampled against the mode count.
-
-    theta spans the full poloidal circle; zeta spans one field period.
-    """
-    n_theta = 4 * M
-    n_zeta = max(1, 4 * N)
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    zeta = 2.0 * np.pi * np.arange(n_zeta) / (n_fp * n_zeta)
-    return theta, zeta

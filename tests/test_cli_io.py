@@ -1,6 +1,7 @@
 """Case files, checkpoints, section exports and the command-line surface."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,6 +295,20 @@ def test_export_metrics_schema(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["termination_reason"] == "max-iter"
     assert summary["n_parameters"] == sol.params.n_parameters
+
+
+@pytest.mark.parametrize("target, reason, iterations", [(None, "max-iter", 12), (1e9, "target-reached", 0)])
+def test_summary_counts_the_iterations_run(tmp_path, target, reason, iterations):
+    input, _ = dshape()
+    config = SolverConfig(
+        width=2, n_rho=6, adamw=AdamWConfig(max_iter=10), bfgs=BFGSConfig(max_iter=2),
+        checkpoint_every=0, target_fvol=target,
+    )
+    sol = sv.solve(replace(input, M=5), config)
+    assert sol.termination_reason == reason
+    cli_io.export_metrics(sol, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["iterations"] == iterations == sol.history[-1].iteration
 
 
 # -- command line ------------------------------------------------------------------------

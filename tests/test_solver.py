@@ -19,13 +19,13 @@ def quadratic(center, scale=None):
     return value_and_grad
 
 
-def small_problem(width=2, M=5, n_rho=6):
+def small_problem(width=2, M=5, n_rho=6, n_theta=0):
     input, _ = cli_io.parse_case("dshape")
     input = nf.EquilibriumInput(
         input.boundary_r, input.boundary_z, input.pressure, input.iota,
         input.psi_b, input.n_fp, M, 0,
     )
-    grid = CollocationGrid.build(n_rho, M, 0, 1)
+    grid = CollocationGrid.build(n_rho, M, 0, 1, n_theta)
     asm = sv.LossAssembler(input, width, grid)
     params = nf.init_params((asm.modes_cos, asm.modes_sin), width, 0, input)
     return input, grid, asm, nf.params_to_vector(params)
@@ -127,8 +127,7 @@ def test_loss_zero_for_zero_flux_and_flat_pressure():
         0.0, input.n_fp, input.M, input.N,
     )
     asm0 = sv.LossAssembler(degenerate, 2, grid)
-    params = nf.vector_to_params(x0, asm0.template)
-    assert sv.loss(params, degenerate, grid) == 0.0
+    assert asm0.loss_value(x0) == 0.0
 
 
 def test_loss_positive_and_frozen_at_dshape_init():
@@ -275,9 +274,9 @@ iota = 0.5 0.2
 """
 
 
-def ellipse_problem():
+def ellipse_problem(n_theta=0, n_zeta=0):
     input, _ = cli_io.parse_case_text(ELLIPSE_CASE, "ellipse")
-    grid = CollocationGrid.build(4, input.M, input.N, input.n_fp)
+    grid = CollocationGrid.build(4, input.M, input.N, input.n_fp, n_theta, n_zeta)
     asm = sv.LossAssembler(input, 3, grid)
     params = nf.init_params((asm.modes_cos, asm.modes_sin), 3, 0, input)
     return asm, nf.params_to_vector(params)
@@ -316,6 +315,82 @@ def test_dshape_tape_stays_within_node_budget():
                 seen.add(id(parent))
                 stack.append(parent)
     assert len(seen) <= 150
+
+
+# -- the loss on the mirror half of the grid ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case, n_theta, n_zeta",
+    [("dshape", 0, 0), ("small", 21, 0), ("small", 22, 0),
+     ("ellipse", 0, 0), ("ellipse", 21, 7), ("ellipse", 20, 9), ("ellipse", 25, 6)],
+)
+def test_half_grid_loss_matches_full_grid_mean(case, n_theta, n_zeta):
+    from equinn import autodiff as ad
+
+    if case == "dshape":
+        input, config = cli_io.parse_case("dshape")
+        grid = CollocationGrid.build(config.n_rho, input.M, input.N, input.n_fp)
+        asm = sv.LossAssembler(input, config.width, grid)
+        x = nf.params_to_vector(nf.init_params((asm.modes_cos, asm.modes_sin), config.width, 0, input))
+    elif case == "small":
+        _, _, asm, x = small_problem(n_theta=n_theta)
+    else:
+        asm, x = ellipse_problem(n_theta, n_zeta)
+    x = x + 0.01 * np.random.default_rng(2).normal(size=x.size)
+    want, want_grad = ad.loss_gradient(
+        lambda v: ad.mean_all(asm.field_state(nf.vector_to_params(v, asm.template)).F_mag), x
+    )
+    val, grad = asm.value_and_grad(x)
+    assert abs(asm.loss_value(x) - want) <= 1e-14 * want
+    assert abs(val - want) <= 1e-14 * want
+    assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
+
+
+@pytest.mark.parametrize("n_theta, n_zeta", [(20, 8), (21, 7)])
+def test_loss_tapes_only_the_rows_theta_up_to_pi(monkeypatch, n_theta, n_zeta):
+    from equinn import mhdkernel as mk
+
+    shapes = []
+    force = mk.force
+
+    def recording_force(state, p_prime):
+        shapes.append(force(state, p_prime).F_mag.shape)
+        return state
+
+    asm, x = ellipse_problem(n_theta, n_zeta)
+    monkeypatch.setattr(mk, "force", recording_force)
+    asm.value_and_grad(x)
+    asm.field_state(nf.vector_to_params(x, asm.template))
+    assert shapes == [(4, (n_theta // 2 + 1) * n_zeta), (4, n_theta * n_zeta)]
+
+
+def test_half_grid_loss_names_the_same_overlapping_node_as_the_full_grid():
+    from equinn.mhdkernel import JacobianSignError
+
+    asm, x0 = ellipse_problem()
+    nodes = set()
+    for seed in range(4):
+        x = x0 + 0.2 * np.random.default_rng(seed).normal(size=x0.size)
+        with pytest.raises(JacobianSignError) as full:
+            asm.field_state(nf.vector_to_params(x, asm.template))
+        with pytest.raises(JacobianSignError) as half:
+            asm.value_and_grad(x)
+        assert half.value.node == full.value.node
+        assert str(half.value) == str(full.value)
+        nodes.add(full.value.node)
+    # offenders off the first row and zeta plane are covered too
+    assert any(i_theta > 0 and i_zeta > 0 for _, i_theta, i_zeta in nodes)
+
+
+def test_loss_rejects_grids_without_the_mirror_symmetry():
+    input, _ = cli_io.parse_case_text(ELLIPSE_CASE, "ellipse")
+    grid = CollocationGrid.build(4, input.M, input.N, input.n_fp)
+    shifted = CollocationGrid(grid.rho, grid.theta + 0.1, grid.zeta, grid.n_fp)
+    whole_turn = CollocationGrid(grid.rho, grid.theta, grid.zeta * grid.n_fp, grid.n_fp)
+    for bad in (shifted, whole_turn):
+        with pytest.raises(ValueError, match="uniform"):
+            sv.LossAssembler(input, 3, bad)
 
 
 # -- optimizer details -----------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equinn import spectral
+from equinn.mhdkernel import CollocationGrid
 from equinn.spectral import (
     SurfaceCoefficients,
     build_mode_set,
@@ -100,7 +100,8 @@ def test_synthesis_is_linear():
     c2 = rng.normal(size=ms.size)
     c1[ms.fixed_mask] = 0.0
     c2[ms.fixed_mask] = 0.0
-    theta, zeta = spectral.default_angles(4, 2, 3)
+    grid = CollocationGrid.build(1, 4, 2, 3)
+    theta, zeta = grid.theta, grid.zeta
     a, b = 1.7, -0.4
     combo = synthesize(SurfaceCoefficients(ms, a * c1 + b * c2), theta, zeta)
     f1 = synthesize(SurfaceCoefficients(ms, c1), theta, zeta)
