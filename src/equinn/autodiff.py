@@ -5,7 +5,7 @@ Two mechanisms live here:
 * :class:`Jet2` -- truncated second-order Taylor jets with respect to one
   scalar seed variable (the radial coordinate).  The radial profiles are
   scalar-input functions, so forward propagation of ``(value, d1, d2)``
-  through the network and the profile composition is cheap and exact.
+  through the networks is cheap and exact.
 
 * :class:`Var` -- reverse-mode accumulation over the evaluation trace, used
   to obtain the gradient of the scalar loss with respect to every network
@@ -30,7 +30,6 @@ __all__ = [
     "Var",
     "Jet2",
     "NonFiniteLossError",
-    "jet_lift",
     "loss_gradient",
     "grad_check",
     "tanh",
@@ -98,10 +97,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    @property
-    def dtype(self):
-        return self.value.dtype
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, leaf={self._vjp is None})"
 
@@ -119,8 +114,6 @@ class Var:
         out = Var(self.value + c, (self,))
         out._vjp = lambda g: (_unbroadcast(g, self.shape),)
         return out
-
-    __radd__ = __add__
 
     def __neg__(self):
         out = Var(-self.value, (self,))
@@ -283,7 +276,7 @@ def _toposort(root: Var) -> list:
     return order
 
 
-# -- generic ops: work on Var, Jet2 and plain ndarrays ----------------------
+# -- generic ops: work on Var and plain ndarrays ----------------------------
 
 
 def value_of(x):
@@ -297,8 +290,6 @@ def tanh(x):
         out = Var(y, (x,))
         out._vjp = lambda g: (g * (1.0 - y * y),)
         return out
-    if isinstance(x, Jet2):
-        return x.tanh()
     return np.tanh(x)
 
 
@@ -310,8 +301,6 @@ def sqrt(x):
         slope = np.divide(0.5, y, out=np.zeros_like(y), where=y != 0.0)
         out._vjp = lambda g: (g * slope,)
         return out
-    if isinstance(x, Jet2):
-        return x.sqrt()
     return np.sqrt(x)
 
 
@@ -393,14 +382,12 @@ def mean_all(x):
 class Jet2:
     """Value and first/second derivative with respect to one seed scalar.
 
-    Components may be floats, numpy arrays or :class:`Var` nodes; arithmetic
-    follows the truncated Taylor algebra, e.g.
-    ``(a*b).d2 = a.d2*b.value + 2*a.d1*b.d1 + a.value*b.d2``.
+    Components may be floats, numpy arrays or :class:`Var` nodes.  The
+    networks need only the activation, ``(tanh u).d2 = sech^2 u (u.d2 -
+    2 tanh u u.d1^2)``; their affine layers act on the components directly.
     """
 
     __slots__ = ("value", "d1", "d2")
-
-    __array_ufunc__ = None
 
     def __init__(self, value, d1, d2):
         self.value = value
@@ -410,83 +397,11 @@ class Jet2:
     def __repr__(self):
         return f"Jet2({self.value!r}, {self.d1!r}, {self.d2!r})"
 
-    @staticmethod
-    def constant(value):
-        z = value_of(value) * 0.0
-        return Jet2(value, z, z)
-
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
-        return Jet2(self.value + other, self.d1, self.d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.d1, -self.d2)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.value - other.value, self.d1 - other.d1, self.d2 - other.d2)
-        return Jet2(self.value - other, self.d1, self.d2)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(
-                self.value * other.value,
-                self.d1 * other.value + self.value * other.d1,
-                self.d2 * other.value + 2.0 * (self.d1 * other.d1) + self.value * other.d2,
-            )
-        return Jet2(self.value * other, self.d1 * other, self.d2 * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet2):
-            return self * (1.0 / other)
-        q = self.value / other.value
-        q1 = (self.d1 - q * other.d1) / other.value
-        q2 = (self.d2 - 2.0 * (q1 * other.d1) - q * other.d2) / other.value
-        return Jet2(q, q1, q2)
-
-    def __rtruediv__(self, other):
-        return Jet2.constant(other) / self
-
-    def __pow__(self, p: int):
-        if p == 0:
-            one = value_of(self.value) * 0.0 + 1.0
-            return Jet2(one, one * 0.0, one * 0.0)
-        if p == 1:
-            return self
-        v, d1, d2 = self.value, self.d1, self.d2
-        vp1 = v ** (p - 1)
-        return Jet2(
-            v**p,
-            p * vp1 * d1,
-            p * (p - 1) * v ** (p - 2) * (d1 * d1) + p * vp1 * d2,
-        )
-
     def tanh(self):
         t = tanh(self.value)
         sech2 = 1.0 - t * t
         d1 = sech2 * self.d1
         return Jet2(t, d1, sech2 * self.d2 - 2.0 * ((t * self.d1) * d1))
-
-    def sqrt(self):
-        r = sqrt(self.value)
-        d1 = 0.5 * self.d1 / r
-        d2 = 0.5 * self.d2 / r - (d1 * d1) / r
-        return Jet2(r, d1, d2)
-
-
-def jet_lift(rho):
-    """Seed jet for the radial coordinate: value rho, slope 1, curvature 0."""
-    rho = np.asarray(rho, dtype=float) if not isinstance(rho, Var) else rho
-    one = value_of(rho) * 0.0 + 1.0
-    return Jet2(rho, one, one * 0.0)
 
 
 # -- gradient of a scalar loss over a flat parameter vector ------------------

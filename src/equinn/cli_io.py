@@ -378,8 +378,11 @@ def case_digest(input: EquilibriumInput, config: SolverConfig) -> bytes:
 
 
 def save_checkpoint(path, params: NetParams, digest: bytes, iteration: int) -> None:
-    """Little-endian binary dump of the parameter vector with provenance."""
-    vec = nf.params_to_vector(params)
+    """Little-endian binary dump of the parameter vector with provenance.
+
+    Written to a temporary file in the target directory and moved over
+    ``path`` in one step, so ``path`` always holds a whole checkpoint.
+    """
     header = struct.pack(
         "<8sI32sQIIIII",
         CHECKPOINT_MAGIC,
@@ -392,8 +395,15 @@ def save_checkpoint(path, params: NetParams, digest: bytes, iteration: int) -> N
         params.modes_cos.N,
         params.modes_cos.n_fp,
     )
-    data = vec.astype("<f8").tobytes()
-    Path(path).write_bytes(header + data)
+    data = np.asarray(nf.params_to_vector(params), dtype="<f8").tobytes()
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(header + data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[NetParams, bytes, int]:
@@ -435,26 +445,17 @@ class PoincareExport:
                 yield index, rho, theta[j], r[j], z[j]
 
 
-def _surface_rz(params: NetParams, input: EquilibriumInput, rho: float, theta, zeta: float):
-    """R, Z points of one surface; rho = 1 uses the boundary coefficients."""
-    theta = np.asarray(theta, dtype=float)
-    if rho >= 1.0:
-        rc, zc = input.boundary_r, input.boundary_z
-    else:
-        prof = nf.mode_profiles(params, input, rho)
-        rc, zc = prof.r, prof.z
-    r = spectral.synthesize(rc, theta, np.array([zeta])).value[:, 0]
-    z = spectral.synthesize(zc, theta, np.array([zeta])).value[:, 0]
-    return r, z
-
-
 def poincare_section(
     solution: Solution,
     zeta: float = 0.0,
     surfaces: Optional[Sequence[float]] = None,
     n_theta: int = 256,
 ) -> PoincareExport:
-    """Cross-sections of nested flux surfaces at one toroidal angle."""
+    """Cross-sections of nested flux surfaces at one toroidal angle.
+
+    Interior surfaces come from one batched profile evaluation; surfaces at
+    rho = 1 use the boundary coefficients.
+    """
     if surfaces is None:
         surfaces = np.linspace(0.1, 1.0, 10)
     surfaces = np.sort(np.asarray(surfaces, dtype=float))
@@ -462,14 +463,21 @@ def poincare_section(
         raise ValueError("need at least one surface")
     if np.any(surfaces <= 0.0) or np.any(surfaces > 1.0):
         raise ValueError("surface labels must lie in (0, 1]")
+    params, input = solution.params, solution.input
+    inner = surfaces < 1.0
+    coeffs = np.empty((2, surfaces.size, params.n_modes))  # (R, Z), surface, mode
+    coeffs[0, ~inner] = nf.padded_boundary(input.boundary_r, params.modes_cos)
+    coeffs[1, ~inner] = nf.padded_boundary(input.boundary_z, params.modes_sin)
+    if inner.any():
+        coeffs[:, inner] = ad.value_of(nf.profile_stack(params, input, surfaces[inner]).jets)[0, ::2]
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    tables = spectral.pair_tables(params.modes_cos, params.modes_sin, theta, np.array([zeta]))[:, 0]
+    r, z = np.einsum("fsk,fka->fsa", coeffs, tables, optimize=False)
     theta_closed = np.concatenate([theta, theta[:1]])
-    out = []
-    for index, rho in enumerate(surfaces):
-        r, z = _surface_rz(solution.params, solution.input, float(rho), theta, zeta)
-        r = np.concatenate([r, r[:1]])
-        z = np.concatenate([z, z[:1]])
-        out.append((index, float(rho), theta_closed, r, z))
+    out = [
+        (index, float(rho), theta_closed, np.append(r[index], r[index, 0]), np.append(z[index], z[index, 0]))
+        for index, rho in enumerate(surfaces)
+    ]
     return PoincareExport(zeta=float(zeta), surfaces=out)
 
 

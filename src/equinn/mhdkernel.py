@@ -142,69 +142,31 @@ class CollocationGrid:
         return (i, rem // self.zeta.size, rem % self.zeta.size)
 
 
-AXES = "stz"
-
-
-def _names() -> dict:
-    """Attribute name -> (tensor, index) for the per-node quantities.
-
-    Suffixes _s, _t, _z are partial derivatives with respect to s, theta,
-    zeta; the field prefixes are R, L (lambda) and Z.  Only the lambda
-    derivatives the field needs exist (no L, L_s, L_ss).
-    """
-    table = {}
-    for i, a in enumerate(AXES):
-        table[f"R_{a}"] = ("dR", (i,))
-        table[f"Z_{a}"] = ("e", (i, 1))
-        for k in range(i, 3):
-            table[f"R_{a}{AXES[k]}"] = ("de", (i, k, 0))
-            table[f"Z_{a}{AXES[k]}"] = ("de", (i, k, 1))
-        if i > 0:
-            table[f"L_{a}"] = ("dlam", (i - 1,))
-        for k in range(max(i, 1), 3):
-            table[f"L_{a}{AXES[k]}"] = ("ddlam", (i, k - 1))
-        table[f"sqrtg_{a}"] = ("dsqrtg", (i,))
-        for name in ("bsup", "bsub", "jsup"):
-            table[f"{name}_{a}"] = (name, (i,))
-        for k, b in enumerate(AXES):
-            table[f"bsup_{a}_{b}"] = ("dbsup", (k, i))
-            table[f"bsub_{a}_{b}"] = ("dbsub", (k, i))
-            if k >= i:
-                table[f"g_{a}{b}"] = ("g", (i, k))
-                table[f"gu_{a}{b}"] = ("gu", (i, k))
-    return table
-
-
-_NAMES = _names()
-
-
 @dataclass
 class FieldState:
-    """Per-node geometric and magnetic quantities as tensors, filled in stages.
+    """Per-node geometric and magnetic tensors, filled stage by stage.
 
-    Tensors end in the node axes (n_rho, n_theta * n_zeta); leading axes
-    index coordinates (s, theta, zeta) or cylindrical components (R, phi,
-    Z), a derivative index first: ``e[i]`` = d_i (R, Z) is the (R, Z) part
-    of the covariant basis e_i, whose phi component is R for e_zeta only;
-    ``de[k, i]`` = d_k e[i], and ``dual[i]`` = sqrt(g) e^i.
-    Single components are read by name (``state.R_t``, ``state.g_st``,
-    ``state.bsub_z_t`` = d B_zeta / d theta); ``g``, ``gu``, ``bsup``,
-    ``bsub`` and their derivatives are computed on first access and kept.
+    :func:`geometry`, :func:`magnetic_field`, :func:`current` and
+    :func:`force` each fill their block.  Tensors end in the node axes
+    (n_rho, n_theta * n_zeta); leading axes index coordinates (s, theta,
+    zeta) or cylindrical components (R, phi, Z), a derivative index first:
+    ``e[i]`` = d_i (R, Z) is the (R, Z) part of the covariant basis e_i,
+    whose phi component is R for e_zeta only, ``de[k, i]`` = d_k e[i], and
+    ``dual[i]`` = sqrt(g) e^i; so ``e[1, 0]`` is d R / d theta, ``b[0]`` is
+    B^theta and ``jsup[0]`` is J^s.
     """
 
     grid: CollocationGrid
-    psi_b: float = 0.0
     R: object = None
     e: object = None  # (3 axes, 2 components, ...): d_i (R, Z)
     dR: object = None  # (3 axes, ...): d_i R = e[:, 0]
     de: object = None  # (3, 3 axes, 2 components, ...): d_k d_i (R, Z), symmetric
-    dlam: object = None  # (2, ...): (L_t, L_z)
-    ddlam: object = None  # (3 axes k, 2, ...): d_k (L_t, L_z)
+    dlam: object = None  # (2, ...): d_theta lambda, d_zeta lambda
+    ddlam: object = None  # (3 axes k, 2, ...): d_k dlam
     sqrtg: object = None
     dsqrtg: object = None  # (3 axes, ...)
     dual: object = None  # (3 axes, 3 components, ...)
     iota: object = None
-    iota_prime: object = None
     gbsup: object = None  # (2, ...): sqrt(g) (B^theta, B^zeta)
     b: object = None  # (2, ...): (B^theta, B^zeta)
     db: object = None  # (3 axes, 2, ...)
@@ -212,47 +174,10 @@ class FieldState:
     b_phi: object = None
     db_plane: object = None  # (3 axes, 2 components, ...)
     db_phi: object = None  # (3 axes, ...)
-    edb: object = None  # (3 axes k, 3 axes i, ...): e_i . d_k B, (R, Z) part
-    d_rbphi: object = None  # (3 axes, ...): d_k (R B_phi)
     jsup: object = None  # (3, ...): J^i
-    p_prime: object = None
     F_s: object = None
     F_h: object = None
-    ehh: object = None
     F_mag: object = None
-
-    def __getattr__(self, name):
-        # reached only for names not stored on the instance; the state is
-        # filled once, stage by stage, so every value is kept once computed
-        if name in _DERIVED:
-            value = _DERIVED[name](self)
-        elif name in _NAMES:
-            tensor, index = _NAMES[name]
-            value = getattr(self, tensor)
-            if value is None:
-                raise AttributeError(f"{name} is not computed yet")
-            value = value[index]
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
-
-
-# computed on first access, shapes (3, ...) or (3 axes k, 3, ...)
-_DERIVED = {
-    "g": lambda st: ad.einsum("icra,jcra->ijra", st.e, st.e) + st.R * st.R * _ZZ,  # g_ij = e_i . e_j
-    "gu": lambda st: ad.einsum("icra,jcra->ijra", st.dual, st.dual) / (st.sqrtg * st.sqrtg),  # e^i . e^j
-    # B^i and d_k B^i; B^s = 0 on nested surfaces
-    "bsup": lambda st: ad.stack([ad.value_of(st.b[0]) * 0.0, st.b[0], st.b[1]]),
-    "dbsup": lambda st: ad.stack([ad.value_of(st.db[:, 0]) * 0.0, st.db[:, 0], st.db[:, 1]], axis=1),
-    "bsub": lambda st: ad.einsum("icra,cra->ira", st.e, st.b_plane) + st.R * st.b_phi * _Z,  # e_i . B
-    # d_k B_i = d_k e_i . B + e_i . d_k B
-    "dbsub": lambda st: (
-        ad.einsum("kicra,cra->kira", st.de, st.b_plane) + st.edb + ad.einsum("kra,i->kira", st.d_rbphi, _Z[:, 0, 0])
-    ),
-    "B2": lambda st: ad.einsum("cra,cra->ra", st.b_plane, st.b_plane) + st.b_phi**2,
-    "Bmag": lambda st: ad.sqrt(st.B2),
-}
 
 
 def _check_jacobian(sqrtg, grid: CollocationGrid) -> None:
@@ -282,8 +207,6 @@ _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 _PLANE = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 # sqrt(g) (B^theta, B^zeta) -> h = sqrt(g) (0, B^zeta, -B^theta)
 _H = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-_Z = np.array([0.0, 0.0, 1.0])[:, None, None]
-_ZZ = _Z[:, None] * _Z[None, :]
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i in range(3):
     _LEVI_CIVITA[_i, (_i + 1) % 3, (_i + 2) % 3] = 1.0
@@ -363,20 +286,19 @@ def magnetic_field(state: FieldState, iota_coeffs, psi_b: float) -> FieldState:
 
     ``iota_coeffs`` are the rotational-transform polynomial coefficients in
     s (ascending); the flux normalization makes d psi / ds = psi_b, and
-    sqrt(g) (B^theta, B^zeta) = psi_b (iota - L_z, 1 + L_t).
+    sqrt(g) (B^theta, B^zeta) = psi_b (iota - dz lambda, 1 + dt lambda).
     """
     st = state
     s = (st.grid.rho**2)[:, None]
     iota_coeffs = np.atleast_1d(np.asarray(iota_coeffs, dtype=float))
     st.iota = npoly.polyval(s, iota_coeffs)
-    st.iota_prime = npoly.polyval(s, npoly.polyder(iota_coeffs))
-    st.psi_b = psi = float(psi_b)
+    psi = float(psi_b)
 
     offset = np.zeros((2,) + s.shape)
     offset[0], offset[1] = psi * st.iota, psi
     d_offset = np.zeros((3, 2) + s.shape)
-    d_offset[0, 0] = psi * st.iota_prime
-    # psi (-L_z, L_t) + (psi iota, psi), linear in (L_t, L_z)
+    d_offset[0, 0] = psi * npoly.polyval(s, npoly.polyder(iota_coeffs))
+    # psi (-dz lambda, dt lambda) + (psi iota, psi), linear in dlam
     st.gbsup = ad.einsum("lm,mra->lra", psi * _ROT, st.dlam) + offset
     d_gbsup = ad.einsum("lm,kmra->klra", psi * _ROT, st.ddlam) + d_offset
     st.b = st.gbsup / st.sqrtg
@@ -400,10 +322,10 @@ def current(state: FieldState) -> FieldState:
     adds d_j (R B_phi) to d_j B_zeta.
     """
     st = state
-    st.edb = ad.einsum("icra,kcra->kira", st.e, st.db_plane)
-    st.d_rbphi = st.dR * st.b_phi + st.R * st.db_phi
-    curl = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA / MU0, st.edb) + ad.einsum(
-        "ij,jra->ira", _LEVI_CIVITA[:, :, 2] / MU0, st.d_rbphi
+    edb = ad.einsum("icra,kcra->kira", st.e, st.db_plane)  # e_i . d_k B, (R, Z) part
+    d_rbphi = st.dR * st.b_phi + st.R * st.db_phi
+    curl = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA / MU0, edb) + ad.einsum(
+        "ij,jra->ira", _LEVI_CIVITA[:, :, 2] / MU0, d_rbphi
     )
     st.jsup = curl / st.sqrtg
     return st
@@ -420,30 +342,32 @@ def force(state: FieldState, p_prime) -> FieldState:
     pp = np.asarray(p_prime, dtype=float)
     if pp.ndim == 1:
         pp = pp[:, None]
-    st.p_prime = pp
     # h = sqrt(g) (0, B^zeta, -B^theta), so e^h = h_i e^i = (h_i dual_i) / sqrt(g)
     h = ad.einsum("il,lra->ira", _H, st.gbsup)
     st.F_s = (ad.einsum("ira,ira->ra", h, st.jsup) - pp) * MU0
     st.F_h = st.jsup[0] * (-MU0)
     det = st.sqrtg * st.sqrtg
     e_h = ad.einsum("ira,icra->cra", h, st.dual)
-    st.ehh = ad.einsum("cra,cra->ra", e_h, e_h) / det
+    ehh = ad.einsum("cra,cra->ra", e_h, e_h) / det
     e_s = st.dual[0]
     gu_ss = ad.einsum("cra,cra->ra", e_s, e_s) / det
-    st.F_mag = ad.sqrt(st.F_s * st.F_s * gu_ss + st.F_h * st.F_h * st.ehh)
+    st.F_mag = ad.sqrt(st.F_s * st.F_s * gu_ss + st.F_h * st.F_h * ehh)
     return st
 
 
 def gradient_magnitude(state: FieldState, dq_s, dq_t, dq_z):
-    """|grad q| from the contravariant metric, given the partials of q."""
-    dq = ad.stack([dq_s, dq_t, dq_z])
-    return ad.sqrt(ad.einsum("jra,jra->ra", ad.einsum("ira,ijra->jra", dq, state.gu), dq))
+    """|grad q| = |sum_k d_k q sqrt(g) e^k| / |sqrt(g)|, given the partials
+    of q (arrays over the nodes or scalars)."""
+    dual = state.dual
+    grad = dq_s * dual[0] + dq_t * dual[1] + dq_z * dual[2]
+    return ad.sqrt(ad.einsum("cra,cra->ra", grad, grad)) / abs(state.sqrtg)
 
 
 def grad_B2_magnitude(state: FieldState):
-    """Magnetic-pressure gradient magnitude |grad |B|^2| / (2 mu0) per node."""
+    """Magnetic-pressure gradient magnitude |grad |B|^2| / (2 mu0) per node,
+    from d_k |B|^2 = 2 (B_R d_k B_R + B_phi d_k B_phi + B_Z d_k B_Z)."""
     st = state
-    db2 = ad.einsum("klra,lra->kra", st.dbsup, st.bsub) + ad.einsum("lra,klra->kra", st.bsup, st.dbsub)
+    db2 = 2.0 * (ad.einsum("cra,kcra->kra", st.b_plane, st.db_plane) + st.b_phi * st.db_phi)
     return gradient_magnitude(st, *db2) / (2.0 * MU0)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "ProfileStack",
     "ProfileConstants",
     "input_map",
-    "net_shapes",
     "mlp_forward",
     "init_params",
     "mode_profiles",
@@ -56,126 +55,86 @@ __all__ = [
 MU0 = 4.0e-7 * math.pi
 
 
-@dataclass
+@dataclass(frozen=True)
 class MLPCoefficients:
-    """Weights and biases of one two-layer tanh network."""
+    """Weights and biases of two-layer tanh networks on a leading field axis.
 
-    w0: np.ndarray  # (n, 1)
-    b0: np.ndarray  # (n,)
-    w1: np.ndarray  # (n, n)
-    b1: np.ndarray  # (n,)
-    w2: np.ndarray  # (K, n)
-    b2: np.ndarray  # (K,)
+    With F networks of width n and K outputs: W0 (F, 1, n), b0 (F, 1, n),
+    W1 (F, n, n), b1 (F, 1, n), W2 (F, K, n), b2 (F, 1, K); the vectors
+    broadcast over a radius axis.
+    """
 
-    def arrays(self) -> tuple:
-        return (self.w0, self.b0, self.w1, self.b1, self.w2, self.b2)
-
-    @property
-    def width(self) -> int:
-        return int(ad.value_of(self.b0).shape[0])
-
-    @property
-    def n_out(self) -> int:
-        return int(ad.value_of(self.b2).shape[0])
+    w0: np.ndarray
+    b0: np.ndarray
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
 
 
-def net_shapes(n: int, k: int, batch: bool = False) -> list:
-    """Shapes of W0, b0, W1, b1, W2, b2 of one network of width n and K = k
-    outputs; in the batch layout the vectors broadcast over a radius axis."""
-    if batch:
-        return [(1, n), (1, n), (n, n), (1, n), (k, n), (1, k)]
-    return [(n, 1), (n,), (n, n), (n,), (k, n), (k,)]
-
-
-def _stack_nets(nets) -> MLPCoefficients:
-    """Stack networks of one shape on a leading field axis (batch layout)."""
-    shapes = net_shapes(nets[0].width, nets[0].n_out, batch=True)
-    columns = zip(*(net.arrays() for net in nets))
-    return MLPCoefficients(*(ad.reshape(ad.stack(a), (len(nets),) + s) for a, s in zip(columns, shapes)))
+def _net_layout(n: int, k: int) -> tuple:
+    """Shapes of W0, b0, W1, b1, W2, b2 of one network of width n and k
+    outputs, and their offsets in its block of the vector (7, the last one
+    the block size)."""
+    shapes = [(1, n), (1, n), (n, n), (1, n), (k, n), (1, k)]
+    return shapes, np.cumsum([0] + [math.prod(s) for s in shapes])
 
 
 class NetParams:
-    """The three coordinate networks plus their shared mode layout.
+    """The flat parameter vector of the three networks and its layout.
 
-    Built from the networks one by one (``r``, ``lam``, ``z``) or stacked on
-    the field axis in the batch layout (:meth:`from_fields`, as
-    :func:`vector_to_params` does).  :meth:`fields` gives the stacked form
-    that :func:`profile_stack` evaluates; the per-network objects are built
-    on first access and are authoritative from then on.
+    ``vector`` (numpy array or autodiff variable) holds the networks of R,
+    lambda and Z back to back, each as W0, b0, W1, b1, W2, b2 in row-major
+    order, so its (3, P) reshape has one network per row.  :meth:`fields`
+    and the single networks ``r``, ``lam``, ``z`` are views of it, read-only
+    where it is an array.
     """
 
-    def __init__(self, r: MLPCoefficients, lam: MLPCoefficients, z: MLPCoefficients,
-                 modes_cos: ModeSet, modes_sin: ModeSet):
-        if len({r.width, lam.width, z.width}) != 1 or len({r.n_out, lam.n_out, z.n_out}) != 1:
-            raise ValueError("all three networks must share width and mode count")
-        self._nets, self._fields = (r, lam, z), None
-        self._layout(r.width, r.n_out, modes_cos, modes_sin)
-
-    @classmethod
-    def from_fields(cls, fields: MLPCoefficients, modes_cos: ModeSet, modes_sin: ModeSet) -> "NetParams":
-        self = cls.__new__(cls)
-        self._nets, self._fields = None, fields
-        _, k, n = ad.value_of(fields.w2).shape
-        self._layout(n, k, modes_cos, modes_sin)
-        return self
+    def __init__(self, vector, width: int, modes_cos: ModeSet, modes_sin: ModeSet):
+        self.vector, self.width, self.modes_cos, self.modes_sin = vector, width, modes_cos, modes_sin
+        if modes_cos.size != modes_sin.size:
+            raise ValueError("cosine and sine mode sets must have equal size")
+        if ad.value_of(vector).shape != (self.n_parameters,):
+            raise ValueError(f"expected {self.n_parameters} parameters, got shape {ad.value_of(vector).shape}")
 
     @classmethod
     def zeros(cls, width: int, modes_cos: ModeSet, modes_sin: ModeSet) -> "NetParams":
         """All-zero networks, e.g. as the layout template of :func:`vector_to_params`."""
-        nets = [MLPCoefficients(*(np.zeros(s) for s in net_shapes(width, modes_cos.size))) for _ in range(3)]
-        return cls(*nets, modes_cos, modes_sin)
+        return cls(np.zeros(3 * _net_layout(width, modes_cos.size)[1][-1]), width, modes_cos, modes_sin)
 
-    def _layout(self, width, n_modes, modes_cos, modes_sin):
-        if n_modes != modes_cos.size:
-            raise ValueError("network output size does not match the mode set")
-        self.width, self.n_modes, self.modes_cos, self.modes_sin = width, n_modes, modes_cos, modes_sin
-
-    def _net(self, f: int) -> MLPCoefficients:
-        if self._nets is None:
-            arrays, shapes = self._fields.arrays(), net_shapes(self.width, self.n_modes)
-            self._nets = tuple(
-                MLPCoefficients(*(ad.reshape(a[i], s) for a, s in zip(arrays, shapes))) for i in range(3)
-            )
-            self._fields = None
-        return self._nets[f]
-
-    r = property(lambda self: self._net(0))
-    lam = property(lambda self: self._net(1))
-    z = property(lambda self: self._net(2))
-
-    def fields(self) -> MLPCoefficients:
-        """The three networks on one leading field axis (R, lambda, Z)."""
-        return self._fields if self._fields is not None else _stack_nets(self._nets)
+    @property
+    def n_modes(self) -> int:
+        return self.modes_cos.size
 
     @property
     def n_parameters(self) -> int:
-        return 3 * sum(math.prod(s) for s in net_shapes(self.width, self.n_modes))
+        return 3 * int(_net_layout(self.width, self.n_modes)[1][-1])
+
+    def fields(self, f: slice = slice(None)) -> MLPCoefficients:
+        """The networks ``f`` of (R, lambda, Z) on one leading field axis:
+        six column blocks of the vector's (3, P) reshape."""
+        shapes, bounds = _net_layout(self.width, self.n_modes)
+        rows = ad.reshape(self.vector, (3, int(bounds[-1])))
+        if not isinstance(rows, ad.Var):
+            rows.flags.writeable = False  # a fresh view; the vector stays writeable
+        return MLPCoefficients(*(
+            ad.reshape(rows[f, lo:hi], (-1,) + shape) for shape, lo, hi in zip(shapes, bounds, bounds[1:])
+        ))
+
+    r = property(lambda self: self.fields(slice(0, 1)))
+    lam = property(lambda self: self.fields(slice(1, 2)))
+    z = property(lambda self: self.fields(slice(2, 3)))
 
 
 def params_to_vector(params: NetParams) -> np.ndarray:
-    """Flatten into the canonical layout: per net (R, lambda, Z), arrays
-    W0, b0, W1, b1, W2, b2 in row-major order."""
-    chunks = []
-    for net in (params.r, params.lam, params.z):
-        for arr in net.arrays():
-            chunks.append(np.asarray(arr, dtype=float).ravel())
-    return np.concatenate(chunks)
+    """The flat vector: per network (R, lambda, Z), arrays W0, b0, W1, b1,
+    W2, b2 in row-major order."""
+    return params.vector
 
 
 def vector_to_params(vec, template: NetParams) -> NetParams:
-    """Rebuild NetParams from a flat vector (or Var) in the canonical layout.
-
-    The vector holds the three networks back to back with equal sizes, so
-    its (3, P) reshape has one network per row and each array is a column
-    block of it: six slices give the field-stacked arrays directly.
-    """
-    rows = ad.reshape(vec, (3, template.n_parameters // 3))
-    arrays, offset = [], 0
-    for shape in net_shapes(template.width, template.n_modes, batch=True):
-        size = math.prod(shape)
-        arrays.append(ad.reshape(rows[:, offset : offset + size], (3,) + shape))
-        offset += size
-    return NetParams.from_fields(MLPCoefficients(*arrays), template.modes_cos, template.modes_sin)
+    """NetParams over a flat vector (or Var) in the layout of ``template``."""
+    return NetParams(vec, template.width, template.modes_cos, template.modes_sin)
 
 
 def input_map(rho):
@@ -197,11 +156,11 @@ def _mlp_jets(nets: MLPCoefficients, f: Jet2):
 
 
 def mlp_forward(net: MLPCoefficients, f: float):
-    """Output vector and its first/second derivatives with respect to f."""
-    nets = _stack_nets([net])
+    """Output vector of one network (a field axis of length 1, such as
+    ``params.r``) and its first/second derivatives with respect to f."""
     seed = Jet2(np.array([[float(f)]]), np.array([[1.0]]), np.array([[0.0]]))
-    raw = ad.value_of(_mlp_jets(nets, seed))[:, 0, 0]
-    return raw[0] + ad.value_of(net.b2), raw[1].copy(), raw[2].copy()
+    raw = ad.value_of(_mlp_jets(net, seed))[:, 0, 0]
+    return raw[0] + ad.value_of(net.b2)[0, 0], raw[1].copy(), raw[2].copy()
 
 
 # -- equilibrium problem definition ------------------------------------------
@@ -331,8 +290,6 @@ def init_params(
     if width < 1:
         raise ValueError("width must be at least 1")
     modes_cos, modes_sin = mode_sets
-    if modes_cos.size != modes_sin.size:
-        raise ValueError("cosine and sine mode sets must have equal size")
     k = modes_cos.size
 
     rb = padded_boundary(input.boundary_r, modes_cos)
@@ -340,22 +297,21 @@ def init_params(
     if input.axis_r is None and rb[modes_cos.index_of(0, 0)] == 0.0:
         raise ValueError("no axis guess and the boundary has no (0,0) R mode")
 
-    nets = []
-    for stream in np.random.SeedSequence(seed).spawn(3):
+    params = NetParams.zeros(width, modes_cos, modes_sin)
+    rows = params.vector.reshape(3, -1)
+    bounds = _net_layout(width, k)[1]
+    for row, stream in zip(rows, np.random.SeedSequence(seed).spawn(3)):
         rng = np.random.default_rng(stream)
-        w0 = rng.normal(0.0, 0.01, size=(width, 1))
-        w1 = rng.normal(0.0, 0.01, size=(width, width))
-        w2 = rng.normal(0.0, 0.01, size=(k, width))
-        nets.append(MLPCoefficients(w0, np.zeros(width), w1, np.zeros(width), w2, np.zeros(k)))
-    targets = [
+        for lo, hi in zip(bounds[0:6:2], bounds[1:6:2]):  # W0, W1, W2
+            row[lo:hi] = rng.normal(0.0, 0.01, size=hi - lo)
+    targets = np.stack([
         _axis_targets(input, modes_cos, rb, input.axis_r),
         np.zeros(k),
         _axis_targets(input, modes_sin, zb, input.axis_z),
-    ]
+    ])
     axis = Jet2(np.array([[input_map(0.0)]]), np.array([[1.0]]), np.array([[0.0]]))
-    for net, target, raw in zip(nets, targets, _mlp_jets(_stack_nets(nets), axis)[0, :, 0]):
-        net.b2 = target - raw
-    return NetParams(nets[0], nets[1], nets[2], modes_cos, modes_sin)
+    rows[:, bounds[5] :] = targets - _mlp_jets(params.fields(), axis)[0, :, 0]
+    return params
 
 
 # -- composed profiles ---------------------------------------------------------
@@ -371,28 +327,19 @@ class ModeProfiles:
     z: SurfaceCoefficients
 
 
+@dataclass
 class ProfileStack:
     """Profile values and radial derivatives for a whole radius batch.
 
     ``jets`` (numpy array or autodiff variable, the kernel's input) has
     shape (3, 3, n_rho, n_modes): jet order (value, d/drho, d2/drho2),
-    field (R, lambda, Z), radius, mode.  Per-field jets ``r``, ``lam``,
-    ``z`` may be given instead and are available as properties.
+    field (R, lambda, Z), radius, mode.
     """
 
-    def __init__(self, rho, modes_cos: ModeSet, modes_sin: ModeSet,
-                 r: Optional[Jet2] = None, lam: Optional[Jet2] = None, z: Optional[Jet2] = None,
-                 jets=None):
-        if jets is None:
-            jets = ad.stack([ad.stack([getattr(x, c) for x in (r, lam, z)]) for c in ("value", "d1", "d2")])
-        self.rho, self.modes_cos, self.modes_sin, self.jets = rho, modes_cos, modes_sin, jets
-
-    def field(self, f: int) -> Jet2:
-        return Jet2(self.jets[0, f], self.jets[1, f], self.jets[2, f])
-
-    r = property(lambda self: self.field(0))
-    lam = property(lambda self: self.field(1))
-    z = property(lambda self: self.field(2))
+    rho: np.ndarray
+    modes_cos: ModeSet
+    modes_sin: ModeSet
+    jets: object
 
 
 @dataclass
@@ -461,7 +408,7 @@ def profile_stack(
     nets = params.fields()
     raw = _mlp_jets(nets, c.f)
     jets = ad.einsum("jifrk,ifrk->jfrk", c.compose, raw) + c.P * nets.b2 + c.C
-    return ProfileStack(c.rho, params.modes_cos, params.modes_sin, jets=jets)
+    return ProfileStack(c.rho, params.modes_cos, params.modes_sin, jets)
 
 
 def mode_profiles(params: NetParams, input: EquilibriumInput, rho: float) -> ModeProfiles:

@@ -9,8 +9,9 @@ leaving ``M*(2N+1) - N`` coefficients per field.
 
 Synthesis and all angular derivatives are evaluated by direct summation
 against precomputed trigonometric tables; the mode counts of interest are
-far too small for FFTs to pay off.  Coefficient arrays may be numpy arrays
-or autodiff variables.
+far too small for FFTs to pay off.  :func:`synthesize` and :func:`project`
+work on numpy arrays; the field kernel contracts autodiff variables against
+the same tables (:func:`pair_tables`).
 """
 
 from __future__ import annotations
@@ -20,17 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
-
 __all__ = [
     "ModeSet",
     "SurfaceCoefficients",
     "SynthesizedField",
-    "TrigTables",
     "build_mode_set",
     "mode_set_pair",
     "fourier_angle",
-    "trig_tables",
     "pair_tables",
     "synthesize",
     "project",
@@ -128,27 +125,12 @@ class SurfaceCoefficients:
             raise ValueError("sine-parity (0,0) coefficient must be exactly 0")
 
 
-@dataclass(frozen=True)
-class TrigTables:
-    """Basis functions and their angular derivatives on a flattened grid.
-
-    Each table has shape (n_modes, n_theta * n_zeta); synthesis of any field
-    or derivative is one matrix product against these constants.
-    """
-
-    value: np.ndarray
-    dt: np.ndarray
-    dz: np.ndarray
-    dtt: np.ndarray
-    dtz: np.ndarray
-    dzz: np.ndarray
-    n_theta: int
-    n_zeta: int
-
-
 def _tables(mode_set: ModeSet, theta, zeta, parities) -> np.ndarray:
-    """Tables of ``mode_set``'s (m, n) for each parity, shape (parities, 6,
-    n_modes, n_theta * n_zeta), second axis as in :class:`TrigTables`."""
+    """Basis functions of ``mode_set``'s (m, n) for each parity and their
+    angular derivatives on the flattened grid, shape (parities, 6, n_modes,
+    n_theta * n_zeta); the second axis is (value, d_theta, d_zeta,
+    d_theta^2, d_theta d_zeta, d_zeta^2).  Synthesis of any field or
+    derivative is one contraction against these constants."""
     theta = np.asarray(theta, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     if theta.size == 0 or zeta.size == 0:
@@ -171,14 +153,9 @@ def _tables(mode_set: ModeSet, theta, zeta, parities) -> np.ndarray:
     return tables
 
 
-def trig_tables(mode_set: ModeSet, theta: np.ndarray, zeta: np.ndarray) -> TrigTables:
-    t = _tables(mode_set, theta, zeta, (mode_set.parity,))[0]
-    return TrigTables(*t, np.size(theta), np.size(zeta))
-
-
 def pair_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarray:
     """Cosine and sine tables of one (m, n) set, shape (2, 6, n_modes,
-    n_theta * n_zeta), second axis as in :class:`TrigTables`."""
+    n_theta * n_zeta), second axis as in :func:`_tables`."""
     if not (np.array_equal(modes_cos.m, modes_sin.m) and np.array_equal(modes_cos.n, modes_sin.n)):
         raise ValueError("cosine and sine mode sets must share their (m, n)")
     return _tables(modes_cos, theta, zeta, (COSINE, SINE))
@@ -186,7 +163,7 @@ def pair_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarr
 
 @dataclass
 class SynthesizedField:
-    """Real-space field with partial derivatives on a (theta, zeta) grid."""
+    """Real-space field with its angular derivatives on a (theta, zeta) grid."""
 
     value: np.ndarray
     d_theta: np.ndarray
@@ -194,43 +171,16 @@ class SynthesizedField:
     d_theta_theta: np.ndarray
     d_theta_zeta: np.ndarray
     d_zeta_zeta: np.ndarray
-    d_rho: Optional[np.ndarray] = None
-    d_rho_theta: Optional[np.ndarray] = None
-    d_rho_zeta: Optional[np.ndarray] = None
-    d_rho_rho: Optional[np.ndarray] = None
 
 
 def synthesize(coeffs: SurfaceCoefficients, theta, zeta) -> SynthesizedField:
-    """Direct evaluation of the series and its exact angular derivatives.
-
-    Radial derivative fields appear when `coeffs` carries d_rho / d_rho2;
-    both come from differentiating the trigonometric basis analytically,
-    never from finite differences.
-    """
+    """Direct evaluation of the series and its exact angular derivatives,
+    from differentiating the trigonometric basis analytically."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    tables = trig_tables(coeffs.mode_set, theta, zeta)
-    shape = (theta.size, zeta.size)
-
-    def mix(row: np.ndarray, table: np.ndarray) -> np.ndarray:
-        return ad.matmul(row[None, :], table).reshape(shape)
-
-    c = coeffs.values
-    out = SynthesizedField(
-        value=mix(c, tables.value),
-        d_theta=mix(c, tables.dt),
-        d_zeta=mix(c, tables.dz),
-        d_theta_theta=mix(c, tables.dtt),
-        d_theta_zeta=mix(c, tables.dtz),
-        d_zeta_zeta=mix(c, tables.dzz),
-    )
-    if coeffs.d_rho is not None:
-        out.d_rho = mix(coeffs.d_rho, tables.value)
-        out.d_rho_theta = mix(coeffs.d_rho, tables.dt)
-        out.d_rho_zeta = mix(coeffs.d_rho, tables.dz)
-    if coeffs.d_rho2 is not None:
-        out.d_rho_rho = mix(coeffs.d_rho2, tables.value)
-    return out
+    tables = _tables(coeffs.mode_set, theta, zeta, (coeffs.mode_set.parity,))[0]
+    rows = np.einsum("k,dka->da", coeffs.values, tables, optimize=False)
+    return SynthesizedField(*rows.reshape(6, theta.size, zeta.size))
 
 
 def project(values: np.ndarray, mode_set: ModeSet, theta, zeta) -> np.ndarray:
@@ -241,11 +191,9 @@ def project(values: np.ndarray, mode_set: ModeSet, theta, zeta) -> np.ndarray:
     quadratic products needs at least 2(2M+1) poloidal and 2(2N+1) toroidal
     nodes.
     """
-    theta = np.asarray(theta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    tables = trig_tables(mode_set, theta, zeta)
+    table = _tables(mode_set, theta, zeta, (mode_set.parity,))[0, 0]
     flat = np.asarray(values, dtype=float).reshape(-1)
-    means = tables.value @ flat / flat.size
+    means = np.einsum("ka,a->k", table, flat, optimize=False) / flat.size
     weight = np.where((mode_set.m == 0) & (mode_set.n == 0), 1.0, 2.0)
     if mode_set.parity == SINE:
         weight = np.where(mode_set.fixed_mask, 0.0, weight)

@@ -22,10 +22,10 @@ def _tanh(x):
 
 
 def brute_mlp(net, f):
-    """Two-layer tanh network, value only."""
-    h = _tanh(net.w0[:, 0] * f + net.b0)
-    h = _tanh(net.w1 @ h + net.b1)
-    return net.w2 @ h + net.b2
+    """Two-layer tanh network, value only (a field axis of length 1)."""
+    h = _tanh(net.w0[0, 0] * f + net.b0[0, 0])
+    h = _tanh(net.w1[0] @ h + net.b1[0, 0])
+    return net.w2[0] @ h + net.b2[0, 0]
 
 
 def brute_coefficients(params, input, rho):

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from equinn.autodiff import Jet2
 from equinn.netfield import ProfileStack
 from equinn.spectral import build_mode_set
 
@@ -32,8 +31,6 @@ def torus_stack(rho, R0=3.0, a=1.0, M=2, axis_shift=None):
     zv[:, sin_set.index_of(1, 0)] = a * rho
     z1[:, sin_set.index_of(1, 0)] = a
 
-    lv = np.zeros((n, k))
-    return ProfileStack(
-        rho, cos_set, sin_set,
-        Jet2(rv, r1, r2), Jet2(lv, lv.copy(), lv.copy()), Jet2(zv, z1, z2),
-    )
+    lam = np.zeros((3, n, k))
+    jets = np.stack([[rv, r1, r2], lam, [zv, z1, z2]], axis=1)  # (jet order, field, radius, mode)
+    return ProfileStack(rho, cos_set, sin_set, jets)

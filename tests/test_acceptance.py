@@ -153,15 +153,16 @@ def test_criterion_4_field_kernel_oracle():
     t0 = time.perf_counter()
     state = asm.field_state(params)
     grad_b2 = mk.grad_B2_magnitude(state)
-    names = ("jsup_s", "jsup_t", "jsup_z", "F_mag", "grad_b2")
+    kernel = {"jsup_s": state.jsup[0], "jsup_t": state.jsup[1], "jsup_z": state.jsup[2],
+              "F_mag": state.F_mag, "grad_b2": grad_b2}
+    names = tuple(kernel)
     kernel_vals = {k: [] for k in names}
     oracle_vals = {k: [] for k in names}
     for i, rho in enumerate(grid.rho):
         for j, th in enumerate(grid.theta):
             oracle = brute_point(params, input, rho**2, th)
             for k in names:
-                got = grad_b2[i, j] if k == "grad_b2" else getattr(state, k)[i, j]
-                kernel_vals[k].append(got)
+                kernel_vals[k].append(kernel[k][i, j])
                 oracle_vals[k].append(oracle[k])
     wall = time.perf_counter() - t0
 
@@ -232,11 +233,12 @@ def test_criterion_6_construction_invariants():
 
         # B . grad s = 0: assemble B in cylindrical components
         es, _, _ = mk.contravariant_basis(state)
+        (bsup_t, bsup_z), e_t, e_z = state.b, state.e[1], state.e[2]
         b_cyl = np.stack(
             [
-                state.bsup_t * state.R_t + state.bsup_z * state.R_z,
-                state.bsup_z * state.R,
-                state.bsup_t * state.Z_t + state.bsup_z * state.Z_z,
+                bsup_t * e_t[0] + bsup_z * e_z[0],
+                bsup_z * state.R,
+                bsup_t * e_t[1] + bsup_z * e_z[1],
             ]
         )
         bdots = np.abs(np.sum(b_cyl * es, axis=0))
@@ -244,16 +246,10 @@ def test_criterion_6_construction_invariants():
         checks.append(("B.grad_s", float(np.max(bdots / scale)), 1e-12))
 
         # B^theta / B^zeta = iota when lambda == 0
-        zero_lam = nf.NetParams(
-            params.r,
-            nf.MLPCoefficients(
-                np.zeros((3, 1)), np.zeros(3), np.zeros((3, 3)), np.zeros(3),
-                np.zeros((sets[0].size, 3)), np.zeros(sets[0].size),
-            ),
-            params.z, *sets,
-        )
-        state0 = asm.field_state(zero_lam)
-        ratio_err = np.max(np.abs(state0.bsup_t / state0.bsup_z - state0.iota))
+        zero_lam = vec.copy()
+        zero_lam.reshape(3, -1)[1] = 0.0  # the lambda network's block
+        state0 = asm.field_state(nf.vector_to_params(zero_lam, params))
+        ratio_err = np.max(np.abs(state0.b[0] / state0.b[1] - state0.iota))
         checks.append(("iota_ratio", float(ratio_err), 1e-12))
 
         # sine-parity (0,0) profile pinned at zero

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from equinn.cli_io import (
     theta_star_contours,
 )
 from equinn.solver import AdamWConfig, BFGSConfig, SolverConfig
-from equinn.spectral import mode_set_pair
+from equinn.spectral import mode_set_pair, synthesize
 
 
 def dshape():
@@ -31,20 +32,10 @@ def dshape():
 
 def zero_net_solution(input, width=2, lam_b2=None):
     cos_set, sin_set = mode_set_pair(input.M, input.N, input.n_fp)
-    k = cos_set.size
-
-    def net(b2=None):
-        return nf.MLPCoefficients(
-            np.zeros((width, 1)), np.zeros(width), np.zeros((width, width)),
-            np.zeros(width), np.zeros((k, width)),
-            np.zeros(k) if b2 is None else np.asarray(b2, dtype=float),
-        )
-
-    lam = np.zeros(k)
-    if lam_b2:
-        for (m, n), v in lam_b2.items():
-            lam[sin_set.index_of(m, n)] = v
-    params = nf.NetParams(net(), net(lam), net(), cos_set, sin_set)
+    params = nf.NetParams.zeros(width, cos_set, sin_set)
+    lam_block = params.vector.reshape(3, -1)[1]
+    for (m, n), v in (lam_b2 or {}).items():
+        lam_block[-sin_set.size + sin_set.index_of(m, n)] = v  # b2 closes the block
     return sv.Solution(
         params=params,
         input=input,
@@ -153,6 +144,26 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(nf.params_to_vector(loaded), nf.params_to_vector(params))
 
 
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    input, config = dshape()
+    sets = mode_set_pair(input.M, input.N, input.n_fp)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, nf.init_params(sets, 3, 5, input), b"\x01" * 32, 1)
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def half_write(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_write)
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(path, nf.init_params(sets, 3, 6, input), b"\x02" * 32, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"this is not a checkpoint at all")
@@ -254,10 +265,9 @@ def test_theta_star_contours_on_zero_lambda_solution():
     rows = theta_star_contours(sol, targets=[0.0, np.pi / 2], rho_samples=[0.5, 1.0])
     assert len(rows) == 4
     for target, rho, r, z in rows:
-        prof_r, prof_z = cli_io._surface_rz(
-            sol.params, input, min(rho, 1 - 1e-12), np.array([target]), 0.0
-        )
-        assert np.isclose(r, prof_r[0]) and np.isclose(z, prof_z[0])
+        prof = nf.mode_profiles(sol.params, input, min(rho, 1 - 1e-12))
+        prof_r, prof_z = (synthesize(c, [target], [0.0]).value[0, 0] for c in (prof.r, prof.z))
+        assert np.isclose(r, prof_r) and np.isclose(z, prof_z)
 
 
 def test_theta_star_contours_emission_tolerance():

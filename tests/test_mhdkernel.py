@@ -20,6 +20,20 @@ def torus_state(n_rho=8, R0=3.0, a=1.0, n_theta=16, iota=(1.0,), psi_b=1.0, with
     return grid, state
 
 
+def metric(state):
+    """g_ij = e_i . e_j; the phi component R of e_zeta adds R^2 to g_zz."""
+    g = np.einsum("icra,jcra->ijra", state.e, state.e)
+    g[2, 2] += state.R**2
+    return g
+
+
+def covariant_field(state):
+    """B_i = e_i . B from the (R, Z) basis, R and the field components."""
+    bsub = np.einsum("icra,cra->ira", state.e, state.b_plane)
+    bsub[2] += state.R * state.b_phi
+    return bsub
+
+
 # -- geometry -----------------------------------------------------------------
 
 
@@ -41,16 +55,16 @@ def test_torus_jacobian_matches_symbolic():
 def test_torus_jacobian_value_at_example_node():
     grid = CollocationGrid(np.array([0.5]), np.array([0.0]), np.array([0.0]), 1)
     state = mk.geometry(torus_stack(grid.rho), grid)
+    g = metric(state)
     assert np.isclose(state.sqrtg[0, 0], -1.75, rtol=1e-12)
-    assert np.isclose(state.g_tt[0, 0], 0.25, rtol=1e-12)
-    assert np.isclose(state.g_zz[0, 0], 12.25, rtol=1e-12)
+    assert np.isclose(g[1, 1, 0, 0], 0.25, rtol=1e-12)
+    assert np.isclose(g[2, 2, 0, 0], 12.25, rtol=1e-12)
 
 
 def test_lambda_zero_leaves_geometry_unaffected():
     grid = CollocationGrid.build(4, 2, 0, 1, n_theta=8)
     state = mk.geometry(torus_stack(grid.rho), grid)
-    assert np.all(state.L_t == 0.0) and np.all(state.L_z == 0.0)
-    assert np.all(state.L_tt == 0.0) and np.all(state.L_st == 0.0)
+    assert np.all(state.dlam == 0.0) and np.all(state.ddlam == 0.0)
 
 
 def test_overlapping_surfaces_raise_jacobian_error():
@@ -73,20 +87,8 @@ def test_jacobian_matches_reciprocal_of_contravariant_triple_product():
 
 def test_metric_inverse_is_consistent():
     grid, state = torus_state(n_rho=4, n_theta=10, with_force=False)
-    lower = np.array(
-        [
-            [state.g_ss, state.g_st, state.g_sz],
-            [state.g_st, state.g_tt, state.g_tz],
-            [state.g_sz, state.g_tz, state.g_zz],
-        ]
-    )
-    upper = np.array(
-        [
-            [state.gu_ss, state.gu_st, state.gu_sz],
-            [state.gu_st, state.gu_tt, state.gu_tz],
-            [state.gu_sz, state.gu_tz, state.gu_zz],
-        ]
-    )
+    lower = metric(state)
+    upper = np.einsum("icra,jcra->ijra", state.dual, state.dual) / state.sqrtg**2  # e^i . e^j
     prod = np.einsum("ik...,kj...->ij...", upper, lower)
     eye = np.eye(3)[:, :, None, None]
     assert np.max(np.abs(prod - eye)) < 1e-10
@@ -98,32 +100,33 @@ def test_metric_inverse_is_consistent():
 def test_field_ratio_equals_iota_for_zero_lambda():
     grid, state = torus_state(iota=(0.83, -0.21), with_force=False)
     iota = state.iota
-    assert np.max(np.abs(state.bsup_t / state.bsup_z - iota)) < 1e-13
+    assert np.max(np.abs(state.b[0] / state.b[1] - iota)) < 1e-13
 
 
 def test_field_example_value_on_circular_torus():
     grid = CollocationGrid(np.array([0.5]), np.array([0.0]), np.array([0.0]), 1)
     state = mk.geometry(torus_stack(grid.rho), grid)
     mk.magnetic_field(state, np.array([1.0]), 1.0)
-    assert np.isclose(state.bsup_t[0, 0], 1.0 / -1.75, rtol=1e-12)
-    assert np.isclose(state.bsup_z[0, 0], 1.0 / -1.75, rtol=1e-12)
+    assert np.isclose(state.b[0, 0, 0], 1.0 / -1.75, rtol=1e-12)
+    assert np.isclose(state.b[1, 0, 0], 1.0 / -1.75, rtol=1e-12)
 
 
 def test_zero_flux_means_zero_field_and_current():
     grid, state = torus_state(psi_b=0.0)
-    for name in ("bsup_t", "bsup_z", "bsub_s", "bsub_t", "bsub_z", "jsup_s", "jsup_t", "jsup_z"):
-        assert np.all(getattr(state, name) == 0.0), name
+    for name, value in (("B^i", state.b), ("B_i", covariant_field(state)), ("J^i", state.jsup)):
+        assert np.all(value == 0.0), name
 
 
 def test_field_is_tangent_to_flux_surfaces():
     grid, state = torus_state(n_rho=6, n_theta=14, iota=(1.0, -0.4))
     es, _, _ = mk.contravariant_basis(state)
-    bt, bz = state.bsup_t, state.bsup_z
+    bt, bz = state.b
+    e_t, e_z = state.e[1], state.e[2]
     b_cyl = np.stack(
         [
-            bt * state.R_t + bz * state.R_z,
+            bt * e_t[0] + bz * e_z[0],
             bz * state.R,
-            bt * state.Z_t + bz * state.Z_z,
+            bt * e_t[1] + bz * e_z[1],
         ]
     )
     bdots = np.sum(b_cyl * es, axis=0)
@@ -136,12 +139,19 @@ def test_field_is_tangent_to_flux_surfaces():
 
 def test_axisymmetric_radial_current_reduces_to_theta_derivative():
     grid, state = torus_state(n_rho=5, n_theta=12, iota=(0.9, -0.3))
-    want = state.bsub_z_t / (MU0 * state.sqrtg)
-    assert np.allclose(state.jsup_s, want, rtol=1e-13)
+    # d_theta B_zeta = d_theta e_zeta . B + e_zeta . d_theta B, phi part d_theta (R B_phi)
+    dbz_t = (
+        np.einsum("cra,cra->ra", state.de[1, 2], state.b_plane)
+        + np.einsum("cra,cra->ra", state.e[2], state.db_plane[1])
+        + state.dR[1] * state.b_phi
+        + state.R * state.db_phi[1]
+    )
+    want = dbz_t / (MU0 * state.sqrtg)
+    assert np.allclose(state.jsup[0], want, rtol=1e-13)
 
 
 def test_current_matches_finite_differences_of_covariant_field():
-    """Radial/angular derivatives inside J against a step-halving oracle."""
+    """J^i against the curl of B_i = e_i . B from step-halving differences."""
     from equinn import cli_io, netfield as nf, solver as sv
 
     input, _ = cli_io.parse_case("dshape")
@@ -153,49 +163,39 @@ def test_current_matches_finite_differences_of_covariant_field():
     asm = sv.LossAssembler(input, 2, grid)
     params = nf.init_params((asm.modes_cos, asm.modes_sin), 2, 0, input)
 
-    def bsub_at(rho_nodes):
-        g = CollocationGrid(np.asarray(rho_nodes), grid.theta, grid.zeta, 1)
+    def state_at(rho_nodes, theta):
+        g = CollocationGrid(np.asarray(rho_nodes), theta, grid.zeta, 1)
         stack = nf.profile_stack(params, input, np.asarray(rho_nodes))
         st = mk.geometry(stack, g)
         mk.magnetic_field(st, input.iota, input.psi_b)
         return st
 
-    state = bsub_at(grid.rho)
+    state = state_at(grid.rho, grid.theta)
     mk.current(state)
 
     def richardson(fn, h):
         return (4.0 * fn(h / 2) - fn(h)) / 3.0
 
     h = 1e-4
-    # d/ds via rho perturbations at fixed theta
     s = grid.rho**2
 
-    def d_ds(which, h):
-        sp = np.sqrt(s + h)
-        sm = np.sqrt(s - h)
-        return (getattr(bsub_at(sp), which) - getattr(bsub_at(sm), which)) / (2 * h)
+    # d/ds via rho perturbations at fixed theta, d/dtheta via rotated angular grids
+    def d_ds(h):
+        plus, minus = state_at(np.sqrt(s + h), grid.theta), state_at(np.sqrt(s - h), grid.theta)
+        return (covariant_field(plus) - covariant_field(minus)) / (2 * h)
 
-    for which, analytic in (("bsub_t", state.bsub_t_s), ("bsub_z", state.bsub_z_s)):
-        fd = richardson(lambda hh, w=which: d_ds(w, hh), h)
-        scale = np.maximum(np.abs(fd), 1e-6 * np.max(np.abs(fd)))
-        assert np.max(np.abs(analytic - fd) / scale) < 1e-4, which
+    def d_dt(h):
+        plus, minus = state_at(grid.rho, grid.theta + h), state_at(grid.rho, grid.theta - h)
+        return (covariant_field(plus) - covariant_field(minus)) / (2 * h)
 
-    # d/dtheta via rotated angular grid
-    def d_dt(which, h):
-        gp = CollocationGrid(grid.rho, grid.theta + h, grid.zeta, 1)
-        gm = CollocationGrid(grid.rho, grid.theta - h, grid.zeta, 1)
-        stack = nf.profile_stack(params, input, grid.rho)
-        stp = mk.geometry(stack, gp)
-        stm = mk.geometry(stack, gm)
-        mk.magnetic_field(stp, input.iota, input.psi_b)
-        mk.magnetic_field(stm, input.iota, input.psi_b)
-        return (getattr(stp, which) - getattr(stm, which)) / (2 * h)
-
-    # angular derivatives are analytic trig differentiation: much tighter
-    for which, analytic in (("bsub_s", state.bsub_s_t), ("bsub_z", state.bsub_z_t)):
-        fd = richardson(lambda hh, w=which: d_dt(w, hh), h)
-        scale = np.maximum(np.abs(fd), 1e-6 * np.max(np.abs(fd)) + 1e-300)
-        assert np.max(np.abs(analytic - fd) / scale) < 1e-6, which
+    db_s, db_t = richardson(d_ds, h), richardson(d_dt, h)
+    # cyclic curl; the zeta derivatives vanish by axisymmetry
+    mu_g = MU0 * state.sqrtg
+    fd = (db_t[2] / mu_g, -db_s[2] / mu_g, (db_s[1] - db_t[0]) / mu_g)
+    # J^s needs only angular derivatives, analytic trig differentiation: much tighter
+    for i, tol in ((0, 1e-6), (1, 1e-4), (2, 1e-4)):
+        scale = np.maximum(np.abs(fd[i]), 1e-6 * np.max(np.abs(fd[i])) + 1e-300)
+        assert np.max(np.abs(state.jsup[i] - fd[i]) / scale) < tol, i
 
 
 # -- force --------------------------------------------------------------------------
@@ -213,7 +213,8 @@ def test_pure_pressure_force_magnitude():
     mk.current(state)
     pp = np.full(grid.n_rho, -3200.0)
     mk.force(state, pp)
-    want = MU0 * np.abs(pp)[:, None] * np.sqrt(state.gu_ss)
+    # |grad s| = 2 rho / a on concentric circles of minor radius a = 1
+    want = MU0 * np.abs(pp)[:, None] * 2.0 * grid.rho[:, None]
     assert np.allclose(state.F_mag, want, rtol=1e-12)
 
 
@@ -231,8 +232,8 @@ def test_force_scale_covariance_in_flux_and_pressure():
 
     base = assemble(1.0, 1.0)
     scaled = assemble(c, c**2)
-    assert np.allclose(scaled.bsup_t, c * base.bsup_t, rtol=1e-13)
-    assert np.allclose(scaled.jsup_z, c * base.jsup_z, rtol=1e-13)
+    assert np.allclose(scaled.b[0], c * base.b[0], rtol=1e-13)
+    assert np.allclose(scaled.jsup[2], c * base.jsup[2], rtol=1e-13)
     assert np.allclose(scaled.F_s, c**2 * base.F_s, rtol=1e-13)
     assert np.allclose(scaled.F_mag, c**2 * base.F_mag, rtol=1e-13)
 
@@ -248,15 +249,16 @@ def test_equilibrium_limit_has_vanishing_force():
 
 def test_gradient_magnitude_of_flux_label():
     grid, state = torus_state(n_rho=5, n_theta=12, with_force=False)
-    one = np.ones_like(state.g_ss)
-    zero = np.zeros_like(state.g_ss)
+    one = np.ones_like(state.sqrtg)
+    zero = np.zeros_like(state.sqrtg)
     got = mk.gradient_magnitude(state, one, zero, zero)
-    assert np.allclose(got, np.sqrt(state.gu_ss), rtol=1e-13)
+    # |grad s| = 2 rho / a on concentric circles of minor radius a = 1
+    assert np.allclose(got, 2.0 * grid.rho[:, None] * one, rtol=1e-13)
 
 
 def test_gradient_magnitude_of_constant_is_zero():
     grid, state = torus_state(with_force=False)
-    zero = np.zeros_like(state.g_ss)
+    zero = np.zeros_like(state.sqrtg)
     assert np.all(mk.gradient_magnitude(state, zero, zero, zero) == 0.0)
 
 
@@ -350,12 +352,3 @@ def test_grid_weights_partition_unity():
     assert abs(grid.rho_weights.sum() - 1.0) < 1e-14
     assert grid.theta.size == 12 and grid.zeta.size == 8
     assert grid.zeta[-1] < 2 * np.pi / 4
-
-
-def test_derived_tensors_are_computed_once_and_kept():
-    grid, state = torus_state(n_rho=4, n_theta=10, with_force=False)
-    gu = state.gu
-    assert state.gu is gu and state.gu_ss is state.gu_ss
-    np.testing.assert_array_equal(state.gu_st, gu[0, 1])
-    with pytest.raises(AttributeError, match="not computed yet"):
-        mk.FieldState(grid=grid).R_t

@@ -49,16 +49,16 @@ def dshape_input():
 
 
 def zero_net(width, k, b2=None):
+    """One network (a field axis of length 1) with zero weights."""
     return MLPCoefficients(
-        np.zeros((width, 1)), np.zeros(width), np.zeros((width, width)),
-        np.zeros(width), np.zeros((k, width)), np.zeros(k) if b2 is None else np.asarray(b2, dtype=float),
+        np.zeros((1, 1, width)), np.zeros((1, 1, width)), np.zeros((1, width, width)),
+        np.zeros((1, 1, width)), np.zeros((1, k, width)),
+        np.zeros((1, 1, k)) if b2 is None else np.asarray(b2, dtype=float).reshape(1, 1, k),
     )
 
 
 def zero_params(input, width=2):
-    cos_set, sin_set = mode_set_pair(input.M, input.N, input.n_fp)
-    k = cos_set.size
-    return NetParams(zero_net(width, k), zero_net(width, k), zero_net(width, k), cos_set, sin_set)
+    return NetParams.zeros(width, *mode_set_pair(input.M, input.N, input.n_fp))
 
 
 # -- input map and raw network ------------------------------------------------
@@ -89,8 +89,8 @@ def test_mlp_constant_network():
 
 def test_mlp_width_one_identity_chain():
     net = MLPCoefficients(
-        np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), np.zeros(1),
-        np.array([[1.0]]), np.zeros(1),
+        np.ones((1, 1, 1)), np.zeros((1, 1, 1)), np.ones((1, 1, 1)), np.zeros((1, 1, 1)),
+        np.ones((1, 1, 1)), np.zeros((1, 1, 1)),
     )
     out, d1, d2 = mlp_forward(net, 0.0)
     assert np.isclose(out[0], 0.0)
@@ -101,8 +101,8 @@ def test_mlp_width_one_identity_chain():
 def test_mlp_derivatives_match_finite_differences():
     rng = np.random.default_rng(4)
     net = MLPCoefficients(
-        rng.normal(size=(4, 1)), rng.normal(size=4), rng.normal(size=(4, 4)),
-        rng.normal(size=4), rng.normal(size=(6, 4)), rng.normal(size=6),
+        rng.normal(size=(1, 1, 4)), rng.normal(size=(1, 1, 4)), rng.normal(size=(1, 4, 4)),
+        rng.normal(size=(1, 1, 4)), rng.normal(size=(1, 6, 4)), rng.normal(size=(1, 1, 6)),
     )
     f0 = 0.3
     out, d1, d2 = mlp_forward(net, f0)
@@ -218,7 +218,7 @@ def test_m2_constant_network_profile_matches_symbolic():
     b2 = np.zeros(cos_set.size)
     b2[cos_set.index_of(2, 0)] = c
     params = zero_params(input)
-    params.r.b2 = b2
+    params.vector.reshape(3, -1)[0, -b2.size :] = b2  # b2 closes the R network's block
 
     rho_s, c_s = sympy.symbols("rho c")
     expr = rho_s**2 * (1 - rho_s**2) * c_s

@@ -135,15 +135,6 @@ def test_angular_derivatives_match_finite_differences(parity):
     assert np.max(np.abs(field.d_theta_theta - fd_tt)) / (np.max(np.abs(fd_tt)) + 1) < 1e-5
 
 
-def test_radial_derivative_fields_use_supplied_coefficients():
-    ms = build_mode_set(2, 0, 1, "cos")
-    coeffs = SurfaceCoefficients(ms, np.array([1.0, 2.0]), d_rho=np.array([0.5, 1.0]), d_rho2=np.array([0.0, 3.0]))
-    theta = np.array([0.0])
-    field = synthesize(coeffs, theta, np.array([0.0]))
-    assert np.isclose(field.d_rho[0, 0], 1.5)
-    assert np.isclose(field.d_rho_rho[0, 0], 3.0)
-
-
 @pytest.mark.parametrize("parity", ["cos", "sin"])
 def test_projection_roundtrip(parity):
     rng = np.random.default_rng(7)
