@@ -45,6 +45,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -128,24 +129,26 @@ def builtin_case(name: str) -> str:
 
 _GLOBAL_KEYS = {"psi_b": float, "n_fp": int, "M": int, "N": int}
 _PROFILE_KEYS = {"pressure", "iota"}
+# [solver] key -> (SolverConfig field path, type), in the order case_text writes them
 _SOLVER_KEYS = {
-    "width": int,
-    "surfaces": int,
-    "theta": int,
-    "zeta": int,
-    "seed": int,
-    "step": float,
-    "beta1": float,
-    "beta2": float,
-    "weight_decay": float,
-    "adam_iters": int,
-    "bfgs_iters": int,
-    "param_tol": float,
-    "grad_tol": float,
-    "target_fvol": float,
-    "target_rel_tol": float,
-    "checkpoint_every": int,
+    "width": ("width", int),
+    "surfaces": ("n_rho", int),
+    "theta": ("n_theta", int),
+    "zeta": ("n_zeta", int),
+    "seed": ("seed", int),
+    "step": ("adamw.step", float),
+    "beta1": ("adamw.beta1", float),
+    "beta2": ("adamw.beta2", float),
+    "weight_decay": ("adamw.weight_decay", float),
+    "adam_iters": ("adamw.max_iter", int),
+    "bfgs_iters": ("bfgs.max_iter", int),
+    "param_tol": ("bfgs.param_tol", float),
+    "grad_tol": ("bfgs.grad_tol", float),
+    "target_fvol": ("target_fvol", float),
+    "target_rel_tol": ("target_rel_tol", float),
+    "checkpoint_every": ("checkpoint_every", int),
 }
+_TARGET_KEYS = ("target_fvol", "target_rel_tol")  # written only when target_fvol is set
 
 
 def _fail(lineno: int, message: str):
@@ -196,7 +199,7 @@ def parse_case_text(text: str, name: str = "<case>") -> tuple[EquilibriumInput, 
                 if key not in _SOLVER_KEYS:
                     _fail(lineno, f"unknown [solver] key '{key}'")
                 try:
-                    solver_kv[key] = _SOLVER_KEYS[key](value)
+                    solver_kv[key] = _SOLVER_KEYS[key][1](value)
                 except ValueError:
                     _fail(lineno, f"bad value for '{key}': {value!r}")
         elif section == "boundary":
@@ -278,31 +281,15 @@ def parse_case_text(text: str, name: str = "<case>") -> tuple[EquilibriumInput, 
     input.validate()
 
     config = SolverConfig()
-    adam = config.adamw
-    bfgs = config.bfgs
-    simple = {
-        "width": "width",
-        "surfaces": "n_rho",
-        "theta": "n_theta",
-        "zeta": "n_zeta",
-        "seed": "seed",
-        "target_fvol": "target_fvol",
-        "target_rel_tol": "target_rel_tol",
-        "checkpoint_every": "checkpoint_every",
-    }
     for key, value in solver_kv.items():
-        if key in simple:
-            config = replace(config, **{simple[key]: value})
-        elif key in ("step", "beta1", "beta2", "weight_decay"):
-            adam = replace(adam, **{key: value})
-        elif key == "adam_iters":
-            adam = replace(adam, max_iter=value)
-        elif key == "bfgs_iters":
-            bfgs = replace(bfgs, max_iter=value)
-        elif key in ("param_tol", "grad_tol"):
-            bfgs = replace(bfgs, **{key: value})
-    config = replace(config, adamw=adam, bfgs=bfgs)
+        config = _replace_path(config, _SOLVER_KEYS[key][0], value)
     return input, config
+
+
+def _replace_path(obj, path: str, value):
+    """Copy of the frozen dataclass ``obj`` with the dotted field ``path`` set."""
+    name, _, rest = path.partition(".")
+    return replace(obj, **{name: _replace_path(getattr(obj, name), rest, value) if rest else value})
 
 
 def parse_case(path_or_name: str) -> tuple[EquilibriumInput, SolverConfig]:
@@ -346,23 +333,11 @@ def case_text(input: EquilibriumInput, config: SolverConfig) -> str:
     lines.append("iota = " + " ".join(_fmt(c) for c in input.iota))
     lines.append("")
     lines.append("[solver]")
-    lines.append(f"width = {config.width}")
-    lines.append(f"surfaces = {config.n_rho}")
-    lines.append(f"theta = {config.n_theta}")
-    lines.append(f"zeta = {config.n_zeta}")
-    lines.append(f"seed = {config.seed}")
-    lines.append(f"step = {_fmt(config.adamw.step)}")
-    lines.append(f"beta1 = {_fmt(config.adamw.beta1)}")
-    lines.append(f"beta2 = {_fmt(config.adamw.beta2)}")
-    lines.append(f"weight_decay = {_fmt(config.adamw.weight_decay)}")
-    lines.append(f"adam_iters = {config.adamw.max_iter}")
-    lines.append(f"bfgs_iters = {config.bfgs.max_iter}")
-    lines.append(f"param_tol = {_fmt(config.bfgs.param_tol)}")
-    lines.append(f"grad_tol = {_fmt(config.bfgs.grad_tol)}")
-    if config.target_fvol is not None:
-        lines.append(f"target_fvol = {_fmt(config.target_fvol)}")
-        lines.append(f"target_rel_tol = {_fmt(config.target_rel_tol)}")
-    lines.append(f"checkpoint_every = {config.checkpoint_every}")
+    for key, (path, kind) in _SOLVER_KEYS.items():
+        if key in _TARGET_KEYS and config.target_fvol is None:
+            continue
+        value = reduce(getattr, path.split("."), config)
+        lines.append(f"{key} = {_fmt(value) if kind is float else value}")
     return "\n".join(lines) + "\n"
 
 
@@ -484,51 +459,48 @@ def poincare_section(
 def invert_theta_star(
     lam: Callable,
     dlam: Callable,
-    target: float,
+    target,
     tol: float = 1e-12,
     max_iter: int = 80,
-) -> float:
+):
     """Solve theta + lambda(theta) = target by safeguarded Newton iteration.
 
-    ``lam`` and ``dlam`` evaluate lambda and its theta derivative.  The
-    bracket is grown until it straddles the root, Newton steps that leave it
-    fall back to bisection.
+    ``target`` may be an array; ``lam`` and ``dlam`` evaluate lambda and its
+    theta derivative on arrays of its shape.  Each entry's bracket is grown
+    by pi until it straddles the root, Newton steps that leave it fall back
+    to bisection, and an entry stops once |residual| <= tol.  A scalar
+    target gives a scalar angle.
     """
+    target = np.asarray(target, dtype=float)
 
     def g(t):
         return t + lam(t) - target
 
     lo, hi = target - np.pi, target + np.pi
     for _ in range(8):
-        if g(lo) <= 0.0:
+        low, high = g(lo) > 0.0, g(hi) < 0.0
+        if not (low.any() or high.any()):
             break
-        lo -= np.pi
-    for _ in range(8):
-        if g(hi) >= 0.0:
-            break
-        hi += np.pi
-    glo, ghi = g(lo), g(hi)
-    if glo > 0.0 or ghi < 0.0:
-        raise ThetaStarError("could not bracket the straight-field-line angle")
+        lo, hi = lo - np.pi * low, hi + np.pi * high
+    else:
+        if np.any(g(lo) > 0.0) or np.any(g(hi) < 0.0):
+            raise ThetaStarError("could not bracket the straight-field-line angle")
 
-    t = float(np.clip(target, lo, hi))
+    t = np.clip(target, lo, hi)
     for _ in range(max_iter):
         gt = g(t)
-        if abs(gt) <= tol:
-            return t
-        if gt > 0.0:
-            hi = t
-        else:
-            lo = t
+        live = np.abs(gt) > tol
+        if not live.any():
+            return t if t.ndim else float(t)
+        hi = np.where(live & (gt > 0.0), t, hi)
+        lo = np.where(live & (gt <= 0.0), t, lo)
         slope = 1.0 + dlam(t)
-        if slope > 0.0:
-            t_new = t - gt / slope
-        else:
-            t_new = 0.5 * (lo + hi)
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    raise ThetaStarError(f"no convergence towards theta* = {target}")
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = np.where(slope > 0.0, t - gt / slope, mid)
+        t_new = np.where((lo < t_new) & (t_new < hi), t_new, mid)
+        t = np.where(live, t_new, t)
+    raise ThetaStarError(f"no convergence towards theta* = {target[live].flat[0]}")
 
 
 def theta_star_contours(
@@ -542,44 +514,53 @@ def theta_star_contours(
     Arcs run from near the axis to the boundary; by default eight equally
     spaced theta* targets.  A surface on which theta + lambda is not
     monotone (|d lambda / d theta| >= 1 somewhere) is reported as an error.
+    All surfaces come from one batched profile evaluation and all (surface,
+    target) pairs are solved together.
     """
     if targets is None:
         targets = 2.0 * np.pi * np.arange(8) / 8.0
     if rho_samples is None:
         rho_samples = np.linspace(1.0 / 32.0, 1.0, 32)
-    rows = []
-    for rho in np.asarray(rho_samples, dtype=float):
-        rho_eval = min(float(rho), 1.0 - 1e-12)
-        prof = nf.mode_profiles(solution.params, solution.input, rho_eval)
-        lam_set = prof.lam.mode_set
-        mm = lam_set.m.astype(float)
-        nn = (lam_set.n * lam_set.n_fp).astype(float)
-        coeff = prof.lam.values
+    targets = np.asarray(targets, dtype=float)
+    rho = np.asarray(rho_samples, dtype=float)
+    params = solution.params
+    stack = nf.profile_stack(params, solution.input, np.minimum(rho, 1.0 - 1e-12))
+    r_c, lam_c, z_c = ad.value_of(stack.jets)[0]  # (surface, mode) each
 
-        def lam(t, coeff=coeff, mm=mm, nn=nn):
-            return float(np.sum(coeff * np.sin(mm * t - nn * zeta)))
+    probe = 2.0 * np.pi * np.arange(720) / 720.0
+    # sine parity, d/dtheta row: m cos(m theta - n n_fp zeta)
+    d_theta = spectral.pair_tables(params.modes_cos, params.modes_sin, probe, [zeta])[1, 1]
+    monotone = (1.0 + lam_c @ d_theta).min(axis=1) > 0.0
+    if not monotone.all():
+        raise ThetaStarError(
+            f"theta + lambda is non-monotone on surface rho={rho[np.argmin(monotone)]:.4f}: "
+            "|d lambda/d theta| >= 1"
+        )
 
-        def dlam(t, coeff=coeff, mm=mm, nn=nn):
-            return float(np.sum(coeff * mm * np.cos(mm * t - nn * zeta)))
+    m = params.modes_sin.m.astype(float)
+    n_zeta = (params.modes_sin.n * params.modes_sin.n_fp).astype(float) * zeta
+    dlam_c = lam_c * m
 
-        probe = 2.0 * np.pi * np.arange(720) / 720.0
-        slopes = 1.0 + (coeff * mm * np.cos(np.outer(probe, mm) - nn * zeta)).sum(axis=1)
-        if slopes.min() <= 0.0:
-            raise ThetaStarError(
-                f"theta + lambda is non-monotone on surface rho={rho:.4f}: "
-                "|d lambda/d theta| >= 1"
-            )
-        for target in targets:
-            theta = invert_theta_star(lam, dlam, float(target))
-            if abs(theta + lam(theta) - float(target)) > 1e-10:
-                raise ThetaStarError("contour solve lost precision")
-            r, z = (
-                spectral.synthesize(c, np.array([theta]), np.array([zeta])).value[0, 0]
-                for c in (prof.r, prof.z)
-            )
-            rows.append((float(target), float(rho), float(r), float(z)))
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return rows
+    def angle(t):  # (surface, target) -> (surface, target, mode)
+        return m * t[..., None] - n_zeta
+
+    def lam(t):
+        return (lam_c[:, None] * np.sin(angle(t))).sum(axis=-1)
+
+    def dlam(t):
+        return (dlam_c[:, None] * np.cos(angle(t))).sum(axis=-1)
+
+    target = np.broadcast_to(targets, (rho.size, targets.size))
+    theta = invert_theta_star(lam, dlam, target)
+    if np.any(np.abs(theta + lam(theta) - target) > 1e-10):
+        raise ThetaStarError("contour solve lost precision")
+    # R and Z contract as spectral.synthesize does, so rows match it bit for bit
+    a = angle(theta)
+    r = np.einsum("sk,stk->st", r_c, np.cos(a), optimize=False)
+    z = np.einsum("sk,stk->st", z_c, np.sin(a), optimize=False)
+    rho_col = np.broadcast_to(rho[:, None], target.shape)
+    rows = zip(*(x.ravel().tolist() for x in (target, rho_col, r, z)))
+    return sorted(rows, key=lambda row: row[:2])
 
 
 # -- metric export ------------------------------------------------------------------
@@ -638,6 +619,7 @@ def export_metrics(solution: Solution, out_dir) -> dict:
     summary = {
         "f_vol_norm": float(solution.f_vol_norm),
         "termination_reason": solution.termination_reason,
+        "termination_detail": solution.termination_detail,
         "n_parameters": solution.params.n_parameters,
         "final_loss": float(solution.history[-1].loss) if solution.history else None,
         "iterations": solution.history[-1].iteration if solution.history else 0,
@@ -753,6 +735,7 @@ def _cmd_solve(args) -> int:
     print(f"F_vol_norm: {solution.f_vol_norm:.6e}")
     print(f"outputs in {out}")
     if solution.termination_reason == "diverged":
+        print(f"diverged: {solution.termination_detail}", file=sys.stderr)
         return 2
     return 0
 

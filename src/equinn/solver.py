@@ -114,6 +114,7 @@ class Solution:
     f_norm_profile: np.ndarray
     rho: np.ndarray
     termination_reason: str
+    termination_detail: str = ""  # the divergence message: stage, iteration, node
 
     @property
     def n_parameters(self) -> int:
@@ -561,13 +562,13 @@ def solve(
 
         return record
 
-    reason = None
     try:
         history.append(
             LossRecord(0, "init", assembler.loss_value(x), time.perf_counter() - t0)
         )
-    except (NonFiniteLossError, JacobianSignError):
-        return _finalize(assembler, input, config, x, history, "diverged", on_checkpoint)
+    except (NonFiniteLossError, JacobianSignError) as exc:
+        return _finalize(assembler, input, config, x, history, "diverged", on_checkpoint,
+                         f"initial point is invalid: {exc}")
 
     stop_check = None
     if config.target_fvol is not None:
@@ -603,13 +604,13 @@ def solve(
                 stop_check=stop_check,
             )
     except Diverged as exc:
-        x = exc.last_vector
-        reason = "diverged"
+        return _finalize(assembler, input, config, exc.last_vector, history, "diverged",
+                         on_checkpoint, str(exc))
 
     return _finalize(assembler, input, config, x, history, reason, on_checkpoint)
 
 
-def _finalize(assembler, input, config, x, history, reason, on_checkpoint):
+def _finalize(assembler, input, config, x, history, reason, on_checkpoint, detail=""):
     if on_checkpoint is not None:
         on_checkpoint(history[-1].iteration if history else 0, x)
     try:
@@ -629,4 +630,5 @@ def _finalize(assembler, input, config, x, history, reason, on_checkpoint):
         f_norm_profile=np.asarray(profile),
         rho=assembler.grid.rho.copy(),
         termination_reason=reason,
+        termination_detail=detail,
     )

@@ -1,9 +1,28 @@
-"""Shared fixtures-in-code for the kernel and acceptance tests."""
+"""Shared fixtures-in-code for the tests."""
 
 import numpy as np
 
 from equinn.netfield import ProfileStack
 from equinn.spectral import build_mode_set
+
+# A small stellarator-symmetric 3D case (n_fp=2, M=5, N=2) that exercises
+# every zeta-derivative path.
+ELLIPSE_CASE = """
+[global]
+psi_b = 1.0
+n_fp = 2
+M = 5
+N = 2
+
+[boundary]
+0  0  4.0  0.0
+1  0  1.0  1.0
+1  1  0.3  -0.3
+
+[profiles]
+pressure = 1000.0 -2000.0 1000.0
+iota = 0.5 0.2
+"""
 
 
 def torus_stack(rho, R0=3.0, a=1.0, M=2, axis_shift=None):

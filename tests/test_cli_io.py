@@ -1,5 +1,6 @@
 """Case files, checkpoints, section exports and the command-line surface."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from equinn.cli_io import (
 )
 from equinn.solver import AdamWConfig, BFGSConfig, SolverConfig
 from equinn.spectral import mode_set_pair, synthesize
+from support import ELLIPSE_CASE
 
 
 def dshape():
@@ -65,14 +67,18 @@ def test_dshape_builtin_values():
     assert config.width == 8 and config.n_rho == 50
 
 
-def test_case_roundtrip(tmp_path):
-    input, config = dshape()
-    config = SolverConfig(
+def roundtrip_config():
+    return SolverConfig(
         width=5, n_rho=12, seed=9,
         adamw=AdamWConfig(step=2e-3, max_iter=77),
         bfgs=BFGSConfig(max_iter=13),
         target_fvol=1e-3,
     )
+
+
+def test_case_roundtrip(tmp_path):
+    input, _ = dshape()
+    config = roundtrip_config()
     path = tmp_path / "case.txt"
     cli_io.write_case(input, config, path)
     input2, config2 = parse_case(str(path))
@@ -80,6 +86,16 @@ def test_case_roundtrip(tmp_path):
     assert np.array_equal(input2.pressure, input.pressure)
     assert config2 == config
     assert case_digest(input2, config2) == case_digest(input, config)
+
+
+def test_case_text_digest_is_frozen():
+    # checkpoints carry this digest, so case_text may not change a byte
+    input, config = dshape()
+    for cfg, sha in (
+        (config, "308892d9c445ae9582101fc3c181b54776577f302a586ed61556973c523828d9"),
+        (roundtrip_config(), "9285779637e38c2b72542c72c04306e5694f54b7d888d758b04c9e0eee3fb626"),
+    ):
+        assert hashlib.sha256(cli_io.case_text(input, cfg).encode()).hexdigest() == sha
 
 
 def test_parse_rejects_mode_above_resolution():
@@ -257,6 +273,54 @@ def test_invert_theta_star_synthetic_surface():
     assert abs(theta - oracle) < 1e-10
     assert abs(theta - 1.4712909841) < 1e-9  # frozen from the root-finding oracle
     assert abs(theta + lam(theta) - np.pi / 2) <= 1e-10
+
+
+@pytest.mark.parametrize("coeffs", [(0.1,), (0.3, 0.1)], ids=["one-mode", "two-mode"])
+def test_invert_theta_star_array_matches_scalar_calls(coeffs):
+    m = np.arange(1, len(coeffs) + 1)
+    lam = lambda t: sum(c * np.sin(k * t) for c, k in zip(coeffs, m))
+    dlam = lambda t: sum(c * k * np.cos(k * t) for c, k in zip(coeffs, m))
+    targets = np.linspace(-7.0, 13.0, 40).reshape(5, 8)
+    batch = invert_theta_star(lam, dlam, targets)
+    scalar = [invert_theta_star(lam, dlam, float(t)) for t in targets.ravel()]
+    assert batch.shape == targets.shape
+    assert np.array_equal(batch.ravel(), scalar)
+
+
+def test_invert_theta_star_batch_fails_if_one_entry_cannot_be_bracketed():
+    offset = np.array([0.0, 100.0, 0.0])  # theta + 100 = target has no root within 9 pi
+    with pytest.raises(ThetaStarError, match="could not bracket"):
+        invert_theta_star(lambda t: offset, lambda t: np.zeros(3), np.array([0.0, 1.0, 2.0]))
+
+
+def test_theta_star_contours_evaluate_profiles_once(monkeypatch):
+    input, _ = dshape()
+    sol = zero_net_solution(input, lam_b2={(1, 0): 0.12})
+    calls = []
+    profile_stack = nf.profile_stack
+    monkeypatch.setattr(nf, "profile_stack", lambda *a, **k: calls.append(1) or profile_stack(*a, **k))
+    assert len(theta_star_contours(sol)) == 8 * 32
+    assert len(calls) == 1
+
+
+def test_theta_star_contours_match_brentq_on_3d_case():
+    # n_fp = 2, N = 2 at zeta = 0.3: lambda, R and Z all carry helical modes
+    input, _ = parse_case_text(ELLIPSE_CASE, "ellipse")
+    sol = zero_net_solution(input, width=3, lam_b2={(1, 0): 0.2, (1, 1): 0.1, (2, -1): 0.05})
+    modes = (sol.params.modes_cos, sol.params.modes_sin)
+    sol.params.vector[:] += nf.params_to_vector(nf.init_params(modes, 3, 0, input))
+    zeta = 0.3
+    rows = theta_star_contours(sol, zeta=zeta)
+    assert len(rows) == 8 * 32
+    shift = 0.0
+    for target, rho, r, z in rows:
+        prof = nf.mode_profiles(sol.params, input, min(rho, 1 - 1e-12))
+        lam = lambda t: synthesize(prof.lam, [t], [zeta]).value[0, 0]
+        theta = brentq(lambda t: t + lam(t) - target, target - np.pi, target + np.pi, xtol=1e-14)
+        shift = max(shift, abs(theta - target))
+        assert abs(r - synthesize(prof.r, [theta], [zeta]).value[0, 0]) <= 1e-10
+        assert abs(z - synthesize(prof.z, [theta], [zeta]).value[0, 0]) <= 1e-10
+    assert shift > 0.05  # lambda moves the contours
 
 
 def test_theta_star_contours_on_zero_lambda_solution():

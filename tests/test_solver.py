@@ -6,6 +6,7 @@ import pytest
 from equinn import cli_io, netfield as nf, solver as sv
 from equinn.mhdkernel import CollocationGrid
 from equinn.solver import AdamWConfig, BFGSConfig, SolverConfig, adamw_stage, bfgs_stage
+from support import ELLIPSE_CASE
 
 
 def quadratic(center, scale=None):
@@ -233,6 +234,9 @@ def test_solve_divergence_is_reported_not_raised():
     config = tiny_config(adamw=AdamWConfig(step=1e3, max_iter=200))
     sol = sv.solve(tiny_input(), config)
     assert sol.termination_reason == "diverged"
+    # the failing iteration is the one after the last recorded one
+    failed = sol.history[-1].iteration + 1
+    assert sol.termination_detail.startswith(f"stage 1 diverged at iteration {failed}: ")
 
 
 def test_stage_one_smoothed_loss_descends_on_dshape():
@@ -255,24 +259,6 @@ def test_config_validation():
 
 
 # -- 3D guards: every zeta-derivative path, at n_fp=2, N=2 -------------------------
-
-ELLIPSE_CASE = """
-[global]
-psi_b = 1.0
-n_fp = 2
-M = 5
-N = 2
-
-[boundary]
-0  0  4.0  0.0
-1  0  1.0  1.0
-1  1  0.3  -0.3
-
-[profiles]
-pressure = 1000.0 -2000.0 1000.0
-iota = 0.5 0.2
-"""
-
 
 def ellipse_problem(n_theta=0, n_zeta=0):
     input, _ = cli_io.parse_case_text(ELLIPSE_CASE, "ellipse")
