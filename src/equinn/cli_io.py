@@ -573,18 +573,15 @@ def _write_table(path, header: str, rows) -> None:
             fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
-def spectral_widths(params: NetParams, input: EquilibriumInput, rho) -> np.ndarray:
-    """Poloidal spectral width sum m^2 (R_mn^2 + Z_mn^2) per radius, from one
-    batched profile evaluation; see :func:`spectral.spectral_width`."""
+def _write_fnorm(out: Path, rho, profile, params: NetParams, input: EquilibriumInput):
+    """fnorm_profile.csv, with the spectral width per radius from one batched
+    profile evaluation; returns the path and the widths."""
     value = ad.value_of(nf.profile_stack(params, input, rho).jets)[0]
-    return ((value[0] ** 2 + value[2] ** 2) * params.modes_cos.m.astype(float) ** 2).sum(axis=1)
-
-
-def _write_fnorm(out: Path, rho, profile, widths) -> Path:
+    widths = spectral.spectral_width(params.modes_cos, params.modes_sin, value[0], value[2])
     path = out / "fnorm_profile.csv"
     rows = [(float(r), float(f), float(w)) for r, f, w in zip(rho, profile, widths)]
     _write_table(path, "rho,f_norm_avg,spectral_width", rows)
-    return path
+    return path, widths
 
 
 def _write_sections(solution: Solution, out: Path, zeta: float = 0.0) -> dict:
@@ -605,8 +602,9 @@ def export_metrics(solution: Solution, out_dir) -> dict:
     files = {}
 
     # per-surface residuals and spectral width
-    msp = spectral_widths(solution.params, solution.input, solution.rho)
-    files["fnorm_profile"] = _write_fnorm(out, solution.rho, solution.f_norm_profile, msp)
+    files["fnorm_profile"], msp = _write_fnorm(
+        out, solution.rho, solution.f_norm_profile, solution.params, solution.input
+    )
 
     files["loss_history"] = out / "loss_history.csv"
     _write_table(
@@ -763,7 +761,7 @@ def _cmd_eval(args) -> int:
 
     out = _out_dir(args.out, str(Path(args.checkpoint).parent))
     out.mkdir(parents=True, exist_ok=True)
-    _write_fnorm(out, grid.rho, metrics["f_norm_profile"], spectral_widths(params, input, grid.rho))
+    _write_fnorm(out, grid.rho, metrics["f_norm_profile"], params, input)
     summary = {
         "f_vol_norm": metrics["f_vol_norm"],
         "loss": metrics["loss"],

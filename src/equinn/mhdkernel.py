@@ -61,7 +61,6 @@ __all__ = [
     "surface_average",
     "surface_average_profile",
     "f_norm",
-    "contravariant_basis",
 ]
 
 
@@ -421,9 +420,3 @@ def f_norm(state: FieldState, grid: CollocationGrid, normalizer: float):
         raise ValueError("normalizer must be positive (degenerate field)")
     fn = ad.value_of(state.F_mag) / (MU0 * normalizer)
     return fn, volume_average(fn, state, grid)
-
-
-def contravariant_basis(state: FieldState):
-    """e^s, e^theta, e^zeta as cylindrical component triples (plain arrays)."""
-    dual = ad.value_of(state.dual) / ad.value_of(state.sqrtg)
-    return dual[0], dual[1], dual[2]

@@ -1,17 +1,16 @@
 """Loss assembly and the two-stage minimization of the force residual.
 
 The loss is the plain mean over all collocation nodes of the per-node force
-magnitude from the field kernel; nodes are not volume-weighted.  The map is
-stellarator-symmetric, so |F| is even under (theta, zeta) -> (-theta, -zeta),
-which maps the uniform angular grid onto itself: the loss and its gradient
-run on the rows theta <= pi only, each weighted by the number of nodes it
-stands for (1 or 2), and equal the full-grid mean up to last-bit differences
-between mirror nodes.  Diagnostics run on the full grid.  Training
-runs an adaptive-moment first-order stage (decoupled weight decay,
-bias-corrected moments) followed by a full-memory quasi-Newton stage with a
-strong-Wolfe line search.  Both stages are deterministic given the seed, and
-all reductions are thread-count independent, so reruns reproduce checkpoints
-bit for bit.
+magnitude from the field kernel; nodes are not volume-weighted.  By
+stellarator symmetry it and its gradient run on the rows theta <= pi only,
+each node weighted by the number of nodes it stands for (:func:`_mirror_half`),
+and equal the full-grid mean up to last-bit differences between mirror
+nodes; diagnostics run on the full grid.  Training runs an adaptive-moment
+stage (decoupled weight decay, bias-corrected moments), then full-memory
+BFGS with a strong-Wolfe line search and, where a search stalls at a kink of
+the loss, a least-norm bundle step.  Both stages are deterministic given the
+seed, and all reductions are thread-count independent, so reruns reproduce
+checkpoints bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class AdamWConfig:
     step: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     max_iter: int = 5000
 
@@ -57,11 +55,13 @@ class AdamWConfig:
 @dataclass(frozen=True)
 class BFGSConfig:
     max_iter: int = 2000
-    c1: float = 1e-4
-    c2: float = 0.9
     param_tol: float = 1e-12
     grad_tol: float = 1e-14
-    max_line_search: int = 30
+
+
+_ADAM_EPS = 1e-8
+_C1, _C2 = 1e-4, 0.9  # strong-Wolfe sufficient-decrease and curvature constants
+_MAX_LINE_SEARCH = 30  # trials in the bracket phase and in the zoom
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def adamw_stage(
         m_hat = m / (1.0 - config.beta1**it)
         v_hat = v / (1.0 - config.beta2**it)
         x = x - config.step * (
-            m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * x
+            m_hat / (np.sqrt(v_hat) + _ADAM_EPS) + config.weight_decay * x
         )
         if stop_check is not None and stop_check(it, x):
             status = "target-reached"
@@ -303,57 +303,32 @@ def adamw_stage(
 # -- stage 2: quasi-Newton -------------------------------------------------------
 
 
-def _strong_wolfe(evaluate, f0, g0_dot_p, c1, c2, max_iter):
+def _strong_wolfe(evaluate, f0, g0_dot_p):
     """Strong-Wolfe step search (bracket and zoom, bisection fallback).
 
     ``evaluate(alpha)`` returns (f, dphi, payload); non-finite trials are
-    treated as too-far and bracketed down.  If the curvature condition is
-    unattainable within the budget, the best sufficient-decrease point is
-    accepted (the quasi-Newton update guards on y.s anyway).  Returns
-    (alpha, payload) or (None, None) on failure.
+    treated as too-far and bracketed down.  The first trial that meets both
+    conditions is accepted; if curvature is unattainable within the budget,
+    the best sufficient-decrease point is (the update guards on y.s anyway).
+    Returns the payload of the accepted trial, or None.
     """
     lo = (0.0, f0, g0_dot_p, None)
     alpha = 1.0
-    for i in range(max_iter):
+    for i in range(_MAX_LINE_SEARCH):
         f, dphi, payload = evaluate(alpha)
         trial = (alpha, f, dphi, payload)
-        if not np.isfinite(f):
-            return _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, trial, max_iter)
-        if f > f0 + c1 * alpha * g0_dot_p or (i > 0 and f >= lo[1]):
-            return _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, trial, max_iter)
-        if abs(dphi) <= -c2 * g0_dot_p:
-            return _polish(evaluate, f0, g0_dot_p, c1, alpha, f, dphi, payload)
+        if not np.isfinite(f) or f > f0 + _C1 * alpha * g0_dot_p or (i > 0 and f >= lo[1]):
+            return _zoom(evaluate, f0, g0_dot_p, lo, trial)
+        if abs(dphi) <= -_C2 * g0_dot_p:
+            return payload
         if dphi >= 0.0:
-            return _zoom(evaluate, f0, g0_dot_p, c1, c2, trial, lo, max_iter)
+            return _zoom(evaluate, f0, g0_dot_p, trial, lo)
         lo = trial
         alpha = 2.0 * alpha
-    if lo[0] > 0.0:
-        return lo[0], lo[3]
-    return None, None
+    return lo[3]
 
 
-def _polish(evaluate, f0, g0_dot_p, c1, alpha, f, dphi, payload):
-    """One secant step towards the slope root when the slope is still steep.
-
-    The slope is linear along the ray for a quadratic objective, so this
-    makes the search exact there (finite termination of the quasi-Newton
-    iteration) at the cost of at most one extra evaluation.
-    """
-    if dphi == 0.0 or abs(dphi) <= 1e-2 * abs(g0_dot_p):
-        return alpha, payload
-    denom = g0_dot_p - dphi
-    if denom == 0.0:
-        return alpha, payload
-    a2 = alpha * g0_dot_p / denom
-    if not np.isfinite(a2) or a2 <= 0.0:
-        return alpha, payload
-    f2, _, payload2 = evaluate(a2)
-    if np.isfinite(f2) and f2 <= f and f2 <= f0 + c1 * a2 * g0_dot_p:
-        return a2, payload2
-    return alpha, payload
-
-
-def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter):
+def _zoom(evaluate, f0, g0_dot_p, lo, hi):
     """Shrink [lo, hi] until the strong conditions hold at an interior point.
 
     lo always satisfies sufficient decrease (or is the origin); hi may carry
@@ -362,7 +337,7 @@ def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter):
     """
     a_lo, f_lo, d_lo, p_lo = lo
     a_hi, f_hi, _, _ = hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_LINE_SEARCH):
         if np.isfinite(f_hi) and np.isfinite(d_lo) and d_lo != 0.0:
             # quadratic through (lo value, lo slope, hi value)
             denom = 2.0 * (f_hi - f_lo - d_lo * (a_hi - a_lo))
@@ -374,20 +349,17 @@ def _zoom(evaluate, f0, g0_dot_p, c1, c2, lo, hi, max_iter):
         if not np.isfinite(a) or a <= low + 0.1 * span or a >= high - 0.1 * span:
             a = 0.5 * (a_lo + a_hi)
         f, dphi, payload = evaluate(a)
-        if not np.isfinite(f) or f > f0 + c1 * a * g0_dot_p or f >= f_lo:
+        if not np.isfinite(f) or f > f0 + _C1 * a * g0_dot_p or f >= f_lo:
             a_hi, f_hi = a, f
         else:
-            if abs(dphi) <= -c2 * g0_dot_p:
-                return a, payload
+            if abs(dphi) <= -_C2 * g0_dot_p:
+                return payload
             if dphi * (a_hi - a_lo) >= 0.0:
                 a_hi, f_hi = a_lo, f_lo
             a_lo, f_lo, d_lo, p_lo = a, f, dphi, payload
         if abs(a_hi - a_lo) < 1e-16:
             break
-    if a_lo > 0.0 and p_lo is not None:
-        # sufficient decrease holds at lo even though curvature never did
-        return a_lo, p_lo
-    return None, None
+    return p_lo  # sufficient decrease holds at lo, if not the origin
 
 
 def bfgs_stage(
@@ -399,17 +371,19 @@ def bfgs_stage(
 ):
     """Full-memory quasi-Newton minimization with strong-Wolfe steps.
 
-    Curvature pairs with non-positive y.s are skipped; a failed line search
-    falls back to one steepest-descent retry, and a search that fails or
-    stalls on a kink to one retry along the gradients of both sides, before
-    terminating.  Returns ``(x, records, status)`` with status in
+    Curvature pairs with non-positive y.s are skipped.  Where a search fails
+    or moves x by less than ``param_tol``, as at a kink of the loss, at most
+    two bundle steps follow along minus the least-norm point of the hull of
+    g and the gradient beyond the kink, the nearest trial gradient where the
+    loss rose (each failed search adds its own); one that moves resets the
+    inverse Hessian.  Returns ``(x, records, status)``, status in
     {'param-stall', 'grad-tol', 'target-reached', 'max-iter'}.
     """
 
     def search(x, f, g, p):
-        """(x, f, g) at the accepted step along p, or None; and the gradient
-        at the nearest trial where the loss rises along p, or None."""
-        cache = {}
+        """(x, f, g) at the accepted step along p, None if it does not move x;
+        and the gradient at the nearest trial where the loss rises, or None."""
+        trials = []
 
         def evaluate(alpha):
             xt = x + alpha * p
@@ -417,15 +391,14 @@ def bfgs_stage(
                 ft, gt = value_and_grad(xt)
             except (NonFiniteLossError, JacobianSignError):
                 return np.inf, np.inf, None
-            cache[alpha] = (xt, ft, gt, float(np.dot(gt, p)))
-            return ft, cache[alpha][3], alpha
+            trials.append((alpha, gt, float(np.dot(gt, p))))
+            return ft, trials[-1][2], (xt, ft, gt)
 
-        alpha, key = _strong_wolfe(
-            evaluate, f, float(np.dot(g, p)), config.c1, config.c2, config.max_line_search
-        )
-        rising = [a for a, trial in cache.items() if trial[3] > 0.0]
-        far = cache[min(rising)][2] if rising else None
-        return (None if alpha is None else cache[key][:3]), far
+        step = _strong_wolfe(evaluate, f, float(np.dot(g, p)))
+        if step is not None and np.max(np.abs(step[0] - x)) < config.param_tol:
+            step = None
+        rising = [(alpha, gt) for alpha, gt, dphi in trials if dphi > 0.0]
+        return step, (min(rising, key=lambda t: t[0])[1] if rising else None)
 
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -436,14 +409,11 @@ def bfgs_stage(
     h = np.eye(n)
     outer = np.empty((min(n, _BLOCK), n))
     records = []
-    status = "max-iter"
-    tried_steepest = False
     first_update = True
 
     for it in range(1, config.max_iter + 1):
         if np.max(np.abs(g)) <= config.grad_tol:
-            status = "grad-tol"
-            break
+            return x, records, "grad-tol"
         p = -np.einsum("ij,j->i", h, g, optimize=False)
         if np.dot(g, p) >= 0.0:
             # stale curvature turned the direction uphill; restart from I
@@ -451,43 +421,29 @@ def bfgs_stage(
             p = -g.copy()
 
         step, far = search(x, f, g, p)
-        if step is not None:
-            tried_steepest = False
-        elif not tried_steepest:
-            tried_steepest = True
-            h = np.eye(n)
-            step, far = search(x, f, g, -g)
-        if far is not None and (step is None or np.max(np.abs(step[0] - x)) < config.param_tol):
-            # a kink of the loss (one node's force passing zero) can turn
-            # every direction from the one-sided gradient g uphill at once;
-            # where the search stalls so, retry along minus the point of the
-            # segment from g to the gradient beyond the kink closest to 0
-            d = far - g
-            t = min(max(float(np.dot(far, d)) / float(np.dot(d, d)), 0.0), 1.0) if d.any() else 1.0
-            p = -(t * g + (1.0 - t) * far)
-            if float(np.dot(g, p)) < 0.0 and float(np.dot(far, p)) < 0.0:
-                escape = search(x, f, g, p)[0]
-                if escape is not None and np.max(np.abs(escape[0] - x)) >= config.param_tol:
-                    h = np.eye(n)
-                    step = escape
+        bundle = [g] if far is None else [g, far]
+        for _ in range(2 if step is None else 0):
+            p = -_least_norm(np.array(bundle))
+            if not float(np.dot(g, p)) < 0.0:
+                break  # 0 lies in the bundle's hull: no descent direction left
+            step, far = search(x, f, g, p)
+            if step is not None:
+                h = np.eye(n)
+                break
+            if far is None:
+                break
+            bundle.append(far)
         if step is None:
-            status = "param-stall"
-            break
+            return x, records, "param-stall"
 
-        x_new, f_new, g_new = step
-        s = x_new - x
-        y = g_new - g
-        x, f, g = x_new, f_new, g_new
+        s, y = step[0] - x, step[2] - g
+        x, f, g = step
         records.append((it, f))
         if on_iteration is not None:
             on_iteration(it, x, f)
 
-        if np.max(np.abs(s)) < config.param_tol:
-            status = "param-stall"
-            break
         if stop_check is not None and stop_check(it, x):
-            status = "target-reached"
-            break
+            return x, records, "target-reached"
 
         ys = float(np.dot(y, s))
         if ys > 0.0:
@@ -495,7 +451,50 @@ def bfgs_stage(
                 h = np.eye(n) * (ys / float(np.dot(y, y)))
                 first_update = False
             _bfgs_update(h, s, y, outer)
-    return x, records, status
+    return x, records, "max-iter"
+
+
+def _least_norm(points: np.ndarray) -> np.ndarray:
+    """The point of the convex hull of the rows of ``points`` (at most three)
+    nearest to 0: Wolfe's nearest-point method (Math. Prog. 11, 1976) on the
+    Gram matrix, with the corral as the points of positive weight w."""
+    gram = np.einsum("ik,jk->ij", points, points, optimize=False)
+    w = np.zeros(len(points))
+    w[np.argmin(np.diag(gram))] = 1.0
+    for _ in range(3 * len(points)):
+        gw = np.einsum("ij,j->i", gram, w, optimize=False)
+        j = int(np.argmin(gw))
+        if w[j] > 0.0 or gw[j] >= np.dot(w, gw) - 1e-12 * np.max(np.diag(gram)):
+            break  # no point is nearer to 0 along x = sum w_i P_i beyond rounding
+        corral = [*np.flatnonzero(w), j]
+        v = _affine_weights(gram, corral)
+        if v is None or not v[-1] > 0.0:
+            break  # no progress beyond rounding
+        while not np.all(v > 0.0):
+            # move from w towards v until a weight reaches 0; drop that point
+            u = w[corral]
+            i = min((k for k in range(len(v)) if v[k] <= 0.0), key=lambda k: u[k] / (u[k] - v[k]))
+            w[corral] = np.maximum(u + u[i] / (u[i] - v[i]) * (v - u), 0.0)
+            w[corral[i]] = 0.0
+            corral = [c for c in corral if w[c] > 0.0]
+            v = _affine_weights(gram, corral)
+        w[corral] = v
+    return np.einsum("i,ik->k", w, points, optimize=False)
+
+
+def _affine_weights(gram, corral):
+    """Weights of the point P_0 + sum_i t_i (P_i - P_0) of the corral's affine
+    hull nearest to 0, its 1 x 1 or 2 x 2 normal equations for t padded to
+    2 x 2 and solved by Cramer's rule; None for affinely dependent points."""
+    g, m = gram[np.ix_(corral, corral)], len(corral) - 1
+    a, b = np.eye(2), np.zeros(2)
+    a[:m, :m] = g[1:, 1:] - g[1:, :1] - g[:1, 1:] + g[0, 0]
+    b[:m] = g[0, 0] - g[1:, 0]
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if not det > 0.0:
+        return None
+    t = np.array([b[0] * a[1, 1] - a[0, 1] * b[1], a[0, 0] * b[1] - a[1, 0] * b[0]])[:m] / det
+    return np.concatenate([[1.0 - np.sum(t)], t])
 
 
 _BLOCK = 128

@@ -200,12 +200,11 @@ def project(values: np.ndarray, mode_set: ModeSet, theta, zeta) -> np.ndarray:
     return weight * means
 
 
-def spectral_width(r_coeffs: SurfaceCoefficients, z_coeffs: SurfaceCoefficients) -> float:
-    """Poloidal power spectrum sum m^2 (R_mn^2 + Z_mn^2); diagnostic only."""
-    if r_coeffs.mode_set.size != z_coeffs.mode_set.size or not np.array_equal(
-        r_coeffs.mode_set.m, z_coeffs.mode_set.m
-    ):
+def spectral_width(r_modes: ModeSet, z_modes: ModeSet, r: np.ndarray, z: np.ndarray):
+    """Poloidal power spectrum sum m^2 (R_mn^2 + Z_mn^2) over the last axis of
+    the R and Z coefficient arrays (one width per leading index); diagnostic
+    only."""
+    if r_modes.size != z_modes.size or not np.array_equal(r_modes.m, z_modes.m):
         raise ValueError("R and Z coefficient sets must share (m, n) layout")
-    m2 = r_coeffs.mode_set.m.astype(float) ** 2
-    return float(np.sum(m2 * (r_coeffs.values**2 + z_coeffs.values**2)))
+    return ((r**2 + z**2) * r_modes.m.astype(float) ** 2).sum(axis=-1)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from equinn import autodiff as ad
 from equinn.netfield import ProfileStack
 from equinn.spectral import build_mode_set
 
@@ -53,3 +54,10 @@ def torus_stack(rho, R0=3.0, a=1.0, M=2, axis_shift=None):
     lam = np.zeros((3, n, k))
     jets = np.stack([[rv, r1, r2], lam, [zv, z1, z2]], axis=1)  # (jet order, field, radius, mode)
     return ProfileStack(rho, cos_set, sin_set, jets)
+
+
+def contravariant_basis(state):
+    """e^s, e^theta, e^zeta of a field state as cylindrical component triples
+    (plain arrays)."""
+    dual = ad.value_of(state.dual) / ad.value_of(state.sqrtg)
+    return dual[0], dual[1], dual[2]

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 from bruteforce import brute_point
-from support import torus_stack
+from support import contravariant_basis, torus_stack
 
 from equinn import cli_io, mhdkernel as mk, netfield as nf, solver as sv
 from equinn.autodiff import grad_check
@@ -232,7 +232,7 @@ def test_criterion_6_construction_invariants():
         state = asm.field_state(params)
 
         # B . grad s = 0: assemble B in cylindrical components
-        es, _, _ = mk.contravariant_basis(state)
+        es, _, _ = contravariant_basis(state)
         (bsup_t, bsup_z), e_t, e_z = state.b, state.e[1], state.e[2]
         b_cyl = np.stack(
             [

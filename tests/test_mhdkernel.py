@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import sympy
-from support import torus_stack
+from support import contravariant_basis, torus_stack
 
 from equinn import mhdkernel as mk
 from equinn.mhdkernel import CollocationGrid, JacobianSignError
@@ -76,7 +76,7 @@ def test_overlapping_surfaces_raise_jacobian_error():
 
 def test_jacobian_matches_reciprocal_of_contravariant_triple_product():
     grid, state = torus_state(n_rho=5, n_theta=12, with_force=False)
-    es, et, ez = mk.contravariant_basis(state)
+    es, et, ez = contravariant_basis(state)
     triple = (
         es[0] * (et[1] * ez[2] - et[2] * ez[1])
         + es[1] * (et[2] * ez[0] - et[0] * ez[2])
@@ -119,7 +119,7 @@ def test_zero_flux_means_zero_field_and_current():
 
 def test_field_is_tangent_to_flux_surfaces():
     grid, state = torus_state(n_rho=6, n_theta=14, iota=(1.0, -0.4))
-    es, _, _ = mk.contravariant_basis(state)
+    es, _, _ = contravariant_basis(state)
     bt, bz = state.b
     e_t, e_z = state.e[1], state.e[2]
     b_cyl = np.stack(

@@ -1,5 +1,7 @@
 """Optimizer stages, loss assembly and the end-to-end solve contract."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,9 @@ def test_adamw_aborts_on_nonfinite_loss():
 
 
 def test_bfgs_exact_on_quadratic():
+    # the first strong-Wolfe point is not the line minimum, so there is no
+    # finite termination in d steps; superlinear convergence still reaches
+    # the centre to rounding well within 2 d + 2 iterations
     rng = np.random.default_rng(0)
     d = 5
     a = rng.normal(size=(d, d))
@@ -86,7 +91,7 @@ def test_bfgs_exact_on_quadratic():
         r = x - center
         return 0.5 * float(r @ q @ r), q @ r
 
-    x, records, status = bfgs_stage(rng.normal(size=d), vg, BFGSConfig(max_iter=d + 2))
+    x, records, status = bfgs_stage(rng.normal(size=d), vg, BFGSConfig(max_iter=2 * d + 2))
     assert np.max(np.abs(x - center)) < 1e-10
 
 
@@ -430,3 +435,82 @@ def test_bfgs_steps_off_a_kink():
 
     x, records, status = bfgs_stage(np.array([1.0, -2.0]), vg, BFGSConfig(max_iter=60))
     assert abs(x[1] - 1.0) < 1e-3 and abs(x[0]) < 1e-3
+
+
+def _cone_losses():
+    def hypot(x):
+        r = np.hypot(x[0], x[1])
+        return r, (x[:2] / r if r > 0.0 else np.zeros(2))
+
+    def l1(x):
+        return abs(x[0]) + abs(x[1]), np.sign(x[:2])
+
+    def max_abs(x):
+        a, b = x[0] + x[1], x[0] - x[1]
+        if abs(a) >= abs(b):
+            return abs(a), np.sign(a) * np.array([1.0, 1.0])
+        return abs(b), np.sign(b) * np.array([1.0, -1.0])
+
+    for cone in (hypot, l1, max_abs):
+        def vg(x, cone=cone):
+            c, dc = cone(x)
+            return c + 0.1 * (x[2] - 1.0) ** 2, np.array([dc[0], dc[1], 0.2 * (x[2] - 1.0)])
+
+        yield cone.__name__, vg
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [(1.0, 0.5, -2.0), (1.0, 0.0, -2.0), (0.3, -0.7, 3.0), (2.0, 1.0, -5.0)],
+    ids=lambda x0: ",".join(f"{v:g}" for v in x0),
+)
+def test_bfgs_reaches_the_apex_of_a_cone(x0):
+    # at the apex of sqrt(x0^2 + x1^2), |x0| + |x1| or max(|x0 + x1|, |x0 - x1|)
+    # more than two smooth pieces meet, and every search from a one-sided
+    # gradient stalls; the bundle step's least-norm direction gets past them
+    for name, vg in _cone_losses():
+        x, _, _ = bfgs_stage(np.array(x0), vg, BFGSConfig(max_iter=200))
+        assert vg(x)[0] <= 1e-8, name
+
+
+def _nearest_by_brute_force(points):
+    """Nearest point to 0 among the hull's vertices, the nearest points of
+    its edges and, for three points, the interior affine minimizer."""
+    cands = list(points)
+    for a, b in itertools.combinations(points, 2):
+        d = b - a
+        if d.any():
+            cands.append(a + np.clip(-(a @ d) / (d @ d), 0.0, 1.0) * d)
+    if len(points) == 3:
+        bordered = np.ones((4, 4))
+        bordered[:3, :3] = points @ points.T
+        bordered[3, 3] = 0.0
+        w = np.linalg.lstsq(bordered, [0.0, 0.0, 0.0, 1.0], rcond=None)[0][:3]
+        if np.all(w >= 0.0):
+            cands.append(w @ points)
+    return min(cands, key=lambda c: float(c @ c))
+
+
+@pytest.mark.parametrize("points", [
+    [[3.0, 4.0]],
+    [[1.0, 2.0], [1.0, 2.0]],
+    [[1.0, 1.0], [-1.0, 1.0]],
+    [[1.0, 2.0], [1.0, 2.0], [-1.0, 2.0]],
+    [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
+    [[-1.0, 1.0], [1.0, 1.0], [3.0, 1.0]],
+    [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+    [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]],
+], ids=[
+    "one-point", "duplicate", "edge-interior", "duplicate-in-triangle",
+    "collinear-vertex", "collinear-interior", "origin-inside", "triangle-interior",
+])
+def test_least_norm_special_bundles(points):
+    points = np.array(points)
+    assert np.max(np.abs(sv._least_norm(points) - _nearest_by_brute_force(points))) <= 1e-12
+
+
+def test_least_norm_matches_brute_force():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        points = rng.normal(size=(rng.integers(1, 4), rng.integers(1, 5)))
+        assert np.max(np.abs(sv._least_norm(points) - _nearest_by_brute_force(points))) <= 1e-12

@@ -182,7 +182,7 @@ def test_spectral_width_single_mode():
     sin_set = build_mode_set(3, 0, 1, "sin")
     r = coeffs_for(cos_set, {(1, 0): 2.0})
     z = coeffs_for(sin_set, {})
-    assert spectral_width(r, z) == 4.0
+    assert spectral_width(cos_set, sin_set, r.values, z.values) == 4.0
 
 
 def test_spectral_width_ignores_m0():
@@ -190,7 +190,7 @@ def test_spectral_width_ignores_m0():
     sin_set = build_mode_set(3, 1, 1, "sin")
     r = coeffs_for(cos_set, {(0, 0): 5.0, (0, 1): -2.0})
     z = coeffs_for(sin_set, {(0, 1): 3.0})
-    assert spectral_width(r, z) == 0.0
+    assert spectral_width(cos_set, sin_set, r.values, z.values) == 0.0
 
 
 def test_spectral_width_sums_r_and_z():
@@ -198,11 +198,11 @@ def test_spectral_width_sums_r_and_z():
     sin_set = build_mode_set(3, 0, 1, "sin")
     r = coeffs_for(cos_set, {(2, 0): 1.0})
     z = coeffs_for(sin_set, {(2, 0): 1.0})
-    assert spectral_width(r, z) == 8.0
+    assert spectral_width(cos_set, sin_set, r.values, z.values) == 8.0
 
 
 def test_spectral_width_rejects_mismatched_sets():
     r = coeffs_for(build_mode_set(3, 0, 1, "cos"), {})
     z = coeffs_for(build_mode_set(4, 0, 1, "sin"), {})
     with pytest.raises(ValueError):
-        spectral_width(r, z)
+        spectral_width(r.mode_set, z.mode_set, r.values, z.values)
