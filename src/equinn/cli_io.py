@@ -415,9 +415,12 @@ class PoincareExport:
     surfaces: list  # (index, rho, theta, R, Z) with closed polylines
 
     def rows(self):
-        for index, rho, theta, r, z in self.surfaces:
-            for j in range(theta.size):
-                yield index, rho, theta[j], r[j], z[j]
+        return zip(*self.columns())
+
+    def columns(self) -> list:
+        """(surface_index, rho, theta, R, Z) over all points, as five arrays."""
+        parts = [(np.full(t.size, i), np.full(t.size, rho), t, r, z) for i, rho, t, r, z in self.surfaces]
+        return [np.concatenate(col) for col in zip(*parts)]
 
 
 def poincare_section(
@@ -566,11 +569,15 @@ def theta_star_contours(
 # -- metric export ------------------------------------------------------------------
 
 
-def _write_table(path, header: str, rows) -> None:
+def _write_table(path, header: str, columns) -> None:
+    """CSV from equal-length columns: float columns as ``repr`` text, the
+    shortest that round-trips, and every other column as ``str``."""
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def _write_fnorm(out: Path, rho, profile, params: NetParams, input: EquilibriumInput):
@@ -579,19 +586,17 @@ def _write_fnorm(out: Path, rho, profile, params: NetParams, input: EquilibriumI
     value = ad.value_of(nf.profile_stack(params, input, rho).jets)[0]
     widths = spectral.spectral_width(params.modes_cos, params.modes_sin, value[0], value[2])
     path = out / "fnorm_profile.csv"
-    rows = [(float(r), float(f), float(w)) for r, f, w in zip(rho, profile, widths)]
-    _write_table(path, "rho,f_norm_avg,spectral_width", rows)
+    _write_table(path, "rho,f_norm_avg,spectral_width", [rho, profile, widths])
     return path, widths
 
 
 def _write_sections(solution: Solution, out: Path, zeta: float = 0.0) -> dict:
     """poincare.csv and theta_star.csv at one toroidal angle."""
     files = {"poincare": out / "poincare.csv", "theta_star": out / "theta_star.csv"}
-    rows = poincare_section(solution, zeta=zeta).rows()
     _write_table(files["poincare"], "surface_index,rho,theta,R,Z",
-                 [(int(i), float(r), float(t), float(rr), float(zz)) for i, r, t, rr, zz in rows])
+                 poincare_section(solution, zeta=zeta).columns())
     _write_table(files["theta_star"], "theta_star,rho,R,Z",
-                 [tuple(map(float, row)) for row in theta_star_contours(solution, zeta=zeta)])
+                 zip(*theta_star_contours(solution, zeta=zeta)))
     return files
 
 
@@ -607,10 +612,11 @@ def export_metrics(solution: Solution, out_dir) -> dict:
     )
 
     files["loss_history"] = out / "loss_history.csv"
+    history = solution.history
     _write_table(
         files["loss_history"],
         "iteration,stage,loss",
-        [(rec.iteration, rec.stage, float(rec.loss)) for rec in solution.history],
+        [[r.iteration for r in history], [r.stage for r in history], [r.loss for r in history]],
     )
 
     files.update(_write_sections(solution, out))
@@ -618,6 +624,8 @@ def export_metrics(solution: Solution, out_dir) -> dict:
         "f_vol_norm": float(solution.f_vol_norm),
         "termination_reason": solution.termination_reason,
         "termination_detail": solution.termination_detail,
+        "termination_error": solution.termination_error,
+        "termination_node": solution.termination_node,
         "n_parameters": solution.params.n_parameters,
         "final_loss": float(solution.history[-1].loss) if solution.history else None,
         "iterations": solution.history[-1].iteration if solution.history else 0,

@@ -373,11 +373,13 @@ def grad_B2_magnitude(state: FieldState):
 # -- quadrature ----------------------------------------------------------------
 
 
-def _node_weights(state: FieldState, grid: CollocationGrid) -> np.ndarray:
-    """|sqrt(g)| times the s-measure 2 rho d rho, per node (uniform angles)."""
+def _node_weights(state: FieldState, grid: CollocationGrid, weights=None) -> np.ndarray:
+    """|sqrt(g)| times the s-measure 2 rho d rho, per node (uniform angles),
+    times the per-node ``weights`` when given (e.g. mirror multiplicities)."""
     absg = np.abs(ad.value_of(state.sqrtg))
     radial = (2.0 * grid.rho * grid.rho_weights)[:, None]
-    return absg * radial
+    w = absg * radial
+    return w if weights is None else w * weights
 
 
 def volume(state: FieldState, grid: CollocationGrid) -> float:
@@ -388,9 +390,10 @@ def volume(state: FieldState, grid: CollocationGrid) -> float:
     return float(w.sum() * dtheta * dzeta)
 
 
-def volume_average(q, state: FieldState, grid: CollocationGrid) -> float:
-    """Volume average with |sqrt(g)| weights; exact 1 for q = 1."""
-    w = _node_weights(state, grid)
+def volume_average(q, state: FieldState, grid: CollocationGrid, weights=None) -> float:
+    """Volume average with |sqrt(g)| weights; exact 1 for q = 1.  ``weights``
+    (per node, optional) multiply the quadrature weight of each node."""
+    w = _node_weights(state, grid, weights)
     q = ad.value_of(q)
     return float((q * w).sum() / w.sum())
 
@@ -402,21 +405,25 @@ def surface_average(q, state: FieldState, grid: CollocationGrid, index: int) -> 
     return float((q * absg).sum() / absg.sum())
 
 
-def surface_average_profile(q, state: FieldState, grid: CollocationGrid) -> np.ndarray:
+def surface_average_profile(q, state: FieldState, grid: CollocationGrid, weights=None) -> np.ndarray:
+    """Flux-surface average of q on every surface, optionally with per-node
+    ``weights`` as in :func:`volume_average`."""
     absg = np.abs(ad.value_of(state.sqrtg))
+    if weights is not None:
+        absg = absg * weights
     q = ad.value_of(q)
     return (q * absg).sum(axis=1) / absg.sum(axis=1)
 
 
-def f_norm(state: FieldState, grid: CollocationGrid, normalizer: float):
+def f_norm(state: FieldState, grid: CollocationGrid, normalizer: float, weights=None):
     """Normalized force residual per node and its volume average.
 
     ``normalizer`` is the volume-averaged magnetic-pressure-gradient
     magnitude <|grad |B|^2| / (2 mu0)>.  The extra mu0 carried by F_mag is
     divided out so the ratio compares (J x B - grad p) against the
-    normalizer directly.
+    normalizer directly.  ``weights`` go to :func:`volume_average`.
     """
     if normalizer <= 0.0:
         raise ValueError("normalizer must be positive (degenerate field)")
     fn = ad.value_of(state.F_mag) / (MU0 * normalizer)
-    return fn, volume_average(fn, state, grid)
+    return fn, volume_average(fn, state, grid, weights)

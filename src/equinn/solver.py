@@ -5,12 +5,13 @@ magnitude from the field kernel; nodes are not volume-weighted.  By
 stellarator symmetry it and its gradient run on the rows theta <= pi only,
 each node weighted by the number of nodes it stands for (:func:`_mirror_half`),
 and equal the full-grid mean up to last-bit differences between mirror
-nodes; diagnostics run on the full grid.  Training runs an adaptive-moment
-stage (decoupled weight decay, bias-corrected moments), then full-memory
-BFGS with a strong-Wolfe line search and, where a search stalls at a kink of
-the loss, a least-norm bundle step.  Both stages are deterministic given the
-seed, and all reductions are thread-count independent, so reruns reproduce
-checkpoints bit for bit.
+nodes.  The residual diagnostics are the same weighted sums on that half
+grid; only :meth:`LossAssembler.field_state` runs on the full grid.
+Training runs an adaptive-moment stage (decoupled weight decay,
+bias-corrected moments), then full-memory BFGS with a strong-Wolfe line
+search and, where a search stalls at a kink of the loss, a least-norm bundle
+step.  Both stages are deterministic given the seed, and all reductions are
+thread-count independent, so reruns reproduce checkpoints bit for bit.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ class Solution:
     rho: np.ndarray
     termination_reason: str
     termination_detail: str = ""  # the divergence message: stage, iteration, node
+    termination_error: Optional[str] = None  # type name of the exception a divergence wraps
+    termination_node: Optional[list] = None  # [rho, theta, zeta] of a JacobianSignError node
 
     @property
     def n_parameters(self) -> int:
@@ -174,8 +177,9 @@ def _mirror_half(grid: CollocationGrid) -> tuple[CollocationGrid, np.ndarray]:
 class LossAssembler:
     """Caches grid constants and evaluates loss, gradient and diagnostics.
 
-    The loss runs on the mirror half of ``grid`` (:func:`_mirror_half`);
-    :meth:`field_state` and :meth:`metrics` run on all of ``grid``.
+    The loss and :meth:`metrics` run on the mirror half of ``grid``
+    (:func:`_mirror_half`), each node weighted by its multiplicity;
+    :meth:`field_state` runs on all of ``grid``.
     """
 
     def __init__(self, input: EquilibriumInput, width: int, grid: CollocationGrid):
@@ -211,10 +215,13 @@ class LossAssembler:
     def field_state(self, params: NetParams) -> mk.FieldState:
         return self._state(params, self.grid, self.tables)
 
+    def _mean(self, f_mag):
+        """The full-grid node mean of ``f_mag`` given on the half grid."""
+        return ad.sum_all(f_mag * self.half_weights) / self.grid.n_nodes
+
     def _loss_expr(self, vec):
         params = nf.vector_to_params(vec, self.template)
-        state = self._state(params, self.half_grid, self.half_tables)
-        return ad.sum_all(state.F_mag * self.half_weights) / self.grid.n_nodes
+        return self._mean(self._state(params, self.half_grid, self.half_tables).F_mag)
 
     def loss_value(self, vec: np.ndarray) -> float:
         out = self._loss_expr(np.asarray(vec))
@@ -240,18 +247,18 @@ class LossAssembler:
         return ad.loss_gradient(self._loss_expr, vec)
 
     def metrics(self, vec: np.ndarray) -> dict:
-        """Normalized residual diagnostics on the training grid."""
+        """Normalized residual diagnostics of the training grid, as quadratures
+        over its mirror half with the multiplicity of each node."""
         params = nf.vector_to_params(np.asarray(vec, dtype=float), self.template)
-        state = self.field_state(params)
-        grad_b2 = mk.grad_B2_magnitude(state)
-        normalizer = mk.volume_average(grad_b2, state, self.grid)
-        fnorm, fvol = mk.f_norm(state, self.grid, normalizer)
-        profile = mk.surface_average_profile(fnorm, state, self.grid)
+        grid, w = self.half_grid, self.half_weights
+        state = self._state(params, grid, self.half_tables)
+        normalizer = mk.volume_average(mk.grad_B2_magnitude(state), state, grid, w)
+        fnorm, fvol = mk.f_norm(state, grid, normalizer, w)
         return {
             "f_vol_norm": fvol,
-            "f_norm_profile": profile,
+            "f_norm_profile": mk.surface_average_profile(fnorm, state, grid, w),
             "normalizer": normalizer,
-            "loss": float(ad.mean_all(state.F_mag)),
+            "loss": float(self._mean(state.F_mag)),
         }
 
     def f_vol_norm(self, vec: np.ndarray) -> float:
@@ -567,7 +574,7 @@ def solve(
         )
     except (NonFiniteLossError, JacobianSignError) as exc:
         return _finalize(assembler, input, config, x, history, "diverged", on_checkpoint,
-                         f"initial point is invalid: {exc}")
+                         f"initial point is invalid: {exc}", exc)
 
     stop_check = None
     if config.target_fvol is not None:
@@ -604,12 +611,12 @@ def solve(
             )
     except Diverged as exc:
         return _finalize(assembler, input, config, exc.last_vector, history, "diverged",
-                         on_checkpoint, str(exc))
+                         on_checkpoint, str(exc), exc.__cause__)
 
     return _finalize(assembler, input, config, x, history, reason, on_checkpoint)
 
 
-def _finalize(assembler, input, config, x, history, reason, on_checkpoint, detail=""):
+def _finalize(assembler, input, config, x, history, reason, on_checkpoint, detail="", error=None):
     if on_checkpoint is not None:
         on_checkpoint(history[-1].iteration if history else 0, x)
     try:
@@ -620,6 +627,10 @@ def _finalize(assembler, input, config, x, history, reason, on_checkpoint, detai
         fvol = float("nan")
         profile = np.full(assembler.grid.n_rho, np.nan)
     params = nf.vector_to_params(np.asarray(x, dtype=float), assembler.template)
+    node = getattr(error, "node", None)
+    if node is not None:
+        grid = assembler.grid
+        node = [float(grid.rho[node[0]]), float(grid.theta[node[1]]), float(grid.zeta[node[2]])]
     return Solution(
         params=params,
         input=input,
@@ -630,4 +641,6 @@ def _finalize(assembler, input, config, x, history, reason, on_checkpoint, detai
         rho=assembler.grid.rho.copy(),
         termination_reason=reason,
         termination_detail=detail,
+        termination_error=None if error is None else type(error).__name__,
+        termination_node=node,
     )

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from equinn import autodiff as ad
+from equinn import autodiff as ad, mhdkernel as mk, netfield as nf
 from equinn.netfield import ProfileStack
 from equinn.spectral import build_mode_set
 
@@ -61,3 +61,17 @@ def contravariant_basis(state):
     (plain arrays)."""
     dual = ad.value_of(state.dual) / ad.value_of(state.sqrtg)
     return dual[0], dual[1], dual[2]
+
+
+def full_grid_metrics(asm, x):
+    """The diagnostics of ``LossAssembler.metrics`` as unweighted quadratures
+    over the full-grid ``field_state``: the reference for the half grid."""
+    state = asm.field_state(nf.vector_to_params(np.asarray(x, dtype=float), asm.template))
+    normalizer = mk.volume_average(mk.grad_B2_magnitude(state), state, asm.grid)
+    fnorm, fvol = mk.f_norm(state, asm.grid, normalizer)
+    return {
+        "f_vol_norm": fvol,
+        "f_norm_profile": mk.surface_average_profile(fnorm, state, asm.grid),
+        "normalizer": normalizer,
+        "loss": float(ad.mean_all(state.F_mag)),
+    }

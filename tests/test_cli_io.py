@@ -23,9 +23,10 @@ from equinn.cli_io import (
     save_checkpoint,
     theta_star_contours,
 )
+from equinn.mhdkernel import CollocationGrid
 from equinn.solver import AdamWConfig, BFGSConfig, SolverConfig
 from equinn.spectral import mode_set_pair, synthesize
-from support import ELLIPSE_CASE
+from support import ELLIPSE_CASE, full_grid_metrics
 
 
 def dshape():
@@ -368,7 +369,43 @@ def test_export_metrics_schema(tmp_path):
     assert all(len(line.split(",")) == 5 for line in poinc[1:])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["termination_reason"] == "max-iter"
+    assert summary["termination_error"] is None and summary["termination_node"] is None
     assert summary["n_parameters"] == sol.params.n_parameters
+    node = [0.25, 1.5, 0.0]
+    cli_io.export_metrics(replace(sol, termination_error="JacobianSignError", termination_node=node), tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["termination_error"], summary["termination_node"]) == ("JacobianSignError", node)
+
+
+# export_metrics at dshape's initial state (seed 0, no solve) with the full-grid
+# profile; the digests were taken with the row-wise writer these tables had before
+FROZEN_EXPORT_SHA256 = {
+    "poincare.csv": "20b14c854265bd0ea7664f8abad915d5b340d5558865826d62a1953bf6dc2491",
+    "theta_star.csv": "e1f574f68322e697f7a3808dbdd8ae424595b9fff9067c90aaf84a1a6edf2e1c",
+    "fnorm_profile.csv": "ca0a83ffcb445d8d5ecfa5ef754d89c1bf36466c56509f403c2a7dfd2884cc88",
+}
+
+
+def test_exports_are_byte_identical_and_frozen(tmp_path):
+    input, config = dshape()
+    grid = CollocationGrid.build(config.n_rho, input.M, input.N, input.n_fp)
+    asm = sv.LossAssembler(input, config.width, grid)
+    params = nf.init_params((asm.modes_cos, asm.modes_sin), config.width, 0, input)
+    x = nf.params_to_vector(params)
+    ref = full_grid_metrics(asm, x)
+    sol = sv.Solution(
+        params=params, input=input, config=config,
+        history=[sv.LossRecord(0, "init", asm.loss_value(x), 0.0)],
+        f_vol_norm=ref["f_vol_norm"], f_norm_profile=ref["f_norm_profile"],
+        rho=grid.rho.copy(), termination_reason="loaded",
+    )
+    first, second = tmp_path / "a", tmp_path / "b"
+    files = cli_io.export_metrics(sol, first)
+    cli_io.export_metrics(sol, second)
+    for path in files.values():
+        assert path.read_bytes() == (second / path.name).read_bytes(), path.name
+    for name, digest in FROZEN_EXPORT_SHA256.items():
+        assert hashlib.sha256((first / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("target, reason, iterations", [(None, "max-iter", 12), (1e9, "target-reached", 0)])

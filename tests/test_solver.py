@@ -8,7 +8,7 @@ import pytest
 from equinn import cli_io, netfield as nf, solver as sv
 from equinn.mhdkernel import CollocationGrid
 from equinn.solver import AdamWConfig, BFGSConfig, SolverConfig, adamw_stage, bfgs_stage
-from support import ELLIPSE_CASE
+from support import ELLIPSE_CASE, full_grid_metrics
 
 
 def quadratic(center, scale=None):
@@ -244,6 +244,38 @@ def test_solve_divergence_is_reported_not_raised():
     assert sol.termination_detail.startswith(f"stage 1 diverged at iteration {failed}: ")
 
 
+def test_stage_one_jacobian_divergence_names_error_and_node():
+    import re
+
+    config = tiny_config(adamw=AdamWConfig(step=1e3, max_iter=200))
+    sol = sv.solve(tiny_input(), config)
+    assert sol.termination_detail.startswith("stage 1 diverged")
+    assert sol.termination_error == "JacobianSignError"
+    i, j, k = map(int, re.search(r"at node \((\d+), (\d+), (\d+)\)", sol.termination_detail).groups())
+    grid = CollocationGrid.build(config.n_rho, 5, 0, 1)
+    assert sol.termination_node == [grid.rho[i], grid.theta[j], grid.zeta[k]]
+
+
+def test_nonfinite_loss_divergence_names_error_without_node():
+    # a pressure gradient near the float64 limit overflows F_s^2 at every node
+    input = tiny_input()
+    input = nf.EquilibriumInput(
+        input.boundary_r, input.boundary_z, np.array([1e308, -1e308]), input.iota,
+        input.psi_b, input.n_fp, input.M, input.N,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = sv.solve(input, tiny_config())
+    assert sol.termination_reason == "diverged"
+    assert sol.termination_detail == "initial point is invalid: loss evaluated to inf"
+    assert sol.termination_error == "NonFiniteLossError"
+    assert sol.termination_node is None
+
+
+def test_finished_solve_has_no_termination_error():
+    sol = sv.solve(tiny_input(), tiny_config(target_fvol=1e9))
+    assert (sol.termination_detail, sol.termination_error, sol.termination_node) == ("", None, None)
+
+
 def test_stage_one_smoothed_loss_descends_on_dshape():
     # windowed means may oscillate at the fixed-step plateau but must stay
     # near the running best and descend overall
@@ -311,14 +343,15 @@ def test_dshape_tape_stays_within_node_budget():
 # -- the loss on the mirror half of the grid ---------------------------------------------
 
 
-@pytest.mark.parametrize(
+HALF_GRID_CASES = pytest.mark.parametrize(
     "case, n_theta, n_zeta",
     [("dshape", 0, 0), ("small", 21, 0), ("small", 22, 0),
      ("ellipse", 0, 0), ("ellipse", 21, 7), ("ellipse", 20, 9), ("ellipse", 25, 6)],
 )
-def test_half_grid_loss_matches_full_grid_mean(case, n_theta, n_zeta):
-    from equinn import autodiff as ad
 
+
+def half_grid_case(case, n_theta, n_zeta):
+    """An assembler and a perturbed initial vector on one of HALF_GRID_CASES."""
     if case == "dshape":
         input, config = cli_io.parse_case("dshape")
         grid = CollocationGrid.build(config.n_rho, input.M, input.N, input.n_fp)
@@ -328,7 +361,14 @@ def test_half_grid_loss_matches_full_grid_mean(case, n_theta, n_zeta):
         _, _, asm, x = small_problem(n_theta=n_theta)
     else:
         asm, x = ellipse_problem(n_theta, n_zeta)
-    x = x + 0.01 * np.random.default_rng(2).normal(size=x.size)
+    return asm, x + 0.01 * np.random.default_rng(2).normal(size=x.size)
+
+
+@HALF_GRID_CASES
+def test_half_grid_loss_matches_full_grid_mean(case, n_theta, n_zeta):
+    from equinn import autodiff as ad
+
+    asm, x = half_grid_case(case, n_theta, n_zeta)
     want, want_grad = ad.loss_gradient(
         lambda v: ad.mean_all(asm.field_state(nf.vector_to_params(v, asm.template)).F_mag), x
     )
@@ -336,6 +376,18 @@ def test_half_grid_loss_matches_full_grid_mean(case, n_theta, n_zeta):
     assert abs(asm.loss_value(x) - want) <= 1e-14 * want
     assert abs(val - want) <= 1e-14 * want
     assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
+
+
+@HALF_GRID_CASES
+def test_half_grid_metrics_match_full_grid_quadrature(case, n_theta, n_zeta):
+    asm, x = half_grid_case(case, n_theta, n_zeta)
+    want = full_grid_metrics(asm, x)
+    got = asm.metrics(x)
+    for key in ("f_vol_norm", "normalizer", "loss"):
+        assert abs(got[key] - want[key]) <= 1e-14 * abs(want[key]), key
+    assert got["f_norm_profile"].shape == (asm.grid.n_rho,)
+    assert np.all(np.abs(got["f_norm_profile"] - want["f_norm_profile"]) <= 1e-14 * want["f_norm_profile"])
+    assert got["loss"] == asm.loss_value(x)
 
 
 @pytest.mark.parametrize("n_theta, n_zeta", [(20, 8), (21, 7)])
@@ -352,8 +404,10 @@ def test_loss_tapes_only_the_rows_theta_up_to_pi(monkeypatch, n_theta, n_zeta):
     asm, x = ellipse_problem(n_theta, n_zeta)
     monkeypatch.setattr(mk, "force", recording_force)
     asm.value_and_grad(x)
+    asm.metrics(x)
     asm.field_state(nf.vector_to_params(x, asm.template))
-    assert shapes == [(4, (n_theta // 2 + 1) * n_zeta), (4, n_theta * n_zeta)]
+    half = (4, (n_theta // 2 + 1) * n_zeta)
+    assert shapes == [half, half, (4, n_theta * n_zeta)]
 
 
 def test_half_grid_loss_names_the_same_overlapping_node_as_the_full_grid():
@@ -365,10 +419,11 @@ def test_half_grid_loss_names_the_same_overlapping_node_as_the_full_grid():
         x = x0 + 0.2 * np.random.default_rng(seed).normal(size=x0.size)
         with pytest.raises(JacobianSignError) as full:
             asm.field_state(nf.vector_to_params(x, asm.template))
-        with pytest.raises(JacobianSignError) as half:
-            asm.value_and_grad(x)
-        assert half.value.node == full.value.node
-        assert str(half.value) == str(full.value)
+        for half_grid_eval in (asm.value_and_grad, asm.metrics):
+            with pytest.raises(JacobianSignError) as half:
+                half_grid_eval(x)
+            assert half.value.node == full.value.node
+            assert str(half.value) == str(full.value)
         nodes.add(full.value.node)
     # offenders off the first row and zeta plane are covered too
     assert any(i_theta > 0 and i_zeta > 0 for _, i_theta, i_zeta in nodes)
