@@ -440,7 +440,6 @@ def grad_check(
     samples: int = 50,
     seed: int = 0,
     fd_loss: Callable | None = None,
-    richardson: bool = True,
 ) -> float:
     """Worst relative error of analytic vs central-difference gradients.
 
@@ -448,7 +447,7 @@ def grad_check(
     side may be supplied separately (``fd_loss``), e.g. an extended-precision
     evaluation of the same loss; float64 rounding in the loss value floors
     central differences near 1e-13 absolute, too coarse to certify small
-    gradient entries.  With ``richardson`` the step-halving extrapolation
+    gradient entries.  The step-halving (Richardson) extrapolation
     ``(4 D(h/2) - D(h)) / 3`` removes the leading truncation term.
 
     Relative errors use ``max(|analytic|, |fd|, 1e-8)`` denominators.
@@ -482,12 +481,7 @@ def grad_check(
 
     worst = 0.0
     for i in idx:
-        d_h = central(int(i), step)
-        if richardson:
-            d_h2 = central(int(i), step / 2.0)
-            fd = (4.0 * d_h2 - d_h) / 3.0
-        else:
-            fd = d_h
+        fd = (4.0 * central(int(i), step / 2.0) - central(int(i), step)) / 3.0
         a = float(analytic[i])
         err = abs(a - float(fd)) / max(abs(a), abs(float(fd)), 1e-8)
         worst = max(worst, err)

@@ -28,7 +28,14 @@ The case file is a minimal sectioned text format::
 Boundary rows hold the cosine R and sine Z harmonics of the last closed
 flux surface (the convention shared with VMEC-style inputs: poloidal mode
 m >= 0, signed toroidal mode n, combined angle m*theta - n*n_fp*zeta).
-Unknown keys and malformed rows are rejected with their line number.
+
+One table, ``_SECTIONS``, states the format: each key = value section maps
+its keys to their value parsers, each row section gives its column names
+and types.  The parser reads it and ``case_text`` writes [global] and
+[profiles] from it; the [solver] keys and their ``SolverConfig`` field
+paths are ``_SOLVER_KEYS``, which also drive ``equinn solve``'s overrides.
+Unknown sections and keys, malformed values and rows, and modes outside
+the resolution are rejected with the line they stand on.
 
 Checkpoints are little-endian binary: an 8-byte magic, a format version, a
 SHA-256 digest of the canonical case text, the iteration counter, the
@@ -68,7 +75,6 @@ __all__ = [
     "parse_case",
     "write_case",
     "case_text",
-    "builtin_case",
     "save_checkpoint",
     "load_checkpoint",
     "poincare_section",
@@ -81,6 +87,8 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"EQNNCKPT"
 CHECKPOINT_VERSION = 1
+# magic, version, case digest, iteration, width, mode count, M, N, n_fp
+_CHECKPOINT_HEADER = struct.Struct("<8sI32sQIIIII")
 OUTDIR_ENV = "EQUINN_OUTDIR"
 
 DSHAPE_CASE = """\
@@ -118,17 +126,8 @@ class ThetaStarError(RuntimeError):
     """The poloidal angle map theta + lambda is not invertible."""
 
 
-def builtin_case(name: str) -> str:
-    try:
-        return BUILTIN_CASES[name]
-    except KeyError:
-        raise CaseFileError(f"unknown built-in case '{name}'") from None
-
-
 # -- case parsing ---------------------------------------------------------------
 
-_GLOBAL_KEYS = {"psi_b": float, "n_fp": int, "M": int, "N": int}
-_PROFILE_KEYS = {"pressure", "iota"}
 # [solver] key -> (SolverConfig field path, type), in the order case_text writes them
 _SOLVER_KEYS = {
     "width": ("width", int),
@@ -149,89 +148,79 @@ _SOLVER_KEYS = {
     "checkpoint_every": ("checkpoint_every", int),
 }
 _TARGET_KEYS = ("target_fvol", "target_rel_tol")  # written only when target_fvol is set
+_SOLVE_FLAGS = ("seed", "width", "surfaces", "target_fvol")  # `equinn solve --<key>` overrides
+
+
+def _coefficients(value: str) -> np.ndarray:
+    coeffs = np.array([float(tok) for tok in value.split()])
+    if coeffs.size == 0:
+        raise ValueError("need at least one coefficient")
+    return coeffs
+
+
+# key = value sections map each key (an EquilibriumInput field in [global] and
+# [profiles]) to its value parser; row sections give their columns and types
+_SECTIONS = {
+    "global": {"psi_b": float, "n_fp": int, "M": int, "N": int},
+    "boundary": ("m n R Z", (int, int, float, float)),
+    "axis": ("n R Z", (int, float, float)),
+    "profiles": {"pressure": _coefficients, "iota": _coefficients},
+    "solver": {key: kind for key, (_, kind) in _SOLVER_KEYS.items()},
+}
 
 
 def _fail(lineno: int, message: str):
     raise CaseFileError(f"line {lineno}: {message}")
 
 
-def parse_case_text(text: str, name: str = "<case>") -> tuple[EquilibriumInput, SolverConfig]:
+def _read_sections(text: str) -> dict:
+    """Section name -> {key: value} or [(lineno, *row)], typed per ``_SECTIONS``."""
+    found = {name: {} if isinstance(spec, dict) else [] for name, spec in _SECTIONS.items()}
     section = None
-    glob: dict = {}
-    profiles: dict = {}
-    solver_kv: dict = {}
-    boundary_rows: list = []
-    axis_rows: list = []
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("global", "boundary", "axis", "profiles", "solver"):
+            if section not in _SECTIONS:
                 _fail(lineno, f"unknown section [{section}]")
             continue
         if section is None:
             _fail(lineno, "content before any section header")
-        if section in ("global", "profiles", "solver"):
-            if "=" not in line:
-                _fail(lineno, f"expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
+        spec = _SECTIONS[section]
+        if isinstance(spec, dict):
+            key, eq, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if section == "global":
-                if key not in _GLOBAL_KEYS:
-                    _fail(lineno, f"unknown [global] key '{key}'")
-                try:
-                    glob[key] = _GLOBAL_KEYS[key](value)
-                except ValueError:
-                    _fail(lineno, f"bad value for '{key}': {value!r}")
-            elif section == "profiles":
-                if key not in _PROFILE_KEYS:
-                    _fail(lineno, f"unknown [profiles] key '{key}'")
-                try:
-                    profiles[key] = np.array([float(tok) for tok in value.split()])
-                except ValueError:
-                    _fail(lineno, f"bad coefficient list for '{key}': {value!r}")
-                if profiles[key].size == 0:
-                    _fail(lineno, f"'{key}' needs at least one coefficient")
-            else:
-                if key not in _SOLVER_KEYS:
-                    _fail(lineno, f"unknown [solver] key '{key}'")
-                try:
-                    solver_kv[key] = _SOLVER_KEYS[key][1](value)
-                except ValueError:
-                    _fail(lineno, f"bad value for '{key}': {value!r}")
-        elif section == "boundary":
-            toks = line.split()
-            if len(toks) != 4:
-                _fail(lineno, f"boundary row needs 'm n R Z', got {line!r}")
+            if not eq:
+                _fail(lineno, f"expected 'key = value', got {line!r}")
+            if key not in spec:
+                _fail(lineno, f"unknown [{section}] key '{key}'")
             try:
-                boundary_rows.append((lineno, int(toks[0]), int(toks[1]), float(toks[2]), float(toks[3])))
+                found[section][key] = spec[key](value)
             except ValueError:
-                _fail(lineno, f"bad boundary row: {line!r}")
-        elif section == "axis":
-            toks = line.split()
-            if len(toks) != 3:
-                _fail(lineno, f"axis row needs 'n R Z', got {line!r}")
+                _fail(lineno, f"bad value for '{key}': {value!r}")
+        else:
+            columns, kinds = spec
             try:
-                axis_rows.append((lineno, int(toks[0]), float(toks[1]), float(toks[2])))
+                found[section].append((lineno, *[k(tok) for k, tok in zip(kinds, line.split(), strict=True)]))
             except ValueError:
-                _fail(lineno, f"bad axis row: {line!r}")
+                _fail(lineno, f"{section} row needs '{columns}', got {line!r}")
+    return found
 
-    for key in _GLOBAL_KEYS:
-        if key not in glob:
-            raise CaseFileError(f"{name}: missing [global] key '{key}'")
-    for key in _PROFILE_KEYS:
-        if key not in profiles:
-            raise CaseFileError(f"{name}: missing [profiles] key '{key}'")
+
+def parse_case_text(text: str, name: str = "<case>") -> tuple[EquilibriumInput, SolverConfig]:
+    found = _read_sections(text)
+    for section in ("global", "profiles"):
+        for key in _SECTIONS[section]:
+            if key not in found[section]:
+                raise CaseFileError(f"{name}: missing [{section}] key '{key}'")
+    boundary_rows, axis_rows = found["boundary"], found["axis"]
     if not boundary_rows:
         raise CaseFileError(f"{name}: no [boundary] rows")
 
-    M, N, n_fp = glob["M"], glob["N"], glob["n_fp"]
-    mb = max(r[1] for r in boundary_rows) + 1
-    nb = max((abs(r[2]) for r in boundary_rows), default=0)
-    for lineno, m, n, _, _ in boundary_rows:
+    M, N, n_fp = (found["global"][key] for key in ("M", "N", "n_fp"))
+    for lineno, m, n, _, zs in boundary_rows:
         if m < 0:
             _fail(lineno, f"poloidal mode m={m} must be non-negative")
         if m >= M:
@@ -240,48 +229,44 @@ def parse_case_text(text: str, name: str = "<case>") -> tuple[EquilibriumInput, 
             _fail(lineno, f"boundary mode n={n} exceeds the resolution (N={N})")
         if m == 0 and n < 0:
             _fail(lineno, f"m=0 rows use n >= 0 only (got n={n})")
+        if m == 0 and n == 0 and zs != 0.0:
+            _fail(lineno, "the (0,0) Z harmonic is a sine term and must be 0")
+    for lineno, n, _, _ in axis_rows:
+        if n < 0:
+            _fail(lineno, f"axis rows use n >= 0 (got n={n})")
+        if n > N:
+            _fail(lineno, f"axis mode n={n} exceeds the resolution (N={N})")
 
+    mb = max(r[1] for r in boundary_rows) + 1
+    nb = max(abs(r[2]) for r in boundary_rows)
     cos_set = build_mode_set(mb, nb, n_fp, spectral.COSINE)
     sin_set = build_mode_set(mb, nb, n_fp, spectral.SINE)
     r_vals = np.zeros(cos_set.size)
     z_vals = np.zeros(sin_set.size)
-    for lineno, m, n, rc, zs in boundary_rows:
+    for _, m, n, rc, zs in boundary_rows:
         r_vals[cos_set.index_of(m, n)] = rc
-        if m == 0 and n == 0:
-            if zs != 0.0:
-                _fail(lineno, "the (0,0) Z harmonic is a sine term and must be 0")
-        else:
+        if (m, n) != (0, 0):
             z_vals[sin_set.index_of(m, n)] = zs
 
     axis_r = axis_z = None
     if axis_rows:
         size = max(r[1] for r in axis_rows) + 1
-        if size > N + 1:
-            _fail(axis_rows[-1][0], f"axis mode n={size - 1} exceeds the resolution (N={N})")
-        axis_r = np.zeros(size)
-        axis_z = np.zeros(size)
-        for lineno, n, ra, za in axis_rows:
-            if n < 0:
-                _fail(lineno, f"axis rows use n >= 0 (got n={n})")
-            axis_r[n] = ra
-            axis_z[n] = za
+        axis_r, axis_z = np.zeros(size), np.zeros(size)
+        for _, n, ra, za in axis_rows:
+            axis_r[n], axis_z[n] = ra, za
 
     input = EquilibriumInput(
         boundary_r=SurfaceCoefficients(cos_set, r_vals),
         boundary_z=SurfaceCoefficients(sin_set, z_vals),
-        pressure=profiles["pressure"],
-        iota=profiles["iota"],
-        psi_b=glob["psi_b"],
-        n_fp=n_fp,
-        M=M,
-        N=N,
         axis_r=axis_r,
         axis_z=axis_z,
+        **found["global"],
+        **found["profiles"],
     )
     input.validate()
 
     config = SolverConfig()
-    for key, value in solver_kv.items():
+    for key, value in found["solver"].items():
         config = _replace_path(config, _SOLVER_KEYS[key][0], value)
     return input, config
 
@@ -302,42 +287,40 @@ def parse_case(path_or_name: str) -> tuple[EquilibriumInput, SolverConfig]:
     return parse_case_text(path.read_text(), str(path))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _render(value, kind) -> str:
+    """Case-file text of a value that ``kind`` parses back exactly."""
+    if kind is _coefficients:
+        return " ".join(repr(float(c)) for c in value)
+    return repr(float(value)) if kind is float else str(value)
+
+
+def _row(section: str, *values) -> str:
+    return "  ".join(map(_render, values, _SECTIONS[section][1]))
 
 
 def case_text(input: EquilibriumInput, config: SolverConfig) -> str:
     """Canonical case-file rendering; parse(case_text(x)) round-trips."""
     lines = ["[global]"]
-    lines.append(f"psi_b = {_fmt(input.psi_b)}")
-    lines.append(f"n_fp = {input.n_fp}")
-    lines.append(f"M = {input.M}")
-    lines.append(f"N = {input.N}")
-    lines.append("")
-    lines.append("[boundary]")
+    lines += [f"{key} = {_render(getattr(input, key), kind)}" for key, kind in _SECTIONS["global"].items()]
+    lines += ["", "[boundary]"]
     cs, ss = input.boundary_r.mode_set, input.boundary_z.mode_set
     for i in range(cs.size):
         m, n = int(cs.m[i]), int(cs.n[i])
         rc = input.boundary_r.values[i]
         zs = 0.0 if (m == 0 and n == 0) else input.boundary_z.values[ss.index_of(m, n)]
-        lines.append(f"{m}  {n}  {_fmt(rc)}  {_fmt(zs)}")
+        lines.append(_row("boundary", m, n, rc, zs))
     if input.axis_r is not None:
-        lines.append("")
-        lines.append("[axis]")
+        lines += ["", "[axis]"]
         az = input.axis_z if input.axis_z is not None else np.zeros_like(input.axis_r)
         for n in range(input.axis_r.size):
-            lines.append(f"{n}  {_fmt(input.axis_r[n])}  {_fmt(az[n])}")
-    lines.append("")
-    lines.append("[profiles]")
-    lines.append("pressure = " + " ".join(_fmt(c) for c in input.pressure))
-    lines.append("iota = " + " ".join(_fmt(c) for c in input.iota))
-    lines.append("")
-    lines.append("[solver]")
+            lines.append(_row("axis", n, input.axis_r[n], az[n]))
+    lines += ["", "[profiles]"]
+    lines += [f"{key} = {_render(getattr(input, key), kind)}" for key, kind in _SECTIONS["profiles"].items()]
+    lines += ["", "[solver]"]
     for key, (path, kind) in _SOLVER_KEYS.items():
         if key in _TARGET_KEYS and config.target_fvol is None:
             continue
-        value = reduce(getattr, path.split("."), config)
-        lines.append(f"{key} = {_fmt(value) if kind is float else value}")
+        lines.append(f"{key} = {_render(reduce(getattr, path.split('.'), config), kind)}")
     return "\n".join(lines) + "\n"
 
 
@@ -358,18 +341,9 @@ def save_checkpoint(path, params: NetParams, digest: bytes, iteration: int) -> N
     Written to a temporary file in the target directory and moved over
     ``path`` in one step, so ``path`` always holds a whole checkpoint.
     """
-    header = struct.pack(
-        "<8sI32sQIIIII",
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        digest,
-        iteration,
-        params.width,
-        params.n_modes,
-        params.modes_cos.M,
-        params.modes_cos.N,
-        params.modes_cos.n_fp,
-    )
+    modes = params.modes_cos
+    header = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest, iteration,
+                                     params.width, params.n_modes, modes.M, modes.N, modes.n_fp)
     data = np.asarray(nf.params_to_vector(params), dtype="<f8").tobytes()
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -383,17 +357,14 @@ def save_checkpoint(path, params: NetParams, digest: bytes, iteration: int) -> N
 
 def load_checkpoint(path) -> tuple[NetParams, bytes, int]:
     blob = Path(path).read_bytes()
-    head_size = struct.calcsize("<8sI32sQIIIII")
-    if len(blob) < head_size:
+    if len(blob) < _CHECKPOINT_HEADER.size:
         raise ValueError(f"{path}: truncated checkpoint")
-    magic, version, digest, iteration, width, k, M, N, n_fp = struct.unpack(
-        "<8sI32sQIIIII", blob[:head_size]
-    )
+    magic, version, digest, iteration, width, k, M, N, n_fp = _CHECKPOINT_HEADER.unpack_from(blob)
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    vec = np.frombuffer(blob[head_size:], dtype="<f8").astype(float)
+    vec = np.frombuffer(blob, dtype="<f8", offset=_CHECKPOINT_HEADER.size).astype(float)
     modes_cos, modes_sin = spectral.mode_set_pair(M, N, n_fp)
     if k != modes_cos.size:
         raise ValueError(f"{path}: inconsistent mode count")
@@ -424,7 +395,8 @@ class PoincareExport:
 
 
 def poincare_section(
-    solution: Solution,
+    params: NetParams,
+    input: EquilibriumInput,
     zeta: float = 0.0,
     surfaces: Optional[Sequence[float]] = None,
     n_theta: int = 256,
@@ -441,7 +413,6 @@ def poincare_section(
         raise ValueError("need at least one surface")
     if np.any(surfaces <= 0.0) or np.any(surfaces > 1.0):
         raise ValueError("surface labels must lie in (0, 1]")
-    params, input = solution.params, solution.input
     inner = surfaces < 1.0
     coeffs = np.empty((2, surfaces.size, params.n_modes))  # (R, Z), surface, mode
     coeffs[0, ~inner] = nf.padded_boundary(input.boundary_r, params.modes_cos)
@@ -507,7 +478,8 @@ def invert_theta_star(
 
 
 def theta_star_contours(
-    solution: Solution,
+    params: NetParams,
+    input: EquilibriumInput,
     targets: Optional[Sequence[float]] = None,
     zeta: float = 0.0,
     rho_samples: Optional[Sequence[float]] = None,
@@ -526,8 +498,7 @@ def theta_star_contours(
         rho_samples = np.linspace(1.0 / 32.0, 1.0, 32)
     targets = np.asarray(targets, dtype=float)
     rho = np.asarray(rho_samples, dtype=float)
-    params = solution.params
-    stack = nf.profile_stack(params, solution.input, np.minimum(rho, 1.0 - 1e-12))
+    stack = nf.profile_stack(params, input, np.minimum(rho, 1.0 - 1e-12))
     r_c, lam_c, z_c = ad.value_of(stack.jets)[0]  # (surface, mode) each
 
     probe = 2.0 * np.pi * np.arange(720) / 720.0
@@ -590,56 +561,58 @@ def _write_fnorm(out: Path, rho, profile, params: NetParams, input: EquilibriumI
     return path, widths
 
 
-def _write_sections(solution: Solution, out: Path, zeta: float = 0.0) -> dict:
+def _write_sections(params: NetParams, input: EquilibriumInput, out: Path, zeta: float = 0.0) -> dict:
     """poincare.csv and theta_star.csv at one toroidal angle."""
     files = {"poincare": out / "poincare.csv", "theta_star": out / "theta_star.csv"}
     _write_table(files["poincare"], "surface_index,rho,theta,R,Z",
-                 poincare_section(solution, zeta=zeta).columns())
+                 poincare_section(params, input, zeta=zeta).columns())
     _write_table(files["theta_star"], "theta_star,rho,R,Z",
-                 zip(*theta_star_contours(solution, zeta=zeta)))
+                 zip(*theta_star_contours(params, input, zeta=zeta)))
     return files
 
 
 def export_metrics(solution: Solution, out_dir) -> dict:
-    """Write plot-ready tables and the run summary; returns the file map."""
+    """Write plot-ready tables and the run summary; returns the file map.
+
+    summary.json is written before the section tables, so a state whose
+    sections cannot be drawn (ThetaStarError) still leaves its report.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    params, input, history = solution.params, solution.input, solution.history
     files = {}
 
     # per-surface residuals and spectral width
-    files["fnorm_profile"], msp = _write_fnorm(
-        out, solution.rho, solution.f_norm_profile, solution.params, solution.input
-    )
+    files["fnorm_profile"], msp = _write_fnorm(out, solution.rho, solution.f_norm_profile, params, input)
 
     files["loss_history"] = out / "loss_history.csv"
-    history = solution.history
     _write_table(
         files["loss_history"],
         "iteration,stage,loss",
         [[r.iteration for r in history], [r.stage for r in history], [r.loss for r in history]],
     )
 
-    files.update(_write_sections(solution, out))
     summary = {
         "f_vol_norm": float(solution.f_vol_norm),
         "termination_reason": solution.termination_reason,
         "termination_detail": solution.termination_detail,
         "termination_error": solution.termination_error,
         "termination_node": solution.termination_node,
-        "n_parameters": solution.params.n_parameters,
-        "final_loss": float(solution.history[-1].loss) if solution.history else None,
-        "iterations": solution.history[-1].iteration if solution.history else 0,
-        "wall_time_s": float(solution.history[-1].wall_time) if solution.history else 0.0,
-        "width": solution.params.width,
-        "M": solution.input.M,
-        "N": solution.input.N,
-        "n_fp": solution.input.n_fp,
+        "n_parameters": params.n_parameters,
+        "final_loss": float(history[-1].loss) if history else None,
+        "iterations": history[-1].iteration if history else 0,
+        "wall_time_s": float(history[-1].wall_time) if history else 0.0,
+        "width": params.width,
+        "M": input.M,
+        "N": input.N,
+        "n_fp": input.n_fp,
         "surfaces": int(solution.rho.size),
         "seed": solution.config.seed,
         "spectral_width": [float(w) for w in msp],
     }
     files["summary"] = out / "summary.json"
     files["summary"].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    files.update(_write_sections(params, input, out))
     return files
 
 
@@ -662,22 +635,23 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve a case and export diagnostics")
     p_solve.add_argument("case", help="case file path or built-in name (e.g. dshape)")
     p_solve.add_argument("--out", default=None, help="output directory")
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--width", type=int, default=None)
-    p_solve.add_argument("--surfaces", type=int, default=None)
-    p_solve.add_argument("--target-fvol", type=float, default=None)
+    for key in _SOLVE_FLAGS:
+        p_solve.add_argument("--" + key.replace("_", "-"), type=_SOLVER_KEYS[key][1], default=None)
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_eval = sub.add_parser("eval", help="recompute residual metrics from a checkpoint")
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("--case", default=None, help="case file (default: case.txt beside the checkpoint)")
     p_eval.add_argument("--grid", default=None, help="evaluation grid 'NRHO[,NTHETA[,NZETA]]'")
     p_eval.add_argument("--out", default=None)
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_poinc = sub.add_parser("poincare", help="export flux-surface sections from a checkpoint")
     p_poinc.add_argument("checkpoint")
     p_poinc.add_argument("--case", default=None)
     p_poinc.add_argument("--zeta", type=float, default=0.0)
     p_poinc.add_argument("--out", default=None)
+    p_poinc.set_defaults(run=_cmd_poincare)
 
     p_grad = sub.add_parser("gradcheck", help="verify the loss gradient against finite differences")
     p_grad.add_argument("case")
@@ -687,6 +661,7 @@ def _build_parser() -> _Parser:
     p_grad.add_argument("--samples", type=int, default=64)
     p_grad.add_argument("--step", type=float, default=1e-4)
     p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.set_defaults(run=_cmd_gradcheck)
     return parser
 
 
@@ -713,14 +688,9 @@ def _load_for_checkpoint(checkpoint: str, case_flag: Optional[str]):
 
 def _cmd_solve(args) -> int:
     input, config = parse_case(args.case)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.width is not None:
-        config = replace(config, width=args.width)
-    if args.surfaces is not None:
-        config = replace(config, n_rho=args.surfaces)
-    if args.target_fvol is not None:
-        config = replace(config, target_fvol=args.target_fvol)
+    for key in _SOLVE_FLAGS:
+        if getattr(args, key) is not None:
+            config = _replace_path(config, _SOLVER_KEYS[key][0], getattr(args, key))
 
     stem = Path(args.case).stem if args.case not in BUILTIN_CASES else args.case
     out = _out_dir(args.out, f"{stem}_out")
@@ -736,14 +706,14 @@ def _cmd_solve(args) -> int:
     solution = sv.solve(input, config, on_checkpoint=on_checkpoint)
     last = solution.history[-1].iteration if solution.history else 0
     save_checkpoint(out / "checkpoint.bin", solution.params, digest, last)
-    export_metrics(solution, out)
     print(f"termination: {solution.termination_reason}")
     print(f"F_vol_norm: {solution.f_vol_norm:.6e}")
-    print(f"outputs in {out}")
-    if solution.termination_reason == "diverged":
+    diverged = solution.termination_reason == "diverged"
+    if diverged:
         print(f"diverged: {solution.termination_detail}", file=sys.stderr)
-        return 2
-    return 0
+    export_metrics(solution, out)
+    print(f"outputs in {out}")
+    return 2 if diverged else 0
 
 
 def _parse_grid_flag(flag: Optional[str], config: SolverConfig) -> tuple[int, int, int]:
@@ -782,20 +752,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
-    params, input, config, _ = _load_for_checkpoint(args.checkpoint, args.case)
-    solution = Solution(
-        params=params,
-        input=input,
-        config=config,
-        history=[],
-        f_vol_norm=float("nan"),
-        f_norm_profile=np.array([]),
-        rho=np.array([]),
-        termination_reason="loaded",
-    )
+    params, input, _, _ = _load_for_checkpoint(args.checkpoint, args.case)
     out = _out_dir(args.out, str(Path(args.checkpoint).parent))
     out.mkdir(parents=True, exist_ok=True)
-    _write_sections(solution, out, zeta=args.zeta)
+    _write_sections(params, input, out, zeta=args.zeta)
     print(f"sections written to {out}")
     return 0
 
@@ -836,15 +796,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "poincare":
-            return _cmd_poincare(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        raise _CliUsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (CaseFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

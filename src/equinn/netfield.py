@@ -195,18 +195,9 @@ class EquilibriumInput:
             if arr is not None:
                 setattr(self, name, np.atleast_1d(np.asarray(arr, dtype=float)))
 
-    # profile evaluation, exact polynomial derivatives
-    def pressure_at(self, s):
-        return npoly.polyval(s, self.pressure)
-
     def pressure_prime(self, s):
+        """dp/ds of the pressure polynomial, exactly."""
         return npoly.polyval(s, npoly.polyder(self.pressure))
-
-    def iota_at(self, s):
-        return npoly.polyval(s, self.iota)
-
-    def iota_prime(self, s):
-        return npoly.polyval(s, npoly.polyder(self.iota))
 
     @property
     def boundary_M(self) -> int:

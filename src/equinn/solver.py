@@ -63,6 +63,7 @@ class BFGSConfig:
 _ADAM_EPS = 1e-8
 _C1, _C2 = 1e-4, 0.9  # strong-Wolfe sufficient-decrease and curvature constants
 _MAX_LINE_SEARCH = 30  # trials in the bracket phase and in the zoom
+_TARGET_CHECK_EVERY = 25  # iterations between F_vol_norm checks against target_fvol
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ class SolverConfig:
     bfgs: BFGSConfig = field(default_factory=BFGSConfig)
     target_fvol: Optional[float] = None
     target_rel_tol: float = 5e-3
-    target_check_every: int = 25
     checkpoint_every: int = 1000
 
     def validated(self) -> "SolverConfig":
@@ -127,10 +127,9 @@ class Solution:
 class Diverged(RuntimeError):
     """Wraps a non-finite / overlapping-surface event during a stage."""
 
-    def __init__(self, message, iteration, last_vector):
+    def __init__(self, message, iteration):
         super().__init__(message)
         self.iteration = iteration
-        self.last_vector = last_vector
 
 
 _heap_pad = 0
@@ -279,7 +278,8 @@ def adamw_stage(
 
     Returns ``(x, records, status)`` with status 'max-iter' or
     'target-reached'.  A non-finite loss or an overlapping-surface event
-    raises :class:`Diverged` carrying the last finite iterate.
+    raises :class:`Diverged`; the last finite iterate is the last one passed
+    to ``on_iteration``.
     """
     x = np.asarray(x0, dtype=float).copy()
     m = np.zeros_like(x)
@@ -290,7 +290,7 @@ def adamw_stage(
         try:
             val, g = value_and_grad(x)
         except (NonFiniteLossError, JacobianSignError) as exc:
-            raise Diverged(f"stage 1 diverged at iteration {it}: {exc}", it, x) from exc
+            raise Diverged(f"stage 1 diverged at iteration {it}: {exc}", it) from exc
         records.append((it, val))
         if on_iteration is not None:
             on_iteration(it, x, val)
@@ -412,7 +412,7 @@ def bfgs_stage(
     try:
         f, g = value_and_grad(x)
     except (NonFiniteLossError, JacobianSignError) as exc:
-        raise Diverged(f"stage 2 start point is invalid: {exc}", 0, x) from exc
+        raise Diverged(f"stage 2 start point is invalid: {exc}", 0) from exc
     h = np.eye(n)
     outer = np.empty((min(n, _BLOCK), n))
     records = []
@@ -551,11 +551,14 @@ def solve(
     x = nf.params_to_vector(params0)
 
     history: list[LossRecord] = []
+    last = x  # the last recorded iterate, which a divergence reports
     t0 = time.perf_counter()
     offset = 0
 
     def recorder(stage):
         def record(it, vec, val):
+            nonlocal last
+            last = vec
             history.append(
                 LossRecord(offset + it, stage, float(val), time.perf_counter() - t0)
             )
@@ -581,7 +584,7 @@ def solve(
         bound = config.target_fvol * (1.0 + config.target_rel_tol)
 
         def stop_check(it, vec):
-            if it % config.target_check_every != 0:
+            if it % _TARGET_CHECK_EVERY != 0:
                 return False
             return assembler.f_vol_norm(vec) <= bound
 
@@ -610,7 +613,7 @@ def solve(
                 stop_check=stop_check,
             )
     except Diverged as exc:
-        return _finalize(assembler, input, config, exc.last_vector, history, "diverged",
+        return _finalize(assembler, input, config, last, history, "diverged",
                          on_checkpoint, str(exc), exc.__cause__)
 
     return _finalize(assembler, input, config, x, history, reason, on_checkpoint)

@@ -338,7 +338,8 @@ def test_criterion_8_theta_star(dshape_run):
         residuals.append(abs(theta + lam(theta) - target))
     synthetic_ok = max(residuals) <= 1e-10
 
-    rows = cli_io.theta_star_contours(dshape_run["solution"])
+    sol = dshape_run["solution"]
+    rows = cli_io.theta_star_contours(sol.params, sol.input)
     targets = sorted({row[0] for row in rows})
     default_ok = len(rows) == 8 * 32 and np.allclose(
         targets, 2 * np.pi * np.arange(8) / 8

@@ -141,6 +141,66 @@ def test_parse_rejects_missing_global():
         parse_case_text("[boundary]\n0 0 3.0 0.0\n[profiles]\npressure = 0\niota = 1\n")
 
 
+#  1 [global] · 2-5 keys · 6 [boundary] · 7-8 rows · 9 [axis] · 10 row
+# 11 [profiles] · 12-13 keys · 14 [solver] · 15 key
+REJECT_BASE = """\
+[global]
+psi_b = 1.0
+n_fp = 1
+M = 3
+N = 1
+[boundary]
+0 0 3.0 0.0
+1 0 1.0 1.0
+[axis]
+0 3.1 0.0
+[profiles]
+pressure = 0.0
+iota = 1.0
+[solver]
+width = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param("[solver]", "[solvers]", r"^line 14: .*\[solvers\]", id="unknown-section"),
+        pytest.param("[global]", "width = 2\n[global]", r"^line 1: content before any section header", id="before-header"),
+        pytest.param("M = 3", "M 3", r"^line 4: .*'M 3'", id="global-no-equals"),
+        pytest.param("width = 2", "width 2", r"^line 15: .*'width 2'", id="solver-no-equals"),
+        pytest.param("N = 1", "N = 1\nK = 2", r"^line 6: .*\[global\].*'K'", id="global-unknown-key"),
+        pytest.param("iota = 1.0", "iota = 1.0\ncurrent = 0.0", r"^line 14: .*\[profiles\].*'current'", id="profiles-unknown-key"),
+        pytest.param("width = 2", "widht = 2", r"^line 15: .*\[solver\].*'widht'", id="solver-unknown-key"),
+        pytest.param("M = 3", "M = 3.5", r"^line 4: .*'M'", id="bad-int"),
+        pytest.param("psi_b = 1.0", "psi_b = one", r"^line 2: .*'psi_b'", id="bad-float"),
+        pytest.param("width = 2", "width = two", r"^line 15: .*'width'", id="solver-bad-int"),
+        pytest.param("pressure = 0.0", "pressure =", r"^line 12: .*'pressure'", id="empty-coefficients"),
+        pytest.param("iota = 1.0", "iota = 1.0 x", r"^line 13: .*'iota'", id="bad-coefficients"),
+        pytest.param("1 0 1.0 1.0", "1 0 1.0", r"^line 8: .*'1 0 1.0'", id="boundary-short-row"),
+        pytest.param("1 0 1.0 1.0", "1 0 1.0 one", r"^line 8: .*'1 0 1.0 one'", id="boundary-bad-row"),
+        pytest.param("0 3.1 0.0", "0 3.1", r"^line 10: .*'0 3.1'", id="axis-short-row"),
+        pytest.param("0 3.1 0.0", "0 3.1 zero", r"^line 10: .*'0 3.1 zero'", id="axis-bad-row"),
+        pytest.param("1 0 1.0 1.0", "1 0 1.0 1.0\n-1 0 0.1 0.1", r"^line 9: .*m=-1", id="boundary-m-negative"),
+        pytest.param("1 0 1.0 1.0", "1 0 1.0 1.0\n3 0 0.1 0.1", r"^line 9: .*m=3", id="boundary-m-above-M"),
+        pytest.param("1 0 1.0 1.0", "1 0 1.0 1.0\n1 2 0.1 0.1", r"^line 9: .*n=2", id="boundary-n-above-N"),
+        pytest.param("1 0 1.0 1.0", "1 0 1.0 1.0\n0 -1 0.1 0.0", r"^line 9: .*n=-1", id="boundary-m0-n-negative"),
+        pytest.param("0 0 3.0 0.0", "0 0 3.0 0.5", r"^line 7: .*\(0,0\) Z", id="boundary-00-Z"),
+        pytest.param("0 3.1 0.0", "0 3.1 0.0\n-1 0.1 0.0", r"^line 11: .*n=-1", id="axis-n-negative"),
+        pytest.param("0 3.1 0.0", "0 3.1 0.0\n2 0.1 0.0", r"^line 11: .*n=2", id="axis-n-above-N"),
+        pytest.param("0 3.1 0.0", "2 3.0 0.0\n0 3.1 0.0", r"^line 10: .*n=2", id="axis-n-above-N-not-last"),
+        pytest.param("N = 1\n", "", r"^t\.case: missing \[global\] key 'N'", id="missing-global-key"),
+        pytest.param("iota = 1.0\n", "", r"^t\.case: missing \[profiles\] key 'iota'", id="missing-profiles-key"),
+        pytest.param("0 0 3.0 0.0\n1 0 1.0 1.0\n", "", r"^t\.case: no \[boundary\] rows", id="no-boundary-rows"),
+    ],
+)
+def test_parse_rejects_with_location(old, new, message):
+    parse_case_text(REJECT_BASE, "t.case")
+    assert old in REJECT_BASE
+    with pytest.raises(CaseFileError, match=message):
+        parse_case_text(REJECT_BASE.replace(old, new, 1), "t.case")
+
+
 def test_parse_unknown_builtin():
     with pytest.raises(CaseFileError):
         parse_case("definitely-not-a-case")
@@ -194,7 +254,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_poincare_boundary_points_match_dshape_values():
     input, _ = dshape()
     sol = zero_net_solution(input)
-    export = poincare_section(sol, zeta=0.0, surfaces=[1.0], n_theta=4)
+    export = poincare_section(sol.params, sol.input, zeta=0.0, surfaces=[1.0], n_theta=4)
     index, rho, theta, r, z = export.surfaces[0]
     assert rho == 1.0
     assert np.isclose(r[0], 2.616) and np.isclose(z[0], 0.0)  # theta = 0
@@ -204,7 +264,7 @@ def test_poincare_boundary_points_match_dshape_values():
 def test_poincare_polylines_closed_and_sorted():
     input, _ = dshape()
     sol = zero_net_solution(input)
-    export = poincare_section(sol, surfaces=[0.9, 0.3, 0.6])
+    export = poincare_section(sol.params, sol.input, surfaces=[0.9, 0.3, 0.6])
     rhos = [s[1] for s in export.surfaces]
     assert rhos == sorted(rhos)
     for _, _, theta, r, z in export.surfaces:
@@ -230,7 +290,7 @@ iota = 1.0
     input, _ = parse_case_text(text)
     sol = zero_net_solution(input)
     theta = 2 * np.pi * np.arange(16) / 16
-    export = poincare_section(sol, surfaces=[0.25, 0.5, 1.0], n_theta=16)
+    export = poincare_section(sol.params, sol.input, surfaces=[0.25, 0.5, 1.0], n_theta=16)
     b_r, b_z = export.surfaces[-1][3], export.surfaces[-1][4]
     axis_r = 3.0
     for _, rho, _, r, z in export.surfaces[:-1]:
@@ -241,7 +301,7 @@ iota = 1.0
 def test_poincare_surfaces_do_not_intersect():
     input, _ = dshape()
     sol = zero_net_solution(input)
-    export = poincare_section(sol)
+    export = poincare_section(sol.params, sol.input)
     curves = [np.column_stack([s[3], s[4]]) for s in export.surfaces]
     for a, b in zip(curves, curves[1:]):
         assert not _geom.polylines_cross(a, b)
@@ -251,9 +311,9 @@ def test_poincare_rejects_empty_and_exterior_surfaces():
     input, _ = dshape()
     sol = zero_net_solution(input)
     with pytest.raises(ValueError):
-        poincare_section(sol, surfaces=[])
+        poincare_section(sol.params, sol.input, surfaces=[])
     with pytest.raises(ValueError):
-        poincare_section(sol, surfaces=[1.5])
+        poincare_section(sol.params, sol.input, surfaces=[1.5])
 
 
 # -- straight-field-line contours ------------------------------------------------------
@@ -300,7 +360,7 @@ def test_theta_star_contours_evaluate_profiles_once(monkeypatch):
     calls = []
     profile_stack = nf.profile_stack
     monkeypatch.setattr(nf, "profile_stack", lambda *a, **k: calls.append(1) or profile_stack(*a, **k))
-    assert len(theta_star_contours(sol)) == 8 * 32
+    assert len(theta_star_contours(sol.params, sol.input)) == 8 * 32
     assert len(calls) == 1
 
 
@@ -311,7 +371,7 @@ def test_theta_star_contours_match_brentq_on_3d_case():
     modes = (sol.params.modes_cos, sol.params.modes_sin)
     sol.params.vector[:] += nf.params_to_vector(nf.init_params(modes, 3, 0, input))
     zeta = 0.3
-    rows = theta_star_contours(sol, zeta=zeta)
+    rows = theta_star_contours(sol.params, sol.input, zeta=zeta)
     assert len(rows) == 8 * 32
     shift = 0.0
     for target, rho, r, z in rows:
@@ -327,7 +387,7 @@ def test_theta_star_contours_match_brentq_on_3d_case():
 def test_theta_star_contours_on_zero_lambda_solution():
     input, _ = dshape()
     sol = zero_net_solution(input)
-    rows = theta_star_contours(sol, targets=[0.0, np.pi / 2], rho_samples=[0.5, 1.0])
+    rows = theta_star_contours(sol.params, sol.input, targets=[0.0, np.pi / 2], rho_samples=[0.5, 1.0])
     assert len(rows) == 4
     for target, rho, r, z in rows:
         prof = nf.mode_profiles(sol.params, input, min(rho, 1 - 1e-12))
@@ -338,7 +398,7 @@ def test_theta_star_contours_on_zero_lambda_solution():
 def test_theta_star_contours_emission_tolerance():
     input, _ = dshape()
     sol = zero_net_solution(input, lam_b2={(1, 0): 0.12})
-    rows = theta_star_contours(sol, rho_samples=[0.4, 0.8])
+    rows = theta_star_contours(sol.params, sol.input, rho_samples=[0.4, 0.8])
     # the solver enforces |theta + lambda - theta*| <= 1e-10 at emission and
     # raises otherwise, so reaching here certifies every row
     assert len(rows) == 16
@@ -350,7 +410,7 @@ def test_theta_star_rejects_non_monotone_angle_map():
     input, _ = dshape()
     sol = zero_net_solution(input, lam_b2={(1, 0): 1.8})
     with pytest.raises(ThetaStarError, match="non-monotone"):
-        theta_star_contours(sol, rho_samples=[0.95])
+        theta_star_contours(sol.params, sol.input, rho_samples=[0.95])
 
 
 # -- export -----------------------------------------------------------------------------
@@ -492,3 +552,62 @@ def test_cli_gradcheck_small_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "max relative gradient error" in out
+
+
+DIVERGING_CASE = """
+[global]
+psi_b = 1.0
+n_fp = 1
+M = 5
+N = 0
+[boundary]
+0 0 3.51 0.0
+1 0 -1.0 1.47
+2 0 0.106 0.16
+[profiles]
+pressure = 1600.0 -3200.0 1600.0
+iota = 1.0 -0.67
+[solver]
+width = 2
+surfaces = 6
+step = 1000.0
+adam_iters = 200
+bfgs_iters = 15
+checkpoint_every = 0
+"""
+
+
+def test_cli_diverged_solve_reports(tmp_path, capsys):
+    case = tmp_path / "diverging.case"
+    case.write_text(DIVERGING_CASE)
+    out = tmp_path / "run"
+    assert cli(["solve", str(case), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination_reason"] == "diverged"
+    assert summary["termination_error"] == "JacobianSignError"
+    assert len(summary["termination_node"]) == 3
+    assert np.isfinite(summary["f_vol_norm"])
+    assert "diverged: stage 1 diverged at iteration" in capsys.readouterr().err
+
+
+def test_cli_solve_reports_before_a_failed_section_export(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ThetaStarError("theta + lambda is non-monotone")
+
+    monkeypatch.setattr(cli_io, "theta_star_contours", fail)
+    case = tmp_path / "diverging.case"
+    case.write_text(DIVERGING_CASE)
+    out = tmp_path / "run"
+    assert cli(["solve", str(case), "--out", str(out)]) == 2
+    assert json.loads((out / "summary.json").read_text())["termination_reason"] == "diverged"
+    captured = capsys.readouterr()
+    assert "termination: diverged" in captured.out
+    assert "diverged: stage 1 diverged" in captured.err
+    assert "numerical failure: theta + lambda is non-monotone" in captured.err
+
+
+def test_readme_lists_every_solver_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("`[solver]` keys", 1)[1].split("\n\n", 2)[1]
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]] for line in table.splitlines()[2:]]
+    assert rows == [[key, path] for key, (path, _) in cli_io._SOLVER_KEYS.items()]

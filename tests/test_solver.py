@@ -226,9 +226,7 @@ def test_solve_immediate_target():
 
 
 def test_solve_target_stops_stage_one():
-    config = tiny_config(
-        target_fvol=0.5, target_check_every=5, adamw=AdamWConfig(max_iter=4000)
-    )
+    config = tiny_config(target_fvol=0.5, adamw=AdamWConfig(max_iter=4000))
     sol = sv.solve(tiny_input(), config)
     assert sol.termination_reason == "target-reached"
     assert sol.f_vol_norm <= 0.5 * (1 + config.target_rel_tol)
@@ -242,6 +240,16 @@ def test_solve_divergence_is_reported_not_raised():
     # the failing iteration is the one after the last recorded one
     failed = sol.history[-1].iteration + 1
     assert sol.termination_detail.startswith(f"stage 1 diverged at iteration {failed}: ")
+
+
+def test_diverged_solve_keeps_its_last_recorded_state():
+    config = tiny_config(adamw=AdamWConfig(step=1e3, max_iter=200))
+    sol = sv.solve(tiny_input(), config)
+    assert sol.termination_reason == "diverged"
+    grid = CollocationGrid.build(config.n_rho, 5, 0, 1)
+    asm = sv.LossAssembler(sol.input, config.width, grid)
+    assert asm.loss_value(sol.params.vector) == sol.history[-1].loss
+    assert np.isfinite(sol.f_vol_norm)
 
 
 def test_stage_one_jacobian_divergence_names_error_and_node():
