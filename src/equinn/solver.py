@@ -383,8 +383,12 @@ def bfgs_stage(
     two bundle steps follow along minus the least-norm point of the hull of
     g and the gradient beyond the kink, the nearest trial gradient where the
     loss rose (each failed search adds its own); one that moves resets the
-    inverse Hessian.  Returns ``(x, records, status)``, status in
-    {'param-stall', 'grad-tol', 'target-reached', 'max-iter'}.
+    inverse Hessian H.  Each iteration reads H once for H y and writes it
+    once, taking the next H g from each block as it is updated
+    (:func:`_bfgs_update`); while H is a multiple of I neither product reads
+    it, and resets overwrite the same array.  Returns ``(x, records,
+    status)``, status in {'param-stall', 'grad-tol', 'target-reached',
+    'max-iter'}.
     """
 
     def search(x, f, g, p):
@@ -413,19 +417,20 @@ def bfgs_stage(
         f, g = value_and_grad(x)
     except (NonFiniteLossError, JacobianSignError) as exc:
         raise Diverged(f"stage 2 start point is invalid: {exc}", 0) from exc
-    h = np.eye(n)
-    outer = np.empty((min(n, _BLOCK), n))
+    h = np.empty((n, n))  # written at the first update
+    scratch = np.empty((min(n, max(1, _BLOCK_BYTES // h[0].nbytes)), n))
+    scale = 1.0  # H = scale I while not None, whatever h holds
+    hg = g  # H g
     records = []
     first_update = True
 
     for it in range(1, config.max_iter + 1):
         if np.max(np.abs(g)) <= config.grad_tol:
             return x, records, "grad-tol"
-        p = -np.einsum("ij,j->i", h, g, optimize=False)
+        p = -hg
         if np.dot(g, p) >= 0.0:
             # stale curvature turned the direction uphill; restart from I
-            h = np.eye(n)
-            p = -g.copy()
+            scale, p = 1.0, -g
 
         step, far = search(x, f, g, p)
         bundle = [g] if far is None else [g, far]
@@ -435,7 +440,7 @@ def bfgs_stage(
                 break  # 0 lies in the bundle's hull: no descent direction left
             step, far = search(x, f, g, p)
             if step is not None:
-                h = np.eye(n)
+                scale = 1.0
                 break
             if far is None:
                 break
@@ -453,11 +458,18 @@ def bfgs_stage(
             return x, records, "target-reached"
 
         ys = float(np.dot(y, s))
-        if ys > 0.0:
-            if first_update:
-                h = np.eye(n) * (ys / float(np.dot(y, y)))
-                first_update = False
-            _bfgs_update(h, s, y, outer)
+        if not ys > 0.0:  # the pair is skipped and H stays as it is
+            hg = np.einsum("ij,j->i", h, g, optimize=False) if scale is None else scale * g
+            continue
+        if first_update:
+            scale, first_update = ys / float(np.dot(y, y)), False
+        if scale is None:
+            hy = np.einsum("ij,j->i", h, y, optimize=False)
+        else:  # write scale I into h in place
+            h.fill(0.0)
+            np.fill_diagonal(h, scale)
+            hy, scale = scale * y, None
+        hg = _bfgs_update(h, s, y, hy, g, scratch)
     return x, records, "max-iter"
 
 
@@ -504,26 +516,34 @@ def _affine_weights(gram, corral):
     return np.concatenate([[1.0 - np.sum(t)], t])
 
 
-_BLOCK = 128
+_BLOCK_BYTES = 384 * 1024  # a block of rows of H; with its scratch it stays in L2
 
 
-def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, outer: np.ndarray) -> None:
-    """In-place inverse-Hessian update with the curvature pair (s, y), y.s > 0.
+def _bfgs_update(
+    h: np.ndarray, s: np.ndarray, y: np.ndarray, hy: np.ndarray, g: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """In-place inverse-Hessian update with the curvature pair (s, y), y.s > 0,
+    given ``hy`` = H y; returns the updated H times ``g``.
 
     (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s equals
-    H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy, added in blocks
-    of _BLOCK rows so that ``outer``, (min(n, _BLOCK), n) scratch or larger,
-    stays in cache and no transposed read is made.  BLAS-free, like every
-    contraction here.
+    H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy.  It is added one
+    block of rows at a time through ``scratch`` (rows, n), and each updated
+    block is multiplied by g while it is in cache, so H is read and written
+    once.  Every element and every row product is rounded as in the unblocked
+    update followed by a full product.  BLAS-free, like every contraction here.
     """
-    hy = np.einsum("ij,j->i", h, y, optimize=False)
     rho = 1.0 / float(np.dot(y, s))
     w = (0.5 * rho * (1.0 + rho * float(np.dot(y, hy)))) * s - rho * hy
-    for lo in range(0, s.size, _BLOCK):
-        hi = min(lo + _BLOCK, s.size)
-        blk = outer[: hi - lo]
-        h[lo:hi] += np.multiply.outer(s[lo:hi], w, out=blk)
-        h[lo:hi] += np.multiply.outer(w[lo:hi], s, out=blk)
+    hg = np.empty_like(g)
+    rows = len(scratch)
+    for lo in range(0, s.size, rows):
+        blk = h[lo : lo + rows]
+        out = scratch[: len(blk)]
+        blk += np.multiply.outer(s[lo : lo + rows], w, out=out)
+        blk += np.multiply.outer(w[lo : lo + rows], s, out=out)
+        np.einsum("ij,j->i", blk, g, out=hg[lo : lo + rows], optimize=False)
+    return hg
 
 
 # -- full solve ---------------------------------------------------------------
@@ -536,8 +556,10 @@ def solve(
 ) -> Solution:
     """Initialize, run both stages and attach residual diagnostics.
 
-    ``on_checkpoint(iteration, vector)`` is invoked at the configured cadence
-    and once at the end; checkpoint serialization lives with the CLI layer.
+    ``on_checkpoint(iteration, vector)`` is invoked at every multiple of
+    ``checkpoint_every`` (never when it is 0); the final state is the
+    returned ``Solution``, and checkpoint serialization lives with the CLI
+    layer.
     """
     config = config.validated()
     input.validate()
@@ -576,7 +598,7 @@ def solve(
             LossRecord(0, "init", assembler.loss_value(x), time.perf_counter() - t0)
         )
     except (NonFiniteLossError, JacobianSignError) as exc:
-        return _finalize(assembler, input, config, x, history, "diverged", on_checkpoint,
+        return _finalize(assembler, input, config, x, history, "diverged",
                          f"initial point is invalid: {exc}", exc)
 
     stop_check = None
@@ -589,9 +611,7 @@ def solve(
             return assembler.f_vol_norm(vec) <= bound
 
         if assembler.f_vol_norm(x) <= bound:
-            return _finalize(
-                assembler, input, config, x, history, "target-reached", on_checkpoint
-            )
+            return _finalize(assembler, input, config, x, history, "target-reached")
 
     try:
         x, _, status = adamw_stage(
@@ -614,14 +634,12 @@ def solve(
             )
     except Diverged as exc:
         return _finalize(assembler, input, config, last, history, "diverged",
-                         on_checkpoint, str(exc), exc.__cause__)
+                         str(exc), exc.__cause__)
 
-    return _finalize(assembler, input, config, x, history, reason, on_checkpoint)
+    return _finalize(assembler, input, config, x, history, reason)
 
 
-def _finalize(assembler, input, config, x, history, reason, on_checkpoint, detail="", error=None):
-    if on_checkpoint is not None:
-        on_checkpoint(history[-1].iteration if history else 0, x)
+def _finalize(assembler, input, config, x, history, reason, detail="", error=None):
     try:
         metrics = assembler.metrics(x)
         fvol = metrics["f_vol_norm"]

@@ -4,6 +4,7 @@ import numpy as np
 
 from equinn import autodiff as ad, mhdkernel as mk, netfield as nf
 from equinn.netfield import ProfileStack
+from equinn.solver import _strong_wolfe
 from equinn.spectral import build_mode_set
 
 # A small stellarator-symmetric 3D case (n_fp=2, M=5, N=2) that exercises
@@ -75,3 +76,37 @@ def full_grid_metrics(asm, x):
         "normalizer": normalizer,
         "loss": float(ad.mean_all(state.F_mag)),
     }
+
+
+def textbook_bfgs(x0, value_and_grad, iterations):
+    """Iterates of textbook BFGS with the strong-Wolfe search of
+    ``solver.bfgs_stage``: the direction from an explicit H g, the update
+    H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, rho = 1 / y.s, with
+    H = (y.s / y.y) I before the first, and the secant condition H y = s
+    checked on an explicit H y after each.  For smooth losses on which
+    the stage neither resets H nor skips a pair."""
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = value_and_grad(x)
+    eye = np.eye(x.size)
+    h, first, iterates = eye, True, []
+    for _ in range(iterations):
+        p = -(h @ g)
+
+        def evaluate(alpha):
+            xt = x + alpha * p
+            ft, gt = value_and_grad(xt)
+            return ft, float(gt @ p), (xt, ft, gt)
+
+        x_new, f, g_new = _strong_wolfe(evaluate, f, float(g @ p))
+        s, y = x_new - x, g_new - g
+        x, g = x_new, g_new
+        iterates.append(x)
+        ys = float(y @ s)
+        assert ys > 0.0
+        if first:
+            h, first = eye * (ys / float(y @ y)), False
+        rho = 1.0 / ys
+        left = eye - rho * np.outer(s, y)
+        h = left @ h @ left.T + rho * np.outer(s, s)
+        assert np.allclose(h @ y, s, rtol=1e-8, atol=0.0)  # secant condition
+    return iterates

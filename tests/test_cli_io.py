@@ -537,6 +537,37 @@ bfgs_iters = 5
     assert cli(["poincare", str(out / "checkpoint.bin"), "--zeta", "0.0", "--out", str(out)]) == 0
 
 
+def test_cli_solve_writes_the_final_state_once(tmp_path):
+    case = tmp_path / "small.case"
+    case.write_text(
+        """
+[global]
+psi_b = 1.0
+n_fp = 1
+M = 5
+N = 0
+[boundary]
+0 0 3.51 0.0
+1 0 -1.0 1.47
+2 0 0.106 0.16
+[profiles]
+pressure = 1600.0 -3200.0 1600.0
+iota = 1.0 -0.67
+[solver]
+width = 2
+surfaces = 5
+adam_iters = 20
+bfgs_iters = 3
+checkpoint_every = 0
+"""
+    )
+    out = tmp_path / "run"
+    assert cli(["solve", str(case), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("checkpoint*.bin")) == ["checkpoint.bin"]
+    last = (out / "loss_history.csv").read_text().splitlines()[-1].split(",")[0]
+    assert load_checkpoint(out / "checkpoint.bin")[2] == int(last) == 23
+
+
 def test_cli_eval_rejects_mismatched_case(tmp_path):
     input, config = dshape()
     sets = mode_set_pair(input.M, input.N, input.n_fp)

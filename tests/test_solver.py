@@ -1,6 +1,7 @@
 """Optimizer stages, loss assembly and the end-to-end solve contract."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from equinn import cli_io, netfield as nf, solver as sv
 from equinn.mhdkernel import CollocationGrid
 from equinn.solver import AdamWConfig, BFGSConfig, SolverConfig, adamw_stage, bfgs_stage
-from support import ELLIPSE_CASE, full_grid_metrics
+from support import ELLIPSE_CASE, full_grid_metrics, textbook_bfgs
 
 
 def quadratic(center, scale=None):
@@ -462,19 +463,83 @@ def test_inplace_bfgs_update_matches_textbook_formula():
     left = np.eye(n) - rho * np.outer(s, y)
     want = left @ h @ left.T + rho * np.outer(s, s)
     got = h.copy()
-    sv._bfgs_update(got, s, y, np.empty_like(got))
+    sv._bfgs_update(got, s, y, h @ y, s, np.empty_like(got))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_bfgs_follows_the_textbook_iterates():
+    # log-sum-exp plus a quadratic of condition 100: smooth, strictly convex
+    # and not quadratic, so no pair is skipped and H is never reset
+    rng = np.random.default_rng(7)
+    d = 30
+    a = rng.normal(size=(40, d)) / np.sqrt(d)
+    c = np.geomspace(0.1, 10.0, d)
+    b = rng.normal(size=d)
+
+    def vg(x):
+        z = a @ x
+        e = np.exp(z - z.max())
+        return float(z.max() + np.log(e.sum()) + 0.5 * x @ (c * x) + b @ x), a.T @ (e / e.sum()) + c * x + b
+
+    x0 = rng.normal(size=d)
+    want = textbook_bfgs(x0, vg, 30)
+    got = []
+    bfgs_stage(x0, vg, BFGSConfig(max_iter=30), on_iteration=lambda it, x, f: got.append(x.copy()))
+    assert len(got) == len(want) == 30
+    # measured agreement: 3.1e-15 relative
+    for x, ref in zip(got, want):
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _kinked_quadratic(n):
+    # |x0| plus a weak quadratic: the first searches stall at the kink and a
+    # bundle step resets H
+    scale = 1e-3 * np.geomspace(1.0, 10.0, n - 1)
+
+    def vg(x):
+        d = x[1:] - 1.0
+        return abs(x[0]) + float(np.dot(d, scale * d)), np.concatenate([[np.sign(x[0])], 2.0 * scale * d])
+
+    return vg
+
+
+@pytest.mark.parametrize("kinked", [False, True], ids=["quadratic", "kinked"])
+def test_bfgs_stage_holds_one_inverse_hessian(monkeypatch, kinked):
+    n = 400
+    bundles = []
+    least_norm = sv._least_norm
+    monkeypatch.setattr(sv, "_least_norm", lambda points: bundles.append(1) or least_norm(points))
+    if kinked:
+        vg, x0 = _kinked_quadratic(n), np.full(n, -2.0)
+        x0[0] = 1.0
+    else:
+        vg, x0 = quadratic(np.ones(n), np.geomspace(1.0, 100.0, n)), np.zeros(n)
+    tracemalloc.start()
+    try:
+        _, records, _ = bfgs_stage(x0, vg, BFGSConfig(max_iter=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a bundle step that does not move ends the stage, so on the kinked
+    # loss one moved and reset H
+    assert len(records) == 20
+    assert bool(bundles) == kinked
+    # H itself is n^2 doubles; a reset that allocated a new n x n array,
+    # such as the scaled identity before the first update, would add as much
+    assert peak < 1.5 * n * n * 8
+
+
 def test_final_checkpoint_is_numbered_with_the_last_iteration():
+    # the callback sees the cadence only; the final state is the returned
+    # Solution, which `equinn solve` saves with the last recorded iteration
     seen = []
     sol = sv.solve(
         tiny_input(), tiny_config(checkpoint_every=10),
         on_checkpoint=lambda it, vec: seen.append(it),
     )
-    ran = sum(1 for r in sol.history if r.stage != "init")
-    assert max(seen) == ran == sol.history[-1].iteration
-    assert seen[-1] == ran
+    last = sol.history[-1].iteration
+    assert last == sum(1 for r in sol.history if r.stage != "init") == 55
+    assert seen == list(range(10, last + 1, 10))
 
 
 def test_zero_force_gradient_is_finite():

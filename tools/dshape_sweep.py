@@ -3,11 +3,12 @@
     PYTHONPATH=src python3 tools/dshape_sweep.py 0 1 2 ...
 
 Each line gives the seed, the termination reason, the BFGS iterations run,
-the final F_vol_norm and the number of loss+gradient evaluations stage 2
-made, its start point included.  The count comes from wrapping the
-``value_and_grad`` that ``solver.bfgs_stage`` receives, so the solver
-itself is unchanged.  The solve uses the built-in case's own budgets and
-grid, as criterion 1 does.
+the final F_vol_norm, the number of loss+gradient evaluations stage 2
+made, its start point included, and ``bfgs_s``, the wall seconds of stage 2
+from the loss history (last BFGS record minus the record before it began).
+The count comes from wrapping the ``value_and_grad`` that
+``solver.bfgs_stage`` receives, so the solver itself is unchanged.  The
+solve uses the built-in case's own budgets and grid, as criterion 1 does.
 """
 
 import json
@@ -33,12 +34,15 @@ def sweep_one(seed: int) -> dict:
         sol = sv.solve(input, replace(config, seed=seed))
     finally:
         sv.bfgs_stage = stage
+    start = max((r.wall_time for r in sol.history if r.stage != "bfgs"), default=0.0)
+    end = max((r.wall_time for r in sol.history if r.stage == "bfgs"), default=start)
     return {
         "seed": seed,
         "termination": sol.termination_reason,
         "bfgs_iterations": sum(1 for r in sol.history if r.stage == "bfgs"),
         "f_vol_norm": sol.f_vol_norm,
         "stage2_evals": evals[0],
+        "bfgs_s": round(end - start, 3),
     }
 
 
