@@ -36,6 +36,7 @@ __all__ = [
     "sqrt",
     "matmul",
     "einsum",
+    "linear",
     "stack",
     "transpose",
     "reshape",
@@ -335,6 +336,16 @@ def einsum(subscripts: str, a, b):
         np.einsum(spec, g, other, optimize=False)
         for x, spec, other in ((a, spec_a, bv), (b, spec_b, av)) if isinstance(x, Var)
     )
+    return out
+
+
+def linear(x, forward: Callable, adjoint: Callable):
+    """``forward(x)`` as one tape node, for a linear map ``forward`` on numpy
+    arrays whose transpose is ``adjoint`` (the map of the reverse pass)."""
+    if not isinstance(x, Var):
+        return forward(x)
+    out = Var(forward(x.value), (x,))
+    out._vjp = lambda g: (adjoint(g),)
     return out
 
 

@@ -36,6 +36,7 @@ and the diagnostics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -219,14 +220,9 @@ def _jet_rows(rho: np.ndarray):
     alpha = 1.0 / (2.0 * rho)
     to_s = np.zeros((3, 3, rho.size))  # (s-order, rho-order, radius)
     to_s[0, 0], to_s[1, 1], to_s[2, 1], to_s[2, 2] = 1.0, alpha, -alpha * alpha / rho, alpha * alpha
-    eye = np.eye(3)
-    plane = eye[::2][None, :, None, :, None]  # (1, component, 1, field, 1)
-    return (
-        to_s[0][:, None, :] * eye[0][:, None],
-        to_s[[1, 0, 0]][:, None, :, None, :] * plane,
-        to_s[[2, 1, 1, 0, 0, 0]][:, None, :, None, :] * plane,
-        to_s[:2][:, :, None, :] * eye[1][:, None],
-    )
+    # (s-order, output field, rho-order, field, radius)
+    w = to_s[:, None, :, None, :] * np.eye(3)[None, :, None, :, None]
+    return w[0, 0], w[[1, 0, 0], ::2], w[[2, 1, 1, 0, 0, 0], ::2], w[:2, 1]
 
 
 # the second derivatives d_q (R, Z), q = ss, st, sz, tt, tz, zz, pair the
@@ -235,33 +231,72 @@ def _jet_rows(rho: np.ndarray):
 _PAIRS = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
-def geometry(profiles: ProfileStack, grid: CollocationGrid, tables=None) -> FieldState:
+@dataclass(frozen=True)
+class KernelTables:
+    """The grid constants of :func:`geometry`.
+
+    One synthesis (:class:`spectral.RowSynthesis`) per row set: R; e, the
+    (value, d_theta, d_zeta) rows of (R, Z); d2, the six second-derivative
+    rows of (R, Z); lam, the five angular derivative rows of lambda; lam_s,
+    the (d_theta, d_zeta) rows of d_s lambda.  ``jet_rows`` are the weights
+    of :func:`_jet_rows` for the grid's radii.
+    """
+
+    R: spectral.RowSynthesis
+    e: spectral.RowSynthesis
+    d2: spectral.RowSynthesis
+    lam: spectral.RowSynthesis
+    lam_s: spectral.RowSynthesis
+    jet_rows: tuple
+
+    @classmethod
+    def build(cls, modes_cos: spectral.ModeSet, modes_sin: spectral.ModeSet, grid: CollocationGrid):
+        if not (np.array_equal(modes_cos.m, modes_sin.m) and np.array_equal(modes_cos.n, modes_sin.n)):
+            raise ValueError("cosine and sine mode sets must share their (m, n)")
+        tables = spectral.TensorTables(modes_cos, grid.theta, grid.zeta)
+        rows = functools.partial(spectral.RowSynthesis, tables)
+        pair = np.arange(2)  # parity of (R, Z)
+        return cls(
+            rows(0, 0),
+            rows(pair, np.arange(3)[:, None]),
+            rows(pair, np.arange(6)[:, None]),
+            rows(1, np.arange(1, 6), shared=True),
+            rows(1, np.arange(1, 3), shared=True),
+            _jet_rows(grid.rho),
+        )
+
+
+def _synthesize(rows: spectral.RowSynthesis, coeffs):
+    return ad.linear(coeffs, rows.forward, rows.adjoint)
+
+
+def geometry(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[KernelTables] = None) -> FieldState:
     """Synthesize the map, its derivatives, the Jacobian and the dual basis.
 
     Radial derivatives arrive as d/d rho in the profile jets and convert to
     flux derivatives through d/ds = d/drho / (2 rho).  ``tables`` are the
-    cosine and sine tables (:func:`spectral.pair_tables`); they depend only
-    on (mode sets, grid) and may be passed in precomputed.  Each synthesis
-    runs only on the rows it needs: lambda enters the field only through
-    its theta and zeta derivatives.
+    grid constants (:class:`KernelTables`); they depend only on (mode sets,
+    grid) and may be passed in precomputed.  Each synthesis runs only on
+    the rows it needs: lambda enters the field only through its theta and
+    zeta derivatives.
 
     The covariant basis e_i = (d_i R, R delta_i_zeta, d_i Z) has its (R, Z)
     part in ``e``; with the in-plane cross product cross2 the Jacobian is
     sqrt(g) = R cross2(e_theta, e_s).
     """
     if tables is None:
-        tables = spectral.pair_tables(profiles.modes_cos, profiles.modes_sin, grid.theta, grid.zeta)
+        tables = KernelTables.build(profiles.modes_cos, profiles.modes_sin, grid)
     jets = profiles.jets
-    to_r, to_e, to_de, to_lam = _jet_rows(profiles.rho)
+    to_r, to_e, to_de, to_lam = tables.jet_rows
     st = FieldState(grid=grid)
-    st.R = ad.einsum("rk,ka->ra", ad.einsum("ofr,ofrk->rk", to_r, jets), tables[0, 0])
-    st.e = ad.einsum("iprk,pika->ipra", ad.einsum("ipofr,ofrk->iprk", to_e, jets), tables[:, :3])
-    d2 = ad.einsum("qprk,pqka->qpra", ad.einsum("qpofr,ofrk->qprk", to_de, jets), tables)
+    st.R = _synthesize(tables.R, ad.einsum("ofr,ofrk->rk", to_r, jets))
+    st.e = _synthesize(tables.e, ad.einsum("ipofr,ofrk->iprk", to_e, jets))
+    d2 = _synthesize(tables.d2, ad.einsum("qpofr,ofrk->qprk", to_de, jets))
     st.de = ad.reshape(d2[_PAIRS], (3, 3) + st.e.shape[1:])
     lam = ad.einsum("jofr,ofrk->jrk", to_lam, jets)
-    l0 = ad.einsum("rk,dka->dra", lam[0], tables[1, 1:])  # t, z, tt, tz, zz
+    l0 = _synthesize(tables.lam, lam[0])  # t, z, tt, tz, zz
     st.dlam = l0[:2]
-    st.ddlam = ad.stack([ad.einsum("rk,dka->dra", lam[1], tables[1, 1:3]), l0[2:4], l0[3:]])
+    st.ddlam = ad.stack([_synthesize(tables.lam_s, lam[1]), l0[2:4], l0[3:]])
 
     R, plane = st.R, st.e
     st.dR = plane[:, 0]

@@ -17,6 +17,7 @@ thread-count independent, so reruns reproduce checkpoints bit for bit.
 from __future__ import annotations
 
 import ctypes
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -189,10 +190,7 @@ class LossAssembler:
             input.M, input.N, input.n_fp
         )
         self.width = width
-        self.tables = spectral.pair_tables(
-            self.modes_cos, self.modes_sin, grid.theta, grid.zeta
-        )
-        self.half_tables = self.tables[..., : self.half_weights.size]
+        self.half_tables = mk.KernelTables.build(self.modes_cos, self.modes_sin, self.half_grid)
         self.constants = nf.ProfileConstants.build(
             input, self.modes_cos, self.modes_sin, grid.rho
         )
@@ -210,6 +208,12 @@ class LossAssembler:
         mk.current(state)
         mk.force(state, self.p_prime)
         return state
+
+    @functools.cached_property
+    def tables(self) -> mk.KernelTables:
+        """The kernel tables of the full grid, which only :meth:`field_state`
+        uses: built on its first call."""
+        return mk.KernelTables.build(self.modes_cos, self.modes_sin, self.grid)
 
     def field_state(self, params: NetParams) -> mk.FieldState:
         return self._state(params, self.grid, self.tables)

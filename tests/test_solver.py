@@ -333,6 +333,45 @@ def test_loss_frozen_at_3d_init():
     assert abs(asm.loss_value(x) - 2.186466439593671) <= 1e-12 * 2.186466439593671
 
 
+_DIGEST_3D = """
+import hashlib, sys
+import numpy as np
+from equinn import cli_io, netfield as nf, solver as sv
+from equinn.mhdkernel import CollocationGrid
+sys.path.insert(0, sys.argv[1])
+from support import ELLIPSE_CASE
+small, _ = cli_io.parse_case_text(ELLIPSE_CASE, "ellipse")
+input = nf.EquilibriumInput(small.boundary_r, small.boundary_z, small.pressure, small.iota,
+                            small.psi_b, small.n_fp, 12, 4)
+asm = sv.LossAssembler(input, 3, CollocationGrid.build(16, input.M, input.N, input.n_fp))
+x0 = nf.params_to_vector(nf.init_params((asm.modes_cos, asm.modes_sin), 3, 0, input))
+val, grad = asm.value_and_grad(x0 + 0.02 * np.random.default_rng(1).normal(size=x0.size))
+print(hashlib.sha256(np.float64(val).tobytes() + grad.tobytes()).hexdigest())
+"""
+
+
+def test_3d_gradient_is_independent_of_the_thread_count():
+    # The small ellipse at the bench's 3D resolution (M = 12, N = 4, 16 x 48 x
+    # 16 nodes).  OpenBLAS rounds a GEMM differently with 1 and with 2 or
+    # more threads once it is large enough to split: a synthesis adjoint
+    # written as one matmul per row, (16 x 400) (400 x 104), changes this
+    # digest; at the small ellipse's own resolution (M = 5, N = 2) it did not.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    digests = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _DIGEST_3D, str(Path(__file__).parent)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
 def test_dshape_tape_stays_within_node_budget():
     from equinn.autodiff import Var
 

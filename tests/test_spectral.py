@@ -5,9 +5,13 @@ import pytest
 
 from equinn.mhdkernel import CollocationGrid
 from equinn.spectral import (
+    RowSynthesis,
     SurfaceCoefficients,
+    TensorTables,
     build_mode_set,
     fourier_angle,
+    mode_set_pair,
+    pair_tables,
     project,
     spectral_width,
     synthesize,
@@ -206,3 +210,95 @@ def test_spectral_width_rejects_mismatched_sets():
     z = coeffs_for(build_mode_set(4, 0, 1, "sin"), {})
     with pytest.raises(ValueError):
         spectral_width(r.mode_set, z.mode_set, r.values, z.values)
+
+
+# -- separable synthesis against the table contraction ----------------------------
+
+
+def _row_sets(tables, pair):
+    """The kernel's row sets: (name, RowSynthesis, coefficient shape ahead of
+    (radius, mode), forward and adjoint written as the contraction against
+    the ``pair_tables`` of the same grid)."""
+    ein = lambda spec, a, b: np.einsum(spec, a, b, optimize=False)  # noqa: E731
+    both = np.arange(2)
+    sets = [
+        ("R", RowSynthesis(tables, 0, 0), (),
+         lambda c: ein("rk,ka->ra", c, pair[0, 0]), lambda g: ein("ra,ka->rk", g, pair[0, 0])),
+        ("e", RowSynthesis(tables, both, np.arange(3)[:, None]), (3, 2),
+         lambda c: ein("iprk,pika->ipra", c, pair[:, :3]), lambda g: ein("ipra,pika->iprk", g, pair[:, :3])),
+        ("d2", RowSynthesis(tables, both, np.arange(6)[:, None]), (6, 2),
+         lambda c: ein("qprk,pqka->qpra", c, pair), lambda g: ein("qpra,pqka->qprk", g, pair)),
+        ("lam", RowSynthesis(tables, 1, np.arange(1, 6), shared=True), (),
+         lambda c: ein("rk,dka->dra", c, pair[1, 1:]), lambda g: ein("dra,dka->rk", g, pair[1, 1:])),
+        ("lam_s", RowSynthesis(tables, 1, np.arange(1, 3), shared=True), (),
+         lambda c: ein("rk,dka->dra", c, pair[1, 1:3]), lambda g: ein("dra,dka->rk", g, pair[1, 1:3])),
+    ]
+    return sets
+
+
+def _synthesis_case(M, N, n_fp, n_theta, n_zeta, half):
+    """The kernel's row sets on a grid or on its mirror half, the grid, and the modes."""
+    from equinn.solver import _mirror_half
+
+    grid = CollocationGrid.build(3, M, N, n_fp, n_theta, n_zeta)
+    if half:
+        grid = _mirror_half(grid)[0]
+    cos_set, sin_set = mode_set_pair(M, N, n_fp)
+    tables = TensorTables(cos_set, grid.theta, grid.zeta)
+    return _row_sets(tables, pair_tables(cos_set, sin_set, grid.theta, grid.zeta)), grid, cos_set
+
+
+def _operands(rows, lead, grid, k, seed, dtype=float):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=lead + (grid.n_rho, k)).astype(dtype)
+    grad = rng.normal(size=rows.shape + (grid.n_rho, grid.n_angular)).astype(dtype)
+    return coeffs, grad
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("n_theta", [0, 21, 22])
+def test_axisymmetric_synthesis_is_the_table_contraction_bit_for_bit(n_theta, half):
+    # the dshape modes (M = 11, N = 0) on its grid and on odd and even theta counts
+    row_sets, grid, modes = _synthesis_case(11, 0, 1, n_theta, 0, half)
+    for seed, (name, rows, lead, forward, adjoint) in enumerate(row_sets):
+        coeffs, grad = _operands(rows, lead, grid, modes.size, seed)
+        assert np.array_equal(rows.forward(coeffs), forward(coeffs)), name
+        assert np.array_equal(rows.adjoint(grad), adjoint(grad)), name
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("n_theta, n_zeta", [(0, 0), (21, 7), (20, 9), (25, 6)])
+def test_3d_synthesis_matches_the_table_contraction(n_theta, n_zeta, half):
+    # the small ellipse's modes (M = 5, N = 2, n_fp = 2), grids as in the half-grid loss tests
+    row_sets, grid, modes = _synthesis_case(5, 2, 2, n_theta, n_zeta, half)
+    for seed, (name, rows, lead, forward, adjoint) in enumerate(row_sets):
+        coeffs, grad = _operands(rows, lead, grid, modes.size, seed)
+        for got, want in ((rows.forward(coeffs), forward(coeffs)), (rows.adjoint(grad), adjoint(grad))):
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("M, N, n_fp", [(11, 0, 1), (5, 2, 2)])
+def test_synthesis_keeps_long_double_precision(M, N, n_fp):
+    # a change of 1e-12 relative in the coefficients must come through to
+    # long-double accuracy (float64 arithmetic would leave ~1e-4 of it)
+    row_sets, grid, modes = _synthesis_case(M, N, n_fp, 0, 0, True)
+    for seed, (name, rows, lead, _, _) in enumerate(row_sets):
+        coeffs, grad = _operands(rows, lead, grid, modes.size, seed, np.longdouble)
+        step = coeffs * np.longdouble(1e-12)
+        for apply, x, dx in ((rows.forward, coeffs, step), (rows.adjoint, grad, grad * np.longdouble(1e-12))):
+            diff = apply(x + dx) - apply(x)
+            want = apply(dx)
+            assert diff.dtype == np.longdouble, name
+            assert np.max(np.abs(diff - want)) <= 1e-6 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("M, N, n_fp", [(11, 0, 1), (5, 2, 2)])
+def test_synthesis_adjoint_is_the_transpose(M, N, n_fp):
+    # <G, S C> = <S^T G, C>
+    row_sets, grid, modes = _synthesis_case(M, N, n_fp, 0, 0, False)
+    for seed, (name, rows, lead, _, _) in enumerate(row_sets):
+        coeffs, grad = _operands(rows, lead, grid, modes.size, seed)
+        lhs = np.sum(grad * rows.forward(coeffs))
+        rhs = np.sum(rows.adjoint(grad) * coeffs)
+        assert abs(lhs - rhs) <= 1e-13 * np.sqrt(np.sum(grad**2) * np.sum(rows.forward(coeffs) ** 2)), name

@@ -1,6 +1,6 @@
 """Full dshape solves over a list of seeds, one JSON line per solve.
 
-    PYTHONPATH=src python3 tools/dshape_sweep.py 0 1 2 ...
+    PYTHONPATH=src python3 tools/dshape_sweep.py [--jobs J] [--json PATH] 0 1 2 ...
 
 Each line gives the seed, the termination reason, the BFGS iterations run,
 the final F_vol_norm, the number of loss+gradient evaluations stage 2
@@ -9,9 +9,15 @@ from the loss history (last BFGS record minus the record before it began).
 The count comes from wrapping the ``value_and_grad`` that
 ``solver.bfgs_stage`` receives, so the solver itself is unchanged.  The
 solve uses the built-in case's own budgets and grid, as criterion 1 does.
+
+``--jobs J`` solves J seeds at a time in worker processes; lines are
+printed in seed order either way.  ``--json PATH`` also writes the whole
+table to PATH as a JSON list, one object per seed, in seed order.
 """
 
+import argparse
 import json
+import multiprocessing
 import sys
 from dataclasses import replace
 
@@ -47,11 +53,22 @@ def sweep_one(seed: int) -> dict:
 
 
 def main(argv) -> int:
-    if not argv or not all(a.isdigit() for a in argv):
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    for seed in map(int, argv):
-        print(json.dumps(sweep_one(seed)), flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("seeds", nargs="+", type=int)
+    parser.add_argument("--jobs", type=int, default=1, help="seeds solved at a time")
+    parser.add_argument("--json", metavar="PATH", help="also write the table to PATH")
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    rows = []
+    with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
+        for row in pool.imap(sweep_one, args.seeds):
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump(rows, f, indent=1)
+            f.write("\n")
     return 0
 
 
