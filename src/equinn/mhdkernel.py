@@ -36,9 +36,8 @@ and the diagnostics.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -213,90 +212,229 @@ for _i in range(3):
     _LEVI_CIVITA[_i, (_i + 2) % 3, (_i + 1) % 3] = -1.0
 
 
-def _jet_rows(rho: np.ndarray):
-    """Weights taking the profile jets (rho-order, field, radius) to the
-    s-derivative rows of each synthesis: R; d_i (R, Z) for i = s, t, z;
-    d_q (R, Z) for the pairs q of _PAIRS; lambda and d_s lambda."""
-    alpha = 1.0 / (2.0 * rho)
-    to_s = np.zeros((3, 3, rho.size))  # (s-order, rho-order, radius)
-    to_s[0, 0], to_s[1, 1], to_s[2, 1], to_s[2, 2] = 1.0, alpha, -alpha * alpha / rho, alpha * alpha
-    # (s-order, output field, rho-order, field, radius)
-    w = to_s[:, None, :, None, :] * np.eye(3)[None, :, None, :, None]
-    return w[0, 0], w[[1, 0, 0], ::2], w[[2, 1, 1, 0, 0, 0], ::2], w[:2, 1]
+# The rows the kernel reads, as (field, derivative axes) with field 0 R, 1
+# lambda, 2 Z and axes 0 s, 1 theta, 2 zeta, in pairs: d_k d_i (R, Z) (de),
+# d_j lambda for j = theta, zeta (dlam), d_k d_j lambda (ddlam), R and a zero
+# pad, d_i (R, Z) (e).  The adjoint sums the rows of a coefficient in this
+# order.
+_ROWS = (
+    [(p, (k, i)) for k in range(3) for i in range(3) for p in (0, 2)]
+    + [(1, (j,)) for j in (1, 2)]
+    + [(1, (k, j)) for k in range(3) for j in (1, 2)]
+    + [(0, ()), None]
+    + [(p, (i,)) for i in range(3) for p in (0, 2)]
+)
+# the coefficient sets (field, s-order), in the order of KernelTables._sets
+_SETS = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (2, 2)]
+# the theta orders a unit (coefficient set, zeta order) is synthesized with,
+# in unit order: each theta order then takes a contiguous range of units
+_THETA_ORDERS = [(1,), (1, 2), (0, 1, 2), (0, 1), (0,)]
 
 
-# the second derivatives d_q (R, Z), q = ss, st, sz, tt, tz, zz, pair the
-# tables (value, t, z, tt, tz, zz) with jets of s-order (2, 1, 1, 0, 0, 0);
-# _PAIRS spreads them over the symmetric 3 x 3 (k, i)
-_PAIRS = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+class _RowPlan(NamedTuple):
+    """Index tables of the synthesis, the same for every grid of one kind.
 
-
-@dataclass(frozen=True)
-class KernelTables:
-    """The grid constants of :func:`geometry`.
-
-    One synthesis (:class:`spectral.RowSynthesis`) per row set: R; e, the
-    (value, d_theta, d_zeta) rows of (R, Z); d2, the six second-derivative
-    rows of (R, Z); lam, the five angular derivative rows of lambda; lam_s,
-    the (d_theta, d_zeta) rows of d_s lambda.  ``jet_rows`` are the weights
-    of :func:`_jet_rows` for the grid's radii.
+    A row is (field, s-order, theta order a, zeta order b).  Its coefficient
+    set is (field, s-order), one of :data:`_SETS`, and its unit is (set, b):
+    the rows of a unit share one toroidal sum.  ``units``, ``b``, ``form``
+    and ``sign`` give each unit's set, b, poloidal form (parity + b) mod 2
+    and sign (-1 where parity + b >= 2); for each a, the synthesized rows
+    ``rows[a]`` are taken of the units ``units[ranges[a]]``, in order.
+    ``src`` places the synthesized rows (and a zero row after them) on the
+    output rows; ``first`` and ``dups`` gather their adjoints back.
+    ``slots`` list, per jet (order, field), the (term, weight) products the
+    adjoint sums, in order: a term is a synthesized row when no zeta
+    derivative is live, else a unit.
     """
 
-    R: spectral.RowSynthesis
-    e: spectral.RowSynthesis
-    d2: spectral.RowSynthesis
-    lam: spectral.RowSynthesis
-    lam_s: spectral.RowSynthesis
-    jet_rows: tuple
+    units: np.ndarray
+    b: np.ndarray
+    form: np.ndarray
+    sign: np.ndarray
+    ranges: list
+    rows: list
+    src: np.ndarray
+    first: np.ndarray
+    dups: tuple
+    slots: list
 
     @classmethod
-    def build(cls, modes_cos: spectral.ModeSet, modes_sin: spectral.ModeSet, grid: CollocationGrid):
-        if not (np.array_equal(modes_cos.m, modes_sin.m) and np.array_equal(modes_cos.n, modes_sin.n)):
-            raise ValueError("cosine and sine mode sets must share their (m, n)")
-        tables = spectral.TensorTables(modes_cos, grid.theta, grid.zeta)
-        rows = functools.partial(spectral.RowSynthesis, tables)
-        pair = np.arange(2)  # parity of (R, Z)
+    def build(cls, zeta_rows: bool) -> "_RowPlan":
+        keys = [None if r is None else (r[0],) + tuple(r[1].count(x) for x in range(3)) for r in _ROWS]
+        live = [k for k in dict.fromkeys(keys) if k is not None and (zeta_rows or k[3] == 0)]
+        unit_of = {k: (_SETS.index(k[:2]), k[3]) for k in live}
+        orders = {}
+        for k, u in unit_of.items():
+            orders.setdefault(u, set()).add(k[2])
+        units = sorted(orders, key=lambda u: _THETA_ORDERS.index(tuple(sorted(orders[u]))))
+        ranges, rows, index = [], [], {}
+        for a in range(3):
+            taken = [i for i, u in enumerate(units) if a in orders[u]]
+            assert taken == list(range(taken[0], taken[-1] + 1))
+            ranges.append(slice(taken[0], taken[-1] + 1))
+            rows.append(slice(len(index), len(index) + len(taken)))
+            index.update({(units[i], a): rows[-1].start + j for j, i in enumerate(taken)})
+        row_of = {k: index[unit_of[k], k[2]] for k in live}
+        src = np.array([row_of.get(k, len(index)) for k in keys]).reshape(17, 2)
+        first = np.array([keys.index(k) for k in sorted(row_of, key=row_of.get)])
+        dups = [(row_of[k], p) for p, k in enumerate(keys) if k in row_of and p != keys.index(k)]
+        if zeta_rows:
+            terms = [(i, _SETS[c]) for i, (c, _) in enumerate(units)]
+        else:
+            terms = [(row_of[k], k[:2]) for k in live]
+        by_order = {0: [(0, None)], 1: [(1, 0)], 2: [(1, 1), (2, 2)]}  # s-order -> (jet order, weight)
+        slots = [(o, f, [(t, w) for t, (g, s) in terms if g == f for o2, w in by_order[s] if o2 == o])
+                 for o in range(3) for f in range(3)]
+        parity = np.array([int(_SETS[c][0] != 0) for c, _ in units])  # cosine for R
+        b = np.array([b for _, b in units])
         return cls(
-            rows(0, 0),
-            rows(pair, np.arange(3)[:, None]),
-            rows(pair, np.arange(6)[:, None]),
-            rows(1, np.arange(1, 6), shared=True),
-            rows(1, np.arange(1, 3), shared=True),
-            _jet_rows(grid.rho),
+            np.array([c for c, _ in units]), b, (parity + b) % 2, np.where(parity + b >= 2, -1.0, 1.0),
+            ranges, rows, src, first, tuple(np.array(x, dtype=int) for x in zip(*dups)),
+            [slot for slot in slots if slot[2]],
         )
 
 
-def _synthesize(rows: spectral.RowSynthesis, coeffs):
-    return ad.linear(coeffs, rows.forward, rows.adjoint)
+_PLANS = (_RowPlan.build(False), _RowPlan.build(True))
+
+
+class KernelTables:
+    """The synthesis of :func:`geometry` on one grid, as one linear map.
+
+    :meth:`forward` takes the profile jets (jet order, field, radius, mode)
+    to every row the kernel reads, shape (17, 2, n_rho, n_nodes): the pairs
+    ``[:9]`` are ``de`` (3, 3 axes), ``[9]`` is ``dlam``, ``[10:13]``
+    ``ddlam``, ``[13, 0]`` is R and ``[14:]`` is ``e`` (:data:`_ROWS`).
+    The three jet orders become the 8 coefficient sets the rows use (R and
+    Z at s-order 0, 1, 2; lambda at 0, 1) through alpha = 1 / (2 rho),
+    alpha^2 and -alpha^2 / rho per radius.  With N = 0 only the 14 rows
+    without a zeta derivative are contracted against the d_theta^a rows
+    of :class:`spectral.TensorTables`; the other 12 are exact zeros.
+    With N > 0 each (set, zeta order) unit is summed over n once, 17 sums
+    for 26 rows, and each theta order's poloidal sum reads a contiguous
+    range of them.  :meth:`adjoint` is the transpose.
+    """
+
+    def __init__(self, modes_cos: spectral.ModeSet, modes_sin: spectral.ModeSet, grid: CollocationGrid):
+        if not (np.array_equal(modes_cos.m, modes_sin.m) and np.array_equal(modes_cos.n, modes_sin.n)):
+            raise ValueError("cosine and sine mode sets must share their (m, n)")
+        tables = spectral.TensorTables(modes_cos, grid.theta, grid.zeta)
+        self.N, self.M, self.n_theta, self.n_zeta = modes_cos.N, modes_cos.M, tables.n_theta, tables.n_zeta
+        self.plan = plan = _PLANS[self.N > 0]
+        alpha = 1.0 / (2.0 * grid.rho)
+        # d/ds = alpha d/drho; d^2/ds^2 = alpha^2 d^2/drho^2 - alpha^2 / rho d/drho
+        self.weights = np.array([alpha, -alpha * alpha / grid.rho, alpha * alpha])[:, :, None]
+        if self.N == 0:
+            # the cosine half of each form, constant along zeta
+            self.tables = [tables.poloidal[plan.form[r], a, : self.M] for a, r in enumerate(plan.ranges)]
+            if self.n_zeta > 1:
+                self.tables = [np.repeat(t, self.n_zeta, axis=-1) for t in self.tables]
+            return
+        nf = (modes_cos.n * modes_cos.n_fp).astype(float)
+        self.factor = plan.sign[:, None] * nf ** plan.b[:, None]
+        self.tables = [tables.poloidal[plan.form[r], a] for a, r in enumerate(plan.ranges)]  # (unit, q, theta)
+        self.tables_t = [np.ascontiguousarray(t.transpose(0, 2, 1)) for t in self.tables]
+        self.toroidal = tables.toroidal
+
+    def _sets(self, jets):
+        """The coefficient sets: s-order 0 (R, lambda, Z), 1 (R, lambda, Z)
+        and 2 (R, Z), from the jets (rho order, field, radius, mode)."""
+        c = np.empty((8,) + jets.shape[2:], dtype=np.result_type(jets, 1.0))
+        c[:3] = jets[0]
+        np.multiply(self.weights[0], jets[1], out=c[3:6])
+        np.multiply(self.weights[1], jets[1, ::2], out=c[6:])
+        c[6:] += self.weights[2] * jets[2, ::2]
+        return c
+
+    def forward(self, jets):
+        """Every row the kernel reads, shape (17, 2, n_rho, n_nodes), from
+        the jets (numpy, any float dtype)."""
+        jets = np.asarray(jets)
+        plan, n_rho, n_theta, n_zeta = self.plan, jets.shape[2], self.n_theta, self.n_zeta
+        units = self._sets(jets)[plan.units]
+        n_rows = plan.rows[-1].stop
+        if self.N == 0:
+            rows = np.empty((n_rows + 1, n_rho, n_theta * n_zeta), dtype=units.dtype)
+            rows[-1] = 0.0
+            for r, out, table in zip(plan.ranges, plan.rows, self.tables):
+                np.einsum("xrk,xka->xra", units[r], table, out=rows[out], optimize=False)
+            return rows[plan.src]
+        M, N, n = self.M, self.N, len(units)
+        pad = np.zeros((n, n_rho, M * (2 * N + 1)), dtype=units.dtype)
+        np.multiply(units, self.factor[:, None, :], out=pad[..., N:])
+        # sums over n: (n, unit m radius) -> (cos/sin v, zeta, unit m radius)
+        pad = pad.reshape(n, n_rho, M, -1).transpose(3, 0, 2, 1).reshape(2 * N + 1, -1)
+        e = np.einsum("hjz,jy->hzy", self.toroidal, pad, optimize=False)
+        # sums over m: (unit, q, radius zeta) -> (row, theta, radius zeta)
+        e = e.reshape(2, n_zeta, n, M, n_rho).transpose(2, 0, 3, 4, 1).reshape(n, 2 * M, -1)
+        rows = np.empty((n_rows + 1, n_theta, n_rho * n_zeta), dtype=units.dtype)
+        rows[-1] = 0.0
+        for r, out, table in zip(plan.ranges, plan.rows, self.tables_t):
+            np.einsum("xtq,xqy->xty", table, e[r], out=rows[out], optimize=False)
+        # to (row, radius, theta zeta), then onto the output rows
+        rows = np.ascontiguousarray(rows.reshape(-1, n_theta, n_rho, n_zeta).transpose(0, 2, 1, 3))
+        return rows.reshape(len(rows), n_rho, -1)[plan.src]
+
+    def adjoint(self, grad):
+        """The jets' gradient from the rows' gradient: the transpose of
+        :meth:`forward`.  With N = 0 each jet's row adjoints are summed in
+        :data:`_ROWS` order."""
+        plan, g = self.plan, np.asarray(grad)
+        M, N, n_rho, n_theta, n_zeta = self.M, self.N, g.shape[2], self.n_theta, self.n_zeta
+        g = g.reshape(-1, n_rho, n_theta * n_zeta)
+        if N == 0:
+            rows = g[plan.first]
+            rows[plan.dups[0]] += g[plan.dups[1]]
+            terms = np.empty(rows.shape[:2] + (M,), dtype=rows.dtype)
+            for out, table in zip(plan.rows, self.tables):
+                np.einsum("xra,xka->xrk", rows[out], table, out=terms[out], optimize=False)
+        else:
+            n = len(plan.units)
+            g = g.reshape(-1, n_rho, n_theta, n_zeta).transpose(0, 2, 1, 3)  # (row, theta, radius, zeta)
+            e = np.zeros((n, 2 * M, n_rho * n_zeta), dtype=g.dtype)
+            for r, out, table in zip(plan.ranges, plan.rows, self.tables):
+                # the gradients of one theta order's rows, copied one at a time
+                rows = np.empty((out.stop - out.start,) + g.shape[1:], dtype=g.dtype)
+                for i, p in enumerate(plan.first[out]):
+                    rows[i] = g[p]
+                for i, p in zip(*plan.dups):
+                    if out.start <= i < out.stop:
+                        rows[i - out.start] += g[p]
+                e[r] += np.einsum("xqt,xty->xqy", table, rows.reshape(len(rows), n_theta, -1), optimize=False)
+            e = e.reshape(n, 2, M, n_rho, n_zeta).transpose(1, 4, 0, 2, 3).reshape(2, n_zeta, -1)
+            d = np.einsum("hjz,hzy->jy", self.toroidal, e, optimize=False)
+            d = d.reshape(-1, n, M, n_rho).transpose(1, 3, 2, 0).reshape(n, n_rho, -1)
+            terms = d[..., N:] * self.factor[:, None, :]
+        out = np.zeros((3, 3) + terms.shape[1:], dtype=terms.dtype)
+        for o, f, items in plan.slots:
+            for i, (t, w) in enumerate(items):
+                x = terms[t] if w is None else self.weights[w] * terms[t]
+                if i:
+                    out[o, f] += x
+                else:
+                    out[o, f] = x
+        return out
 
 
 def geometry(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[KernelTables] = None) -> FieldState:
     """Synthesize the map, its derivatives, the Jacobian and the dual basis.
 
     Radial derivatives arrive as d/d rho in the profile jets and convert to
-    flux derivatives through d/ds = d/drho / (2 rho).  ``tables`` are the
-    grid constants (:class:`KernelTables`); they depend only on (mode sets,
-    grid) and may be passed in precomputed.  Each synthesis runs only on
-    the rows it needs: lambda enters the field only through its theta and
-    zeta derivatives.
+    flux derivatives through d/ds = d/drho / (2 rho).  ``tables`` is the
+    grid's synthesis (:class:`KernelTables`); it depends only on (mode
+    sets, grid) and may be passed in precomputed.  The synthesis is one
+    tape node, and it runs only on the rows the kernel reads: lambda enters
+    the field only through its theta and zeta derivatives.
 
     The covariant basis e_i = (d_i R, R delta_i_zeta, d_i Z) has its (R, Z)
     part in ``e``; with the in-plane cross product cross2 the Jacobian is
     sqrt(g) = R cross2(e_theta, e_s).
     """
     if tables is None:
-        tables = KernelTables.build(profiles.modes_cos, profiles.modes_sin, grid)
-    jets = profiles.jets
-    to_r, to_e, to_de, to_lam = tables.jet_rows
+        tables = KernelTables(profiles.modes_cos, profiles.modes_sin, grid)
     st = FieldState(grid=grid)
-    st.R = _synthesize(tables.R, ad.einsum("ofr,ofrk->rk", to_r, jets))
-    st.e = _synthesize(tables.e, ad.einsum("ipofr,ofrk->iprk", to_e, jets))
-    d2 = _synthesize(tables.d2, ad.einsum("qpofr,ofrk->qprk", to_de, jets))
-    st.de = ad.reshape(d2[_PAIRS], (3, 3) + st.e.shape[1:])
-    lam = ad.einsum("jofr,ofrk->jrk", to_lam, jets)
-    l0 = _synthesize(tables.lam, lam[0])  # t, z, tt, tz, zz
-    st.dlam = l0[:2]
-    st.ddlam = ad.stack([_synthesize(tables.lam_s, lam[1]), l0[2:4], l0[3:]])
+    rows = ad.linear(profiles.jets, tables.forward, tables.adjoint)
+    st.de = ad.reshape(rows[:9], (3, 3) + rows.shape[1:])
+    st.dlam, st.ddlam, st.R, st.e = rows[9], rows[10:13], rows[13, 0], rows[14:]
 
     R, plane = st.R, st.e
     st.dR = plane[:, 0]

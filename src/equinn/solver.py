@@ -190,7 +190,7 @@ class LossAssembler:
             input.M, input.N, input.n_fp
         )
         self.width = width
-        self.half_tables = mk.KernelTables.build(self.modes_cos, self.modes_sin, self.half_grid)
+        self.half_tables = mk.KernelTables(self.modes_cos, self.modes_sin, self.half_grid)
         self.constants = nf.ProfileConstants.build(
             input, self.modes_cos, self.modes_sin, grid.rho
         )
@@ -213,7 +213,7 @@ class LossAssembler:
     def tables(self) -> mk.KernelTables:
         """The kernel tables of the full grid, which only :meth:`field_state`
         uses: built on its first call."""
-        return mk.KernelTables.build(self.modes_cos, self.modes_sin, self.grid)
+        return mk.KernelTables(self.modes_cos, self.modes_sin, self.grid)
 
     def field_state(self, params: NetParams) -> mk.FieldState:
         return self._state(params, self.grid, self.tables)
@@ -535,7 +535,10 @@ def _bfgs_update(
     block of rows at a time through ``scratch`` (rows, n), and each updated
     block is multiplied by g while it is in cache, so H is read and written
     once.  Every element and every row product is rounded as in the unblocked
-    update followed by a full product.  BLAS-free, like every contraction here.
+    update followed by a full product.  The block products are ``einsum``
+    without BLAS; the two dots are ``np.dot`` (BLAS ddot), which OpenBLAS
+    rounds alike at any thread count up to at least 10,000 parameters but not
+    from about 20,000.
     """
     rho = 1.0 / float(np.dot(y, s))
     w = (0.5 * rho * (1.0 + rho * float(np.dot(y, hy)))) * s - rho * hy

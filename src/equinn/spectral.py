@@ -12,10 +12,11 @@ against precomputed trigonometric tables; the mode counts of interest are
 far too small for FFTs to pay off.  :func:`synthesize`, :func:`project` and
 the point-list exports contract against the full (mode, node) tables
 (:func:`pair_tables`).  The field kernel works on tensor grids, where the
-basis factors into poloidal and toroidal tables (:class:`TensorTables`): a
-row set (:class:`RowSynthesis`) sums over n for each (m, zeta), then over
-m for each theta, about 3x fewer multiply-adds than the full contraction
-at M = 12, N = 4.  All contractions are ``np.einsum`` without BLAS.
+basis factors into poloidal and toroidal tables (:class:`TensorTables`):
+its synthesis (``mhdkernel.KernelTables``) sums over n for each (m, zeta),
+then over m for each theta, about 3x fewer multiply-adds than the full
+contraction at M = 12, N = 4.  All contractions are ``np.einsum`` without
+BLAS.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "ModeSet",
-    "RowSynthesis",
     "SurfaceCoefficients",
     "SynthesizedField",
     "build_mode_set",
@@ -167,10 +167,6 @@ def pair_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarr
     return _tables(modes_cos, theta, zeta, (COSINE, SINE))
 
 
-# (d_theta order, d_zeta order) of the six derivative rows of _tables
-_ORDERS = np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
-
-
 class TensorTables:
     """The basis of a mode set on a tensor grid theta x zeta, factored.
 
@@ -183,8 +179,9 @@ class TensorTables:
     form 1 is (m^a sin^(a) u, -m^a cos^(a) u), with the products rounded as
     :func:`_tables` rounds them.  ``toroidal`` (shape (2, 2N + 1, n_zeta))
     holds cos v and sin v.  With N = 0 the toroidal sum is the identity and
-    only ``direct`` is built: the rows of :func:`_tables` for each parity
-    and derivative.  Nodes are theta-major, as in :func:`_tables`.
+    ``toroidal`` is None: the cosine half of form f, ``poloidal[f, a, :M]``,
+    is the d_theta^a row of :func:`_tables` of parity f (cosine 0, sine 1).
+    Nodes are theta-major, as in :func:`_tables`.
     """
 
     def __init__(self, mode_set: ModeSet, theta, zeta):
@@ -198,111 +195,21 @@ class TensorTables:
         if not np.array_equal(mode_set.m * (2 * N + 1) + mode_set.n, np.arange(mode_set.size)):
             raise ValueError("mode set is not in build_mode_set order")
         self.mode_set, self.n_theta, self.n_zeta = mode_set, theta.size, zeta.size
-        m = np.arange(M)[:, None]
-        mf = m.astype(float)
-        angle = m * theta
-        trig = np.empty((2, 3, M, theta.size))  # (m^a cos^(a) u, m^a sin^(a) u), a = 0, 1, 2
+        mf = np.arange(M, dtype=float)[:, None]
+        pol = np.empty((2, 3, 2, M, theta.size))  # (form, a, cos/sin v, m, theta)
+        trig = pol[0].transpose(1, 0, 2, 3)  # (m^a cos^(a) u, m^a sin^(a) u), a = 0, 1, 2
+        angle = mf * theta
         c, s = np.cos(angle, out=trig[0, 0]), np.sin(angle, out=trig[1, 0])
         np.multiply(mf, -s, out=trig[0, 1])
         np.multiply(mf, c, out=trig[1, 1])
         np.multiply(-mf * mf, trig[:, 0], out=trig[:, 2])
-        self.poloidal = self.toroidal = self.direct = None
-        if N == 0:
-            # the toroidal sum is the identity: the (parity, derivative) rows
-            # of _tables (value, t, z, tt, tz, zz), zero where they take a
-            # zeta derivative
-            direct = np.zeros((2, 6, M, theta.size, zeta.size))
-            direct[:, :2] = trig[:, :2, :, :, None]
-            direct[:, 3] = trig[:, 2, :, :, None]
-            self.direct = direct.reshape(2, 6, M, -1)
-            return
-        pol = np.empty((2, 3, 2, M, theta.size))  # (form, a, cos/sin v, m, theta)
-        pol[0] = trig.transpose(1, 0, 2, 3)
         pol[1, :, 0] = trig[1]
         np.negative(trig[0], out=pol[1, :, 1])
         self.poloidal = pol.reshape(2, 3, 2 * M, theta.size)
-        v = (np.arange(-N, N + 1) * mode_set.n_fp)[:, None] * zeta
-        self.toroidal = np.stack([np.cos(v), np.sin(v)])
-
-
-class RowSynthesis:
-    """A set of synthesized rows as one linear map with its adjoint.
-
-    Row i is the ``deriv[i]``-th derivative row of :func:`_tables` (value,
-    d_theta, d_zeta, d_theta^2, d_theta d_zeta, d_zeta^2) of the series of
-    parity ``parity[i]`` (0 cosine, 1 sine), ``parity`` and ``deriv``
-    broadcast together to ``shape``, evaluated from coefficients of
-    shape ``shape + (n_rho, n_modes)``, or (n_rho, n_modes) for all rows
-    when ``shared``, into values of shape ``shape + (n_rho, n_theta *
-    n_zeta)``.  By the sum rules of :class:`TensorTables`, d_theta^a
-    d_zeta^b of a row is the poloidal form f = (parity + b) mod 2 with
-    theta order a applied to the toroidal sums of the coefficients times
-    n'^b, negated when parity + b >= 2.
-
-    With N = 0 there is one toroidal mode, constant in zeta, so the toroidal
-    sum is the identity: the rows contract the coefficients directly against
-    the cosine half of their poloidal forms (``TensorTables.direct``; the
-    sine half multiplies sin 0), one product per row set that rounds as the
-    :func:`_tables` contraction does.
-    """
-
-    def __init__(self, tables: TensorTables, parity, deriv, shared: bool = False):
-        self.shared, self.n_theta, self.n_zeta = shared, tables.n_theta, tables.n_zeta
-        self.M, self.N, self.toroidal = tables.mode_set.M, tables.mode_set.N, tables.toroidal
-        if tables.direct is not None:
-            rows = tables.direct[np.asarray(parity), np.asarray(deriv)]
-            self.shape, self.direct = rows.shape[:-2], rows.reshape((-1,) + rows.shape[-2:])
-            return
-        parity, deriv = np.broadcast_arrays(np.asarray(parity), np.asarray(deriv))
-        self.shape, self.direct = parity.shape, None
-        p, (a, b) = parity.ravel(), _ORDERS[deriv.ravel()].T
-        nf = (tables.mode_set.n * tables.mode_set.n_fp).astype(float)
-        self.factor = np.where(p + b >= 2, -1.0, 1.0)[:, None] * nf ** b[:, None]
-        # each contraction reads its table along the summed index
-        self.poloidal_t = tables.poloidal[(p + b) % 2, a]  # (row, q, theta)
-        self.poloidal = np.ascontiguousarray(self.poloidal_t.transpose(0, 2, 1))
-
-    def forward(self, coeffs):
-        """Row values from coefficients (numpy, any float dtype)."""
-        c = np.asarray(coeffs)
-        c = c.reshape((-1,) + c.shape[-2:])
-        n_rho = c.shape[1]
-        if self.direct is not None:
-            out = np.einsum("xrk,xka->xra", c, self.direct, optimize=False)
-            return out.reshape(self.shape + out.shape[1:])
-        M, N, n_theta, n_zeta = self.M, self.N, self.n_theta, self.n_zeta
-        n_rows, J = self.factor.shape[0], 2 * N + 1
-        pad = np.zeros((n_rows, n_rho, M * J), dtype=np.result_type(c, 1.0))
-        np.multiply(c, self.factor[:, None, :], out=pad[..., N:])
-        # sums over n: (n, row m radius) -> (cos/sin, zeta, row m radius)
-        d = pad.reshape(n_rows, n_rho, M, J).transpose(3, 0, 2, 1).reshape(J, -1)
-        e = np.einsum("hjz,jy->hzy", self.toroidal, d, optimize=False)
-        # sums over m: (row, q, zeta radius) -> (row, theta, zeta radius)
-        e = e.reshape(2, n_zeta, n_rows, M, n_rho).transpose(2, 0, 3, 1, 4).reshape(n_rows, 2 * M, -1)
-        o = np.einsum("xtq,xqy->xty", self.poloidal, e, optimize=False)
-        o = o.reshape(n_rows, n_theta, n_zeta, n_rho).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(o).reshape(self.shape + (n_rho, n_theta * n_zeta))
-
-    def adjoint(self, grad):
-        """Coefficient gradient from a row-value gradient: the transpose of
-        :meth:`forward`; with ``shared`` the row adjoints summed in row order."""
-        g = np.asarray(grad)
-        g = g.reshape((-1,) + g.shape[-2:])
-        if self.direct is not None:
-            spec = "xra,xka->rk" if self.shared else "xra,xka->xrk"
-            out = np.einsum(spec, g, self.direct, optimize=False)
-        else:
-            M, N, n_theta, n_zeta = self.M, self.N, self.n_theta, self.n_zeta
-            n_rows, n_rho = g.shape[:2]
-            g = g.reshape(n_rows, n_rho, n_theta, n_zeta).transpose(0, 2, 3, 1).reshape(n_rows, n_theta, -1)
-            e = np.einsum("xqt,xty->xqy", self.poloidal_t, g, optimize=False)
-            e = e.reshape(n_rows, 2, M, n_zeta, n_rho).transpose(1, 3, 0, 2, 4).reshape(2, n_zeta, -1)
-            d = np.einsum("hjz,hzy->jy", self.toroidal, e, optimize=False)
-            d = d.reshape(2 * N + 1, n_rows, M, n_rho).transpose(1, 3, 2, 0).reshape(n_rows, n_rho, -1)
-            out = d[..., N:] * self.factor[:, None, :]
-            if self.shared:
-                out = out.sum(axis=0)
-        return out if self.shared else out.reshape(self.shape + out.shape[-2:])
+        self.toroidal = None
+        if N > 0:
+            v = (np.arange(-N, N + 1) * mode_set.n_fp)[:, None] * zeta
+            self.toroidal = np.stack([np.cos(v), np.sin(v)])
 
 
 @dataclass

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from equinn import mhdkernel as mk
 from equinn.mhdkernel import CollocationGrid
 from equinn.spectral import (
-    RowSynthesis,
     SurfaceCoefficients,
-    TensorTables,
     build_mode_set,
     fourier_angle,
     mode_set_pair,
@@ -212,93 +211,131 @@ def test_spectral_width_rejects_mismatched_sets():
         spectral_width(r.mode_set, z.mode_set, r.values, z.values)
 
 
-# -- separable synthesis against the table contraction ----------------------------
-
-
-def _row_sets(tables, pair):
-    """The kernel's row sets: (name, RowSynthesis, coefficient shape ahead of
-    (radius, mode), forward and adjoint written as the contraction against
-    the ``pair_tables`` of the same grid)."""
-    ein = lambda spec, a, b: np.einsum(spec, a, b, optimize=False)  # noqa: E731
-    both = np.arange(2)
-    sets = [
-        ("R", RowSynthesis(tables, 0, 0), (),
-         lambda c: ein("rk,ka->ra", c, pair[0, 0]), lambda g: ein("ra,ka->rk", g, pair[0, 0])),
-        ("e", RowSynthesis(tables, both, np.arange(3)[:, None]), (3, 2),
-         lambda c: ein("iprk,pika->ipra", c, pair[:, :3]), lambda g: ein("ipra,pika->iprk", g, pair[:, :3])),
-        ("d2", RowSynthesis(tables, both, np.arange(6)[:, None]), (6, 2),
-         lambda c: ein("qprk,pqka->qpra", c, pair), lambda g: ein("qpra,pqka->qprk", g, pair)),
-        ("lam", RowSynthesis(tables, 1, np.arange(1, 6), shared=True), (),
-         lambda c: ein("rk,dka->dra", c, pair[1, 1:]), lambda g: ein("dra,dka->rk", g, pair[1, 1:])),
-        ("lam_s", RowSynthesis(tables, 1, np.arange(1, 3), shared=True), (),
-         lambda c: ein("rk,dka->dra", c, pair[1, 1:3]), lambda g: ein("dra,dka->rk", g, pair[1, 1:3])),
-    ]
-    return sets
+# -- the kernel's synthesis against the table contraction ---------------------------
 
 
 def _synthesis_case(M, N, n_fp, n_theta, n_zeta, half):
-    """The kernel's row sets on a grid or on its mirror half, the grid, and the modes."""
+    """The kernel's synthesis on a grid or on its mirror half, and its
+    reference: forward and adjoint written row by row against the
+    ``pair_tables`` of the same grid."""
     from equinn.solver import _mirror_half
 
     grid = CollocationGrid.build(3, M, N, n_fp, n_theta, n_zeta)
     if half:
         grid = _mirror_half(grid)[0]
     cos_set, sin_set = mode_set_pair(M, N, n_fp)
-    tables = TensorTables(cos_set, grid.theta, grid.zeta)
-    return _row_sets(tables, pair_tables(cos_set, sin_set, grid.theta, grid.zeta)), grid, cos_set
+    pair = pair_tables(cos_set, sin_set, grid.theta, grid.zeta)
+    ein = lambda spec, a, b: np.einsum(spec, a, b, optimize=False)  # noqa: E731
+    alpha = 1.0 / (2.0 * grid.rho)
+    # s-order -> (jet order, weight per radius) terms: d/ds = alpha d/drho,
+    # d^2/ds^2 = alpha^2 d^2/drho^2 - alpha^2 / rho d/drho
+    weights = {0: [(0, None)], 1: [(1, alpha)], 2: [(1, -alpha * alpha / grid.rho), (2, alpha * alpha)]}
+    deriv = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (2, 0): 3, (1, 1): 4, (0, 2): 5}
+    # (field, s-order, table row) of each output row, None for the pad
+    rows = [None if r is None else (r[0], r[1].count(0), deriv[r[1].count(1), r[1].count(2)]) for r in mk._ROWS]
+
+    def table(row):
+        return pair[int(row[0] != 0), row[2]]
+
+    def coefficients(jets, f, order):
+        out = None
+        for o, w in weights[order]:
+            term = jets[o, f] if w is None else w[:, None] * jets[o, f]
+            out = term if out is None else out + term
+        return out
+
+    def forward(jets):
+        out = np.zeros((len(rows), grid.n_rho, grid.n_angular), dtype=jets.dtype)
+        for i, row in enumerate(rows):
+            if row is not None:
+                out[i] = ein("rk,ka->ra", coefficients(jets, row[0], row[1]), table(row))
+        return out.reshape(17, 2, grid.n_rho, -1)
+
+    def adjoint(grad):
+        # the gradients of equal rows summed first, then each jet's row
+        # adjoints summed in row order
+        grad = grad.reshape(len(rows), grid.n_rho, -1)
+        out = np.zeros((3, 3, grid.n_rho, cos_set.size), dtype=grad.dtype)
+        started = np.zeros((3, 3), dtype=bool)
+        for i, row in enumerate(rows):
+            if row is None or rows.index(row) != i:
+                continue
+            g = grad[i]
+            for j in range(i + 1, len(rows)):
+                if rows[j] == row:
+                    g = g + grad[j]
+            c = ein("ra,ka->rk", g, table(row))
+            f = row[0]
+            for o, w in weights[row[1]]:
+                term = c if w is None else w[:, None] * c
+                if started[o, f]:
+                    out[o, f] += term
+                else:
+                    out[o, f], started[o, f] = term, True
+        return out
+
+    return mk.KernelTables(cos_set, sin_set, grid), forward, adjoint, grid, cos_set
 
 
-def _operands(rows, lead, grid, k, seed, dtype=float):
+def _operands(grid, k, seed, dtype=float):
     rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=lead + (grid.n_rho, k)).astype(dtype)
-    grad = rng.normal(size=rows.shape + (grid.n_rho, grid.n_angular)).astype(dtype)
-    return coeffs, grad
+    jets = rng.normal(size=(3, 3, grid.n_rho, k)).astype(dtype)
+    grad = rng.normal(size=(17, 2, grid.n_rho, grid.n_angular)).astype(dtype)
+    return jets, grad
 
 
 @pytest.mark.parametrize("half", [False, True])
 @pytest.mark.parametrize("n_theta", [0, 21, 22])
 def test_axisymmetric_synthesis_is_the_table_contraction_bit_for_bit(n_theta, half):
     # the dshape modes (M = 11, N = 0) on its grid and on odd and even theta counts
-    row_sets, grid, modes = _synthesis_case(11, 0, 1, n_theta, 0, half)
-    for seed, (name, rows, lead, forward, adjoint) in enumerate(row_sets):
-        coeffs, grad = _operands(rows, lead, grid, modes.size, seed)
-        assert np.array_equal(rows.forward(coeffs), forward(coeffs)), name
-        assert np.array_equal(rows.adjoint(grad), adjoint(grad)), name
+    tables, forward, adjoint, grid, modes = _synthesis_case(11, 0, 1, n_theta, 0, half)
+    for seed in range(3):
+        jets, grad = _operands(grid, modes.size, seed)
+        assert np.array_equal(tables.forward(jets), forward(jets))
+        assert np.array_equal(tables.adjoint(grad), adjoint(grad))
+
+
+def test_axisymmetric_zeta_rows_are_exact_zeros():
+    tables, _, _, grid, modes = _synthesis_case(11, 0, 1, 0, 0, True)
+    zeta_rows = np.array([r is None or 2 in r[1] for r in mk._ROWS]).reshape(17, 2)
+    assert zeta_rows.sum() == 18  # 17 rows (12 distinct) with a zeta derivative, and the pad
+    rows = tables.forward(_operands(grid, modes.size, 0)[0])
+    assert np.all(rows[zeta_rows] == 0.0)
+    assert np.all(np.any(rows[~zeta_rows] != 0.0, axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("half", [False, True])
 @pytest.mark.parametrize("n_theta, n_zeta", [(0, 0), (21, 7), (20, 9), (25, 6)])
 def test_3d_synthesis_matches_the_table_contraction(n_theta, n_zeta, half):
     # the small ellipse's modes (M = 5, N = 2, n_fp = 2), grids as in the half-grid loss tests
-    row_sets, grid, modes = _synthesis_case(5, 2, 2, n_theta, n_zeta, half)
-    for seed, (name, rows, lead, forward, adjoint) in enumerate(row_sets):
-        coeffs, grad = _operands(rows, lead, grid, modes.size, seed)
-        for got, want in ((rows.forward(coeffs), forward(coeffs)), (rows.adjoint(grad), adjoint(grad))):
-            assert got.shape == want.shape, name
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+    tables, forward, adjoint, grid, modes = _synthesis_case(5, 2, 2, n_theta, n_zeta, half)
+    for seed in range(3):
+        jets, grad = _operands(grid, modes.size, seed)
+        for got, want in ((tables.forward(jets), forward(jets)), (tables.adjoint(grad), adjoint(grad))):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("M, N, n_fp", [(11, 0, 1), (5, 2, 2)])
 def test_synthesis_keeps_long_double_precision(M, N, n_fp):
-    # a change of 1e-12 relative in the coefficients must come through to
-    # long-double accuracy (float64 arithmetic would leave ~1e-4 of it)
-    row_sets, grid, modes = _synthesis_case(M, N, n_fp, 0, 0, True)
-    for seed, (name, rows, lead, _, _) in enumerate(row_sets):
-        coeffs, grad = _operands(rows, lead, grid, modes.size, seed, np.longdouble)
-        step = coeffs * np.longdouble(1e-12)
-        for apply, x, dx in ((rows.forward, coeffs, step), (rows.adjoint, grad, grad * np.longdouble(1e-12))):
-            diff = apply(x + dx) - apply(x)
-            want = apply(dx)
-            assert diff.dtype == np.longdouble, name
-            assert np.max(np.abs(diff - want)) <= 1e-6 * np.max(np.abs(want)), name
+    # a change of 1e-12 relative in the jets must come through to long-double
+    # accuracy (float64 arithmetic would leave ~1e-4 of it)
+    tables, _, _, grid, modes = _synthesis_case(M, N, n_fp, 0, 0, True)
+    jets, grad = _operands(grid, modes.size, 0, np.longdouble)
+    for apply, x in ((tables.forward, jets), (tables.adjoint, grad)):
+        dx = x * np.longdouble(1e-12)
+        diff = apply(x + dx) - apply(x)
+        want = apply(dx)
+        assert diff.dtype == np.longdouble
+        assert np.max(np.abs(diff - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("M, N, n_fp", [(11, 0, 1), (5, 2, 2)])
 def test_synthesis_adjoint_is_the_transpose(M, N, n_fp):
-    # <G, S C> = <S^T G, C>
-    row_sets, grid, modes = _synthesis_case(M, N, n_fp, 0, 0, False)
-    for seed, (name, rows, lead, _, _) in enumerate(row_sets):
-        coeffs, grad = _operands(rows, lead, grid, modes.size, seed)
-        lhs = np.sum(grad * rows.forward(coeffs))
-        rhs = np.sum(rows.adjoint(grad) * coeffs)
-        assert abs(lhs - rhs) <= 1e-13 * np.sqrt(np.sum(grad**2) * np.sum(rows.forward(coeffs) ** 2)), name
+    # <G, S J> = <S^T G, J>
+    tables, _, _, grid, modes = _synthesis_case(M, N, n_fp, 0, 0, False)
+    jets, grad = _operands(grid, modes.size, 0)
+    rows = tables.forward(jets)
+    lhs = np.sum(grad * rows)
+    rhs = np.sum(tables.adjoint(grad) * jets)
+    assert abs(lhs - rhs) <= 1e-13 * np.sqrt(np.sum(grad**2) * np.sum(rows**2))

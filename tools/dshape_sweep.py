@@ -1,6 +1,6 @@
 """Full dshape solves over a list of seeds, one JSON line per solve.
 
-    PYTHONPATH=src python3 tools/dshape_sweep.py [--jobs J] [--json PATH] 0 1 2 ...
+    PYTHONPATH=src python3 tools/dshape_sweep.py [--jobs J] [--json PATH] [--against PATH] 0 1 2 ...
 
 Each line gives the seed, the termination reason, the BFGS iterations run,
 the final F_vol_norm, the number of loss+gradient evaluations stage 2
@@ -13,6 +13,9 @@ solve uses the built-in case's own budgets and grid, as criterion 1 does.
 ``--jobs J`` solves J seeds at a time in worker processes; lines are
 printed in seed order either way.  ``--json PATH`` also writes the whole
 table to PATH as a JSON list, one object per seed, in seed order.
+``--against PATH`` compares each seed with the row of the same seed in a
+table written by ``--json`` (all columns but ``bfgs_s``), prints the seeds
+that differ and exits with status 1 if any do.
 """
 
 import argparse
@@ -52,11 +55,31 @@ def sweep_one(seed: int) -> dict:
     }
 
 
+COMPARED = ("termination", "bfgs_iterations", "f_vol_norm", "stage2_evals")
+
+
+def differences(rows, table) -> list:
+    """The seeds of ``rows`` whose compared columns differ from ``table``'s
+    row of the same seed (or that ``table`` lacks), each with a reason."""
+    known = {row["seed"]: row for row in table}
+    out = []
+    for row in rows:
+        want = known.get(row["seed"])
+        if want is None:
+            out.append(f"seed {row['seed']}: not in the table")
+            continue
+        diff = [f"{k} {want[k]!r} -> {row[k]!r}" for k in COMPARED if row[k] != want[k]]
+        if diff:
+            out.append(f"seed {row['seed']}: " + ", ".join(diff))
+    return out
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("seeds", nargs="+", type=int)
     parser.add_argument("--jobs", type=int, default=1, help="seeds solved at a time")
     parser.add_argument("--json", metavar="PATH", help="also write the table to PATH")
+    parser.add_argument("--against", metavar="PATH", help="compare with the table at PATH")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
@@ -69,6 +92,13 @@ def main(argv) -> int:
         with open(args.json, "w") as f:
             json.dump(rows, f, indent=1)
             f.write("\n")
+    if args.against:
+        with open(args.against) as f:
+            diff = differences(rows, json.load(f))
+        for line in diff:
+            print(line)
+        print(f"{len(diff)} of {len(rows)} seeds differ from {args.against}")
+        return 1 if diff else 0
     return 0
 
 
