@@ -391,7 +391,7 @@ class KernelTables:
             n = len(plan.units)
             g = g.reshape(-1, n_rho, n_theta, n_zeta).transpose(0, 2, 1, 3)  # (row, theta, radius, zeta)
             e = np.zeros((n, 2 * M, n_rho * n_zeta), dtype=g.dtype)
-            for r, out, table in zip(plan.ranges, plan.rows, self.tables):
+            for a, (r, out, table) in enumerate(zip(plan.ranges, plan.rows, self.tables)):
                 # the gradients of one theta order's rows, copied one at a time
                 rows = np.empty((out.stop - out.start,) + g.shape[1:], dtype=g.dtype)
                 for i, p in enumerate(plan.first[out]):
@@ -399,7 +399,11 @@ class KernelTables:
                 for i, p in zip(*plan.dups):
                     if out.start <= i < out.stop:
                         rows[i - out.start] += g[p]
-                e[r] += np.einsum("xqt,xty->xqy", table, rows.reshape(len(rows), n_theta, -1), optimize=False)
+                rows = rows.reshape(len(rows), n_theta, -1)
+                if a:
+                    e[r] += np.einsum("xqt,xty->xqy", table, rows, optimize=False)
+                else:  # the first range, the largest, is written in place
+                    np.einsum("xqt,xty->xqy", table, rows, out=e[r], optimize=False)
             e = e.reshape(n, 2, M, n_rho, n_zeta).transpose(1, 4, 0, 2, 3).reshape(2, n_zeta, -1)
             d = np.einsum("hjz,hzy->jy", self.toroidal, e, optimize=False)
             d = d.reshape(-1, n, M, n_rho).transpose(1, 3, 2, 0).reshape(n, n_rho, -1)

@@ -387,12 +387,14 @@ def bfgs_stage(
     two bundle steps follow along minus the least-norm point of the hull of
     g and the gradient beyond the kink, the nearest trial gradient where the
     loss rose (each failed search adds its own); one that moves resets the
-    inverse Hessian H.  Each iteration reads H once for H y and writes it
-    once, taking the next H g from each block as it is updated
-    (:func:`_bfgs_update`); while H is a multiple of I neither product reads
-    it, and resets overwrite the same array.  Returns ``(x, records,
-    status)``, status in {'param-stall', 'grad-tol', 'target-reached',
-    'max-iter'}.
+    inverse Hessian H.  H is exactly symmetric and stored as its lower block
+    triangle, about n^2 / 2 doubles (:class:`_InverseHessian`).  Each
+    iteration reads H once for H y and writes it once, taking the next H g
+    from each block as it is updated; while H is a multiple of I neither
+    product reads it, and resets overwrite the same blocks.  Every dot of
+    two parameter vectors is a fixed-order ``einsum`` (:func:`_dot`).
+    Returns ``(x, records, status)``, status in {'param-stall', 'grad-tol',
+    'target-reached', 'max-iter'}.
     """
 
     def search(x, f, g, p):
@@ -406,10 +408,10 @@ def bfgs_stage(
                 ft, gt = value_and_grad(xt)
             except (NonFiniteLossError, JacobianSignError):
                 return np.inf, np.inf, None
-            trials.append((alpha, gt, float(np.dot(gt, p))))
+            trials.append((alpha, gt, _dot(gt, p)))
             return ft, trials[-1][2], (xt, ft, gt)
 
-        step = _strong_wolfe(evaluate, f, float(np.dot(g, p)))
+        step = _strong_wolfe(evaluate, f, _dot(g, p))
         if step is not None and np.max(np.abs(step[0] - x)) < config.param_tol:
             step = None
         rising = [(alpha, gt) for alpha, gt, dphi in trials if dphi > 0.0]
@@ -421,9 +423,7 @@ def bfgs_stage(
         f, g = value_and_grad(x)
     except (NonFiniteLossError, JacobianSignError) as exc:
         raise Diverged(f"stage 2 start point is invalid: {exc}", 0) from exc
-    h = np.empty((n, n))  # written at the first update
-    scratch = np.empty((min(n, max(1, _BLOCK_BYTES // h[0].nbytes)), n))
-    scale = 1.0  # H = scale I while not None, whatever h holds
+    h = _InverseHessian(n)  # H = I
     hg = g  # H g
     records = []
     first_update = True
@@ -432,19 +432,19 @@ def bfgs_stage(
         if np.max(np.abs(g)) <= config.grad_tol:
             return x, records, "grad-tol"
         p = -hg
-        if np.dot(g, p) >= 0.0:
+        if _dot(g, p) >= 0.0:
             # stale curvature turned the direction uphill; restart from I
-            scale, p = 1.0, -g
+            h.scale, p = 1.0, -g
 
         step, far = search(x, f, g, p)
         bundle = [g] if far is None else [g, far]
         for _ in range(2 if step is None else 0):
             p = -_least_norm(np.array(bundle))
-            if not float(np.dot(g, p)) < 0.0:
+            if not _dot(g, p) < 0.0:
                 break  # 0 lies in the bundle's hull: no descent direction left
             step, far = search(x, f, g, p)
             if step is not None:
-                scale = 1.0
+                h.scale = 1.0
                 break
             if far is None:
                 break
@@ -461,19 +461,13 @@ def bfgs_stage(
         if stop_check is not None and stop_check(it, x):
             return x, records, "target-reached"
 
-        ys = float(np.dot(y, s))
+        ys = _dot(y, s)
         if not ys > 0.0:  # the pair is skipped and H stays as it is
-            hg = np.einsum("ij,j->i", h, g, optimize=False) if scale is None else scale * g
+            hg = h.times(g)
             continue
         if first_update:
-            scale, first_update = ys / float(np.dot(y, y)), False
-        if scale is None:
-            hy = np.einsum("ij,j->i", h, y, optimize=False)
-        else:  # write scale I into h in place
-            h.fill(0.0)
-            np.fill_diagonal(h, scale)
-            hy, scale = scale * y, None
-        hg = _bfgs_update(h, s, y, hy, g, scratch)
+            h.scale, first_update = ys / _dot(y, y), False
+        hg = h.update(s, y, g)
     return x, records, "max-iter"
 
 
@@ -487,7 +481,7 @@ def _least_norm(points: np.ndarray) -> np.ndarray:
     for _ in range(3 * len(points)):
         gw = np.einsum("ij,j->i", gram, w, optimize=False)
         j = int(np.argmin(gw))
-        if w[j] > 0.0 or gw[j] >= np.dot(w, gw) - 1e-12 * np.max(np.diag(gram)):
+        if w[j] > 0.0 or gw[j] >= _dot(w, gw) - 1e-12 * np.max(np.diag(gram)):
             break  # no point is nearer to 0 along x = sum w_i P_i beyond rounding
         corral = [*np.flatnonzero(w), j]
         v = _affine_weights(gram, corral)
@@ -520,37 +514,86 @@ def _affine_weights(gram, corral):
     return np.concatenate([[1.0 - np.sum(t)], t])
 
 
-_BLOCK_BYTES = 384 * 1024  # a block of rows of H; with its scratch it stays in L2
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a.b as a fixed-order ``einsum``: BLAS ddot (``np.dot``) rounds
+    differently with 1 and 4 threads from about 20,000 entries."""
+    return float(np.einsum("i,i->", a, b, optimize=False))
 
 
-def _bfgs_update(
-    h: np.ndarray, s: np.ndarray, y: np.ndarray, hy: np.ndarray, g: np.ndarray,
-    scratch: np.ndarray,
-) -> np.ndarray:
-    """In-place inverse-Hessian update with the curvature pair (s, y), y.s > 0,
-    given ``hy`` = H y; returns the updated H times ``g``.
+_BLOCK_BYTES = 512 * 1024  # a full-width block of rows of H; with its scratch it stays in L2
 
-    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s equals
-    H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy.  It is added one
-    block of rows at a time through ``scratch`` (rows, n), and each updated
-    block is multiplied by g while it is in cache, so H is read and written
-    once.  Every element and every row product is rounded as in the unblocked
-    update followed by a full product.  The block products are ``einsum``
-    without BLAS; the two dots are ``np.dot`` (BLAS ddot), which OpenBLAS
-    rounds alike at any thread count up to at least 10,000 parameters but not
-    from about 20,000.
+
+class _InverseHessian:
+    """The inverse Hessian H of :func:`bfgs_stage`, exactly symmetric.
+
+    While ``scale`` is not None, H = scale I and no product reads the
+    storage; setting it resets H, and the next :meth:`update` writes scale I
+    into the blocks.  Otherwise H is its lower block triangle ``blocks``:
+    contiguous row blocks of equal height (the last may be lower), block
+    [lo, hi) holding H[lo:hi, :hi] with its diagonal block whole.  The height
+    is the rows of n doubles that fit ``_BLOCK_BYTES``.  Separate arrays, not
+    the lower part of one n x n array, so that the upper part takes neither
+    memory nor a pass.  No product goes through BLAS.
     """
-    rho = 1.0 / float(np.dot(y, s))
-    w = (0.5 * rho * (1.0 + rho * float(np.dot(y, hy)))) * s - rho * hy
-    hg = np.empty_like(g)
-    rows = len(scratch)
-    for lo in range(0, s.size, rows):
-        blk = h[lo : lo + rows]
-        out = scratch[: len(blk)]
-        blk += np.multiply.outer(s[lo : lo + rows], w, out=out)
-        blk += np.multiply.outer(w[lo : lo + rows], s, out=out)
-        np.einsum("ij,j->i", blk, g, out=hg[lo : lo + rows], optimize=False)
-    return hg
+
+    def __init__(self, n: int):
+        rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
+        self.blocks = [np.empty((min(n, lo + rows) - lo, min(n, lo + rows))) for lo in range(0, n, rows)]
+        self.scratch = np.empty(max(blk.size for blk in self.blocks))
+        self.scale = 1.0
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """H v, reading each block once and in order, so that every entry
+        sums in a fixed order."""
+        if self.scale is not None:
+            return self.scale * v
+        out = np.empty_like(v)
+        for blk in self.blocks:
+            _block_product(blk, v, out)
+        return out
+
+    def update(self, s: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """In-place update with the curvature pair (s, y), y.s > 0; returns the
+        updated H times ``g``.
+
+        (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s
+        equals H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy.  Each
+        block's share of the rank-2 term is one ``einsum`` of [s w] by [w s]
+        into ``scratch`` and one add, so entry (i, j) gains s_i w_j + w_i s_j
+        and its mirror s_j w_i + w_j s_i, equal bit for bit.  Each updated
+        block is multiplied by g while it is in cache, so the update and the
+        next H g take one pass over H, after the one that reads H y.
+        """
+        if self.scale is None:
+            hy = self.times(y)
+        else:  # write scale I into the blocks
+            for blk in self.blocks:
+                rows, hi = blk.shape
+                blk.fill(0.0)
+                blk.reshape(-1)[hi - rows :: hi + 1] = self.scale
+            hy, self.scale = self.scale * y, None
+        rho = 1.0 / _dot(y, s)
+        w = (0.5 * rho * (1.0 + rho * _dot(y, hy))) * s - rho * hy
+        left, right = np.stack([s, w], axis=1), np.stack([w, s])
+        hg = np.empty_like(g)
+        for blk in self.blocks:
+            rows, hi = blk.shape
+            lo = hi - rows
+            term = self.scratch[: blk.size].reshape(rows, hi)
+            blk += np.einsum("ik,kj->ij", left[lo:hi], right[:, :hi], out=term, optimize=False)
+            _block_product(blk, g, hg)
+        return hg
+
+
+def _block_product(blk: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """The part of H v that the block [lo, hi) of an :class:`_InverseHessian`
+    holds: sets ``out[lo:hi]`` to its rows times v[:hi] and adds the
+    transpose of its columns [0, lo) times v[lo:hi] into ``out[:lo]``."""
+    rows, hi = blk.shape
+    lo = hi - rows
+    np.einsum("ij,j->i", blk, v[:hi], out=out[lo:hi], optimize=False)
+    if lo:
+        out[:lo] += np.einsum("i,ij->j", v[lo:hi], blk[:, :lo], optimize=False)
 
 
 # -- full solve ---------------------------------------------------------------

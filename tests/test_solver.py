@@ -504,7 +504,40 @@ def test_loss_rejects_grids_without_the_mirror_symmetry():
 # -- optimizer details -----------------------------------------------------------------
 
 
-def test_inplace_bfgs_update_matches_textbook_formula():
+def _packed(h):
+    """An :class:`solver._InverseHessian` holding the symmetric matrix ``h``."""
+    packed = sv._InverseHessian(len(h))
+    for blk in packed.blocks:
+        rows, hi = blk.shape
+        blk[...] = h[hi - rows : hi, :hi]
+    packed.scale = None
+    return packed
+
+
+def _unpacked(packed):
+    """The full matrix of an :class:`solver._InverseHessian`'s blocks, the
+    upper part mirrored."""
+    n = packed.blocks[-1].shape[1]
+    h = np.empty((n, n))
+    for blk in packed.blocks:
+        rows, hi = blk.shape
+        h[hi - rows : hi, :hi] = blk
+        h[: hi - rows, hi - rows : hi] = blk[:, : hi - rows].T
+    return h
+
+
+def _textbook_update(h, s, y):
+    rho = 1.0 / (y @ s)
+    left = np.eye(len(s)) - rho * np.outer(s, y)
+    return left @ h @ left.T + rho * np.outer(s, s)
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_inplace_bfgs_update_matches_textbook_formula(monkeypatch):
+    monkeypatch.setattr(sv, "_BLOCK_BYTES", 4 * 9 * 8)  # blocks of 4, 4 and 1 rows
     rng = np.random.default_rng(4)
     n = 9
     a = rng.normal(size=(n, n))
@@ -512,12 +545,110 @@ def test_inplace_bfgs_update_matches_textbook_formula():
     s = rng.normal(size=n)
     y = s + 0.3 * rng.normal(size=n)
     assert y @ s > 0.0
-    rho = 1.0 / (y @ s)
-    left = np.eye(n) - rho * np.outer(s, y)
-    want = left @ h @ left.T + rho * np.outer(s, s)
-    got = h.copy()
-    sv._bfgs_update(got, s, y, h @ y, s, np.empty_like(got))
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = _textbook_update(h, s, y)
+    got = _packed(h)
+    assert [blk.shape for blk in got.blocks] == [(4, 4), (4, 8), (1, 9)]
+    hs = got.update(s, y, s)
+    # measured agreement: 8.9e-16 relative
+    assert _close(_unpacked(got), want)
+    assert _close(hs, want @ s)
+
+
+def test_packed_inverse_hessian_follows_the_textbook_recursion(monkeypatch):
+    # the stage's sequence: scaled identity, updates, a skipped pair (only
+    # H g is read), a reset to I, more updates; pairs y = A s of a fixed
+    # A of condition 10, so that rounding does not grow along the recursion
+    n = 40
+    monkeypatch.setattr(sv, "_BLOCK_BYTES", 7 * n * 8)  # blocks of 7 rows, the last of 5
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    a = (q * np.geomspace(1.0, 10.0, n)) @ q.T
+    h = sv._InverseHessian(n)
+    assert len(h.blocks) == 6
+    h.scale, dense = 0.3, 0.3 * np.eye(n)
+    for step in ["update"] * 8 + ["skip", "reset"] + ["update"] * 8:
+        g, v = rng.normal(size=(2, n))
+        if step == "skip":
+            before = _unpacked(h)
+            assert _close(h.times(g), dense @ g)
+            assert np.array_equal(_unpacked(h), before)
+            continue
+        if step == "reset":
+            h.scale, dense = 1.0, np.eye(n)
+            continue
+        s = rng.normal(size=n)
+        y = a @ s
+        dense = _textbook_update(dense, s, y)
+        # measured agreement: at most 2.1e-15 relative
+        assert _close(h.update(s, y, g), dense @ g)
+        full = _unpacked(h)
+        assert np.array_equal(full, full.T)
+        assert _close(h.times(v), dense @ v)
+
+
+def _capped_well(n):
+    # -t^2 for |t| <= 1/2 and 4 |t| - 9/4 beyond, plus a quadratic: a search
+    # that runs into the cap from the concave side ends without curvature
+    # (y.s < 0, the pair is skipped), and the bundle steps off the cap reset H
+    c = np.geomspace(0.1, 1.0, n - 1)
+
+    def vg(x):
+        t, d = x[0], x[1:] - 1.0
+        q = float(np.einsum("i,i->", d, c * d))
+        if abs(t) <= 0.5:
+            return q - t * t, np.concatenate([[-2.0 * t], 2.0 * c * d])
+        return q - 0.25 + 4.0 * (abs(t) - 0.5), np.concatenate([[4.0 * np.sign(t)], 2.0 * c * d])
+
+    x0 = 1.0 + np.random.default_rng(8).normal(size=n)
+    x0[0] = 1e-4
+    return vg, x0
+
+
+def test_bfgs_stage_keeps_h_symmetric_through_skips_and_resets(monkeypatch):
+    n = 40
+    monkeypatch.setattr(sv, "_BLOCK_BYTES", 7 * n * 8)
+    vg, x0 = _capped_well(n)
+    update = sv._InverseHessian.update
+    events, kept = [], None  # | per iteration, then u or R where it updates
+
+    def checked_update(h, s, y, g):
+        nonlocal kept
+        if h.scale is not None:  # a reset: the update starts from scale I
+            fresh = sv._InverseHessian(n)
+            fresh.scale = h.scale
+            update(fresh, s, y, g)
+            events[-1] = "R"
+        else:  # only an update writes H: a skipped pair leaves it as it was
+            assert np.array_equal(_unpacked(h), kept)
+            events[-1] = "u"
+        hg = update(h, s, y, g)
+        kept = _unpacked(h)
+        assert np.array_equal(kept, kept.T)
+        if events[-1] == "R":
+            assert np.array_equal(kept, _unpacked(fresh))
+        return hg
+
+    monkeypatch.setattr(sv._InverseHessian, "update", checked_update)
+    bfgs_stage(x0, vg, BFGSConfig(max_iter=40), on_iteration=lambda it, x, f: events.append("|"))
+    events = "".join(events)
+    assert len(events) == 40
+    assert "u||u" in events  # pairs skipped between updates
+    assert "uR" in events  # a reset after updates
+
+
+def test_stage_two_dots_are_not_blas(monkeypatch):
+    # np.dot is BLAS ddot, which rounds differently with 1 and 4 threads from
+    # about 20,000 entries; the stage's dots, bundle steps included, are einsum
+    def no_dot(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    bundles = []
+    least_norm = sv._least_norm
+    monkeypatch.setattr(sv, "_least_norm", lambda points: bundles.append(1) or least_norm(points))
+    monkeypatch.setattr(np, "dot", no_dot)
+    vg, x0 = _capped_well(40)
+    _, records, _ = bfgs_stage(x0, vg, BFGSConfig(max_iter=40))
+    assert len(records) == 40 and bundles
 
 
 def test_bfgs_follows_the_textbook_iterates():
@@ -580,6 +711,22 @@ def test_bfgs_stage_holds_one_inverse_hessian(monkeypatch, kinked):
     # H itself is n^2 doubles; a reset that allocated a new n x n array,
     # such as the scaled identity before the first update, would add as much
     assert peak < 1.5 * n * n * 8
+
+
+def test_bfgs_stage_stores_half_of_the_inverse_hessian():
+    # the lower block triangle and its scratch block: a full n x n H alone
+    # would take n^2 doubles
+    n = 1000
+    vg, x0 = _kinked_quadratic(n), np.full(n, -2.0)
+    x0[0] = 1.0
+    tracemalloc.start()
+    try:
+        _, records, _ = bfgs_stage(x0, vg, BFGSConfig(max_iter=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20
+    assert peak < 0.75 * n * n * 8
 
 
 def test_final_checkpoint_is_numbered_with_the_last_iteration():

@@ -15,12 +15,15 @@ printed in seed order either way.  ``--json PATH`` also writes the whole
 table to PATH as a JSON list, one object per seed, in seed order.
 ``--against PATH`` compares each seed with the row of the same seed in a
 table written by ``--json`` (all columns but ``bfgs_s``), prints the seeds
-that differ and exits with status 1 if any do.
+that differ and one summary row per table (the ``param-stall`` seeds, the
+median and worst F_vol_norm, the worst of the other seeds, and the total
+stage-2 evaluations), and exits with status 1 if any seed differs.
 """
 
 import argparse
 import json
 import multiprocessing
+import statistics
 import sys
 from dataclasses import replace
 
@@ -74,6 +77,19 @@ def differences(rows, table) -> list:
     return out
 
 
+def summary(rows) -> str:
+    """The ``param-stall`` seeds, the median and worst F_vol_norm (also
+    over the other seeds) and the total stage-2 evaluations of a table."""
+    stalls = [row["seed"] for row in rows if row["termination"] == "param-stall"]
+    fvol = [row["f_vol_norm"] for row in rows]
+    others = [row["f_vol_norm"] for row in rows if row["seed"] not in stalls] or [float("nan")]
+    return (
+        f"{len(rows)} seeds, param-stall {stalls}, F_vol_norm median {statistics.median(fvol):.3g} "
+        f"worst {max(fvol):.3g} (without stalls {max(others):.3g}), "
+        f"stage-2 evaluations {sum(row['stage2_evals'] for row in rows):,}"
+    )
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("seeds", nargs="+", type=int)
@@ -94,10 +110,14 @@ def main(argv) -> int:
             f.write("\n")
     if args.against:
         with open(args.against) as f:
-            diff = differences(rows, json.load(f))
+            table = json.load(f)
+        diff = differences(rows, table)
         for line in diff:
             print(line)
         print(f"{len(diff)} of {len(rows)} seeds differ from {args.against}")
+        ran = {row["seed"] for row in rows}
+        print(f"{args.against}: {summary([row for row in table if row['seed'] in ran])}")
+        print(f"this run: {summary(rows)}")
         return 1 if diff else 0
     return 0
 
