@@ -607,6 +607,16 @@ def _capped_well(n):
 def test_bfgs_stage_keeps_h_symmetric_through_skips_and_resets(monkeypatch):
     n = 40
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 7 * n * 8)
+
+    # np.dot is BLAS ddot, which rounds differently with 1 and 4 threads from
+    # about 20,000 entries; the stage's dots, bundle steps included, are einsum
+    def no_dot(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    bundles = []
+    least_norm = sv._least_norm
+    monkeypatch.setattr(sv, "_least_norm", lambda points: bundles.append(1) or least_norm(points))
+    monkeypatch.setattr(np, "dot", no_dot)
     vg, x0 = _capped_well(n)
     update = sv._InverseHessian.update
     events, kept = [], None  # | per iteration, then u or R where it updates
@@ -634,21 +644,7 @@ def test_bfgs_stage_keeps_h_symmetric_through_skips_and_resets(monkeypatch):
     assert len(events) == 40
     assert "u||u" in events  # pairs skipped between updates
     assert "uR" in events  # a reset after updates
-
-
-def test_stage_two_dots_are_not_blas(monkeypatch):
-    # np.dot is BLAS ddot, which rounds differently with 1 and 4 threads from
-    # about 20,000 entries; the stage's dots, bundle steps included, are einsum
-    def no_dot(*args, **kwargs):
-        raise AssertionError("np.dot called")
-
-    bundles = []
-    least_norm = sv._least_norm
-    monkeypatch.setattr(sv, "_least_norm", lambda points: bundles.append(1) or least_norm(points))
-    monkeypatch.setattr(np, "dot", no_dot)
-    vg, x0 = _capped_well(40)
-    _, records, _ = bfgs_stage(x0, vg, BFGSConfig(max_iter=40))
-    assert len(records) == 40 and bundles
+    assert bundles
 
 
 def test_bfgs_follows_the_textbook_iterates():

@@ -17,7 +17,9 @@ table to PATH as a JSON list, one object per seed, in seed order.
 table written by ``--json`` (all columns but ``bfgs_s``), prints the seeds
 that differ and one summary row per table (the ``param-stall`` seeds, the
 median and worst F_vol_norm, the worst of the other seeds, and the total
-stage-2 evaluations), and exits with status 1 if any seed differs.
+stage-2 evaluations; a table's row covers only the seeds run), and exits
+with status 1 if any seed differs.  It may be given more than once, to
+compare one run with several tables.
 """
 
 import argparse
@@ -95,7 +97,9 @@ def main(argv) -> int:
     parser.add_argument("seeds", nargs="+", type=int)
     parser.add_argument("--jobs", type=int, default=1, help="seeds solved at a time")
     parser.add_argument("--json", metavar="PATH", help="also write the table to PATH")
-    parser.add_argument("--against", metavar="PATH", help="compare with the table at PATH")
+    parser.add_argument(
+        "--against", metavar="PATH", action="append", help="compare with the table at PATH (repeatable)"
+    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
@@ -108,18 +112,19 @@ def main(argv) -> int:
         with open(args.json, "w") as f:
             json.dump(rows, f, indent=1)
             f.write("\n")
-    if args.against:
-        with open(args.against) as f:
+    ran, differ = {row["seed"] for row in rows}, False
+    for path in args.against or ():
+        with open(path) as f:
             table = json.load(f)
         diff = differences(rows, table)
         for line in diff:
             print(line)
-        print(f"{len(diff)} of {len(rows)} seeds differ from {args.against}")
-        ran = {row["seed"] for row in rows}
-        print(f"{args.against}: {summary([row for row in table if row['seed'] in ran])}")
+        print(f"{len(diff)} of {len(rows)} seeds differ from {path}")
+        print(f"{path}: {summary([row for row in table if row['seed'] in ran])}")
+        differ = differ or bool(diff)
+    if args.against:
         print(f"this run: {summary(rows)}")
-        return 1 if diff else 0
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
