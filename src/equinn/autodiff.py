@@ -36,6 +36,7 @@ __all__ = [
     "sqrt",
     "matmul",
     "einsum",
+    "elemental",
     "linear",
     "stack",
     "transpose",
@@ -339,14 +340,22 @@ def einsum(subscripts: str, a, b):
     return out
 
 
+def elemental(x, forward: Callable):
+    """A function of ``x`` as one tape node.  ``forward`` takes the plain
+    numpy value of ``x`` and returns ``(y, vjp)``: the value and the map of
+    the reverse pass from the gradient of ``y`` to that of ``x``, which may
+    close over the forward's intermediates.  On a plain array the result is
+    ``y``."""
+    if not isinstance(x, Var):
+        return forward(np.asarray(x))[0]
+    y, vjp = forward(x.value)
+    return Var(y, (x,), lambda g: (vjp(g),))
+
+
 def linear(x, forward: Callable, adjoint: Callable):
     """``forward(x)`` as one tape node, for a linear map ``forward`` on numpy
     arrays whose transpose is ``adjoint`` (the map of the reverse pass)."""
-    if not isinstance(x, Var):
-        return forward(x)
-    out = Var(forward(x.value), (x,))
-    out._vjp = lambda g: (adjoint(g),)
-    return out
+    return elemental(x, lambda v: (forward(v), adjoint))
 
 
 def stack(xs, axis: int = 0):

@@ -30,13 +30,16 @@ normal and a helical part,
 and the reported magnitude is ||F|| = sqrt(F_s^2 (e^s.e^s) + F_h^2 (e^h.e^h)).
 
 All field arrays are shaped (n_rho, n_theta * n_zeta) and may be plain numpy
-arrays or autodiff variables; the same code path produces the training loss
-and the diagnostics.
+arrays or autodiff variables.  The training loss and the diagnostics run the
+same four stage functions on plain arrays: the loss tapes them as one node
+from the profile jets to ||F|| (:func:`force_magnitude`), whose reverse pass
+is a hand-written adjoint.  Run on autodiff variables, the stages tape
+themselves node by node, which gives the reference gradient for that adjoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -54,6 +57,8 @@ __all__ = [
     "magnetic_field",
     "current",
     "force",
+    "field_state",
+    "force_magnitude",
     "grad_B2_magnitude",
     "gradient_magnitude",
     "volume",
@@ -426,8 +431,9 @@ def geometry(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[Ker
     flux derivatives through d/ds = d/drho / (2 rho).  ``tables`` is the
     grid's synthesis (:class:`KernelTables`); it depends only on (mode
     sets, grid) and may be passed in precomputed.  The synthesis is one
-    tape node, and it runs only on the rows the kernel reads: lambda enters
-    the field only through its theta and zeta derivatives.
+    linear map (one tape node on autodiff jets), and it runs only on the
+    rows the kernel reads: lambda enters the field only through its theta
+    and zeta derivatives.
 
     The covariant basis e_i = (d_i R, R delta_i_zeta, d_i Z) has its (R, Z)
     part in ``e``; with the in-plane cross product cross2 the Jacobian is
@@ -529,6 +535,120 @@ def force(state: FieldState, p_prime) -> FieldState:
     gu_ss = ad.einsum("cra,cra->ra", e_s, e_s) / det
     st.F_mag = ad.sqrt(st.F_s * st.F_s * gu_ss + st.F_h * st.F_h * ehh)
     return st
+
+
+def field_state(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[KernelTables],
+                iota_coeffs, psi_b: float, p_prime) -> FieldState:
+    """:func:`geometry`, :func:`magnetic_field`, :func:`current` and
+    :func:`force` in turn."""
+    st = geometry(profiles, grid, tables)
+    magnetic_field(st, iota_coeffs, psi_b)
+    current(st)
+    force(st, p_prime)
+    return st
+
+
+def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: KernelTables,
+                    iota_coeffs, psi_b: float, p_prime):
+    """``F_mag`` of :func:`field_state` as one tape node of the profile jets.
+
+    The forward runs the four stages on the jets' plain value; the reverse
+    pass maps the gradient of ``F_mag`` to the synthesized rows
+    (:func:`_kernel_adjoint`) and on through ``tables.adjoint``.
+    """
+    def forward(jets):
+        st = field_state(replace(profiles, jets=jets), grid, tables, iota_coeffs, psi_b, p_prime)
+        return st.F_mag, lambda g: tables.adjoint(_kernel_adjoint(st, g, psi_b))
+
+    return ad.elemental(profiles.jets, forward)
+
+
+def _rot(v):
+    """rot(v) = (v_Z, -v_R) of in-plane vectors on axis -3, so that
+    cross2(a, b) = a . rot(b)."""
+    return np.stack([v[..., 1, :, :], -v[..., 0, :, :]], axis=-3)
+
+
+def _kernel_adjoint(st: FieldState, g, psi_b: float) -> np.ndarray:
+    """The gradient of the rows :meth:`KernelTables.forward` yields, shape
+    (17, 2, n_rho, n_nodes) in the jets' dtype, from the gradient ``g`` of
+    ``st.F_mag``: the reverse of :func:`force`, :func:`current`,
+    :func:`magnetic_field` and :func:`geometry` on the plain arrays of a
+    state that :func:`field_state` filled.  The intermediates the state does
+    not keep (w, tilt, w_k, det, e_h) are recomputed.  Where F_mag = 0 the
+    subgradient 0 is taken, as :func:`autodiff.sqrt` does.
+    """
+    R, e, de, sqrtg, dual, b, db, jsup = st.R, st.e, st.de, st.sqrtg, st.dual, st.b, st.db, st.jsup
+    out = np.zeros((17, 2) + R.shape, dtype=R.dtype)
+    g_de, g_dlam, g_ddlam, g_R, g_e = out[:9].reshape(de.shape), out[9], out[10:13], out[13, 0], out[14:]
+
+    # force: F_mag^2 det = X = F_s^2 |e_s|^2 + F_h^2 |e_h|^2 with det = sqrt(g)^2,
+    # F_s = mu0 (h . J - p'), F_h = -mu0 J^s and h = (0, h_theta, h_zeta)
+    h = np.stack([st.gbsup[1], -st.gbsup[0]])
+    e_s, e_h = dual[0], h[0] * dual[1] + h[1] * dual[2]
+    F, F_s, F_h = st.F_mag, st.F_s, st.F_h
+    u = np.divide(g, F * (sqrtg * sqrtg), out=np.zeros_like(F), where=F != 0.0)  # 2 g dF/dX
+    g_dual = np.empty_like(dual)
+    g_dual[0] = (u * F_s * F_s) * e_s
+    g_eh = (u * F_h * F_h) * e_h
+    g_dual[1:] = h[:, None] * g_eh
+    g_hJ = MU0 * u * F_s * np.einsum("cra,cra->ra", e_s, e_s)  # the gradient of h . J
+    g_h = g_hJ * jsup[1:] + np.einsum("cra,icra->ira", g_eh, dual[1:])
+    g_gbsup = np.stack([-g_h[1], g_h[0]])
+    g_sqrtg = -g * F / sqrtg  # through det
+    g_jsup = np.empty_like(jsup)
+    g_jsup[0] = -MU0 * u * F_h * np.einsum("cra,cra->ra", e_h, e_h)
+    g_jsup[1:] = g_hJ * h
+
+    # current: J^i = curl_i / sqrt(g), curl_i = (edb[j, k] - edb[k, j] + eps_ij2 d_j (R B_phi)) / mu0
+    g_curl = g_jsup / sqrtg
+    g_sqrtg -= np.einsum("ira,ira->ra", g_curl, jsup)
+    g_curl /= MU0
+    g_edb = np.einsum("ijk,ira->jkra", _LEVI_CIVITA, g_curl)
+    g_drb = np.stack([-g_curl[1], g_curl[0]])  # d_s and d_theta of R B_phi
+    g_e += np.einsum("kira,kcra->icra", g_edb, st.db_plane)
+    g_dbp = np.einsum("kira,icra->kcra", g_edb, e)
+    g_e[:2, 0] += g_drb * (st.b_phi + R * b[1])
+    g_R += np.einsum("kra,kra->ra", g_drb, st.db_phi[:2] + R * db[:2, 1])
+    g_b_phi = np.einsum("kra,kra->ra", g_drb, st.dR[:2])
+
+    # field: db_plane = de[:, 1:] . b + e[1:] . db, d_k B_phi = d_k R b^zeta + R d_k b^zeta
+    g_db = np.einsum("kcra,lcra->klra", g_dbp, e[1:])
+    g_db[:2, 1] += (R * R) * g_drb
+    g_de[:, 1:] += np.einsum("kcra,lra->klcra", g_dbp, b)
+    g_e[1:] += np.einsum("kcra,klra->lcra", g_dbp, db)
+    g_b = np.einsum("kcra,klcra->lra", g_dbp, de[:, 1:])
+    g_b[1] += (2.0 * R) * g_b_phi  # through B_phi = R b^zeta and through d_k B_phi
+    g_R += b[1] * g_b_phi
+    # db = (d gbsup - b dsqrtg) / sqrt(g), b = gbsup / sqrt(g)
+    g_dgb = g_db / sqrtg
+    g_b -= np.einsum("klra,kra->lra", g_dgb, st.dsqrtg)
+    g_dsqrtg = -np.einsum("klra,lra->kra", g_dgb, b)
+    g_sqrtg -= np.einsum("klra,klra->ra", g_dgb, db) + np.einsum("lra,lra->ra", g_b, b) / sqrtg
+    g_gbsup += g_b / sqrtg
+    g_dlam[0], g_dlam[1] = psi_b * g_gbsup[1], -psi_b * g_gbsup[0]
+    g_ddlam[:, 0], g_ddlam[:, 1] = psi_b * g_dgb[:, 1], -psi_b * g_dgb[:, 0]
+
+    # geometry: sqrt(g) = R w, dsqrtg = dR w + R w_k, w_k = de . tilt,
+    # dual = (R tilt[:, 0], phi, R tilt[:, 1]) with phi_i = cross2(e_{i+2}, e_{i+1})
+    rot = _rot(e)
+    tilt = np.stack([-rot[1], rot[0]])
+    w = dual[2, 1]
+    w_k = np.einsum("kicra,icra->kra", de[:, :2], tilt)
+    g_e[:, 0] += g_dsqrtg * w
+    g_w = np.einsum("kra,kra->ra", g_dsqrtg, st.dR) + g_sqrtg * R
+    g_R += np.einsum("kra,kra->ra", g_dsqrtg, w_k) + g_sqrtg * w
+    g_inplane = g_dual[:2, ::2]
+    g_R += np.einsum("icra,icra->ra", g_inplane, tilt)
+    g_wk = R * g_dsqrtg
+    g_de[:, :2] += np.einsum("kra,icra->kicra", g_wk, tilt)
+    g_tilt = R * g_inplane + np.einsum("kra,kicra->icra", g_wk, de[:, :2])
+    gp = g_dual[:, 1]
+    gp[2] += g_w
+    g_e[0] += gp[1] * rot[2] - gp[2] * rot[1] - _rot(g_tilt[1])
+    g_e[1] += gp[2] * rot[0] - gp[0] * rot[2] + _rot(g_tilt[0])
+    g_e[2] += gp[0] * rot[1] - gp[1] * rot[0]
+    return out
 
 
 def gradient_magnitude(state: FieldState, dq_s, dq_t, dq_z):

@@ -201,13 +201,12 @@ class LossAssembler:
 
     # -- evaluation ------------------------------------------------------
 
-    def _state(self, params: NetParams, grid: CollocationGrid, tables) -> mk.FieldState:
+    def _kernel_args(self, params: NetParams, grid: CollocationGrid, tables) -> tuple:
         stack = nf.profile_stack(params, self.input, grid.rho, self.constants)
-        state = mk.geometry(stack, grid, tables)
-        mk.magnetic_field(state, self.input.iota, self.input.psi_b)
-        mk.current(state)
-        mk.force(state, self.p_prime)
-        return state
+        return stack, grid, tables, self.input.iota, self.input.psi_b, self.p_prime
+
+    def _state(self, params: NetParams, grid: CollocationGrid, tables) -> mk.FieldState:
+        return mk.field_state(*self._kernel_args(params, grid, tables))
 
     @functools.cached_property
     def tables(self) -> mk.KernelTables:
@@ -223,8 +222,10 @@ class LossAssembler:
         return ad.sum_all(f_mag * self.half_weights) / self.grid.n_nodes
 
     def _loss_expr(self, vec):
+        """The loss on the tape: the networks, the kernel as one node
+        (:func:`mhdkernel.force_magnitude`) and the weighted mean."""
         params = nf.vector_to_params(vec, self.template)
-        return self._mean(self._state(params, self.half_grid, self.half_tables).F_mag)
+        return self._mean(mk.force_magnitude(*self._kernel_args(params, self.half_grid, self.half_tables)))
 
     def loss_value(self, vec: np.ndarray) -> float:
         out = self._loss_expr(np.asarray(vec))

@@ -385,7 +385,7 @@ def test_dshape_tape_stays_within_node_budget():
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    assert len(seen) <= 123
+    assert len(seen) <= 55
 
 
 def test_dshape_gradient_digest_is_frozen():
@@ -399,7 +399,7 @@ def test_dshape_gradient_digest_is_frozen():
     x = nf.params_to_vector(nf.init_params((asm.modes_cos, asm.modes_sin), config.width, 0, input))
     val, grad = asm.value_and_grad(x + 0.01 * np.random.default_rng(3).normal(size=x.size))
     digest = hashlib.sha256((np.append(grad, val) + 0.0).tobytes()).hexdigest()
-    assert digest == "ff4368d38893e652fb8f5c99e3335287e5c32b119f1e70069ab6a488982f6a8b"
+    assert digest == "2167c132a80e4d28cf90468bd87c2cba139bcfbc4d47397f55c76f507ba61917"
 
 
 # -- the loss on the mirror half of the grid ---------------------------------------------
@@ -450,6 +450,57 @@ def test_half_grid_metrics_match_full_grid_quadrature(case, n_theta, n_zeta):
     assert got["f_norm_profile"].shape == (asm.grid.n_rho,)
     assert np.all(np.abs(got["f_norm_profile"] - want["f_norm_profile"]) <= 1e-14 * want["f_norm_profile"])
     assert got["loss"] == asm.loss_value(x)
+
+
+def node_and_tape_gradients(stack, grid, tables, iota, psi_b, p_prime, dtype=float):
+    """F_mag and the jets' gradient at a random cotangent, from the kernel node
+    (:func:`mhdkernel.force_magnitude`) and from the tape through the four
+    kernel functions on Var jets: ``[(F_mag, grad) of the node, (F_mag,
+    grad) of the tape]``."""
+    from dataclasses import replace
+
+    from equinn import autodiff as ad, mhdkernel as mk
+
+    out = []
+    for kernel in (mk.force_magnitude, lambda *args: mk.field_state(*args).F_mag):
+        jets = ad.Var(np.asarray(stack.jets, dtype=dtype))
+        f_mag = kernel(replace(stack, jets=jets), grid, tables, iota, psi_b, p_prime)
+        cotangent = np.random.default_rng(4).normal(size=f_mag.shape)
+        ad.sum_all(f_mag * cotangent).backward()
+        out.append((f_mag.value, jets.grad))
+    return out
+
+
+@HALF_GRID_CASES
+def test_kernel_node_adjoint_matches_the_tape(case, n_theta, n_zeta):
+    asm, x = half_grid_case(case, n_theta, n_zeta)
+    args = asm._kernel_args(nf.vector_to_params(x, asm.template), asm.half_grid, asm.half_tables)
+    (f_mag, grad), (want_f_mag, want) = node_and_tape_gradients(*args)
+    assert np.array_equal(f_mag, want_f_mag)
+    assert grad.shape == want.shape == args[0].jets.shape
+    assert np.max(np.abs(grad - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kernel_node_keeps_long_double():
+    asm, x = half_grid_case("ellipse", 21, 7)
+    args = asm._kernel_args(nf.vector_to_params(x, asm.template), asm.half_grid, asm.half_tables)
+    (f_mag, grad), (_, want) = node_and_tape_gradients(*args, dtype=np.longdouble)
+    assert f_mag.dtype == grad.dtype == want.dtype == np.longdouble
+    assert np.max(np.abs(grad - want)) <= 1e-16 * np.max(np.abs(want))
+
+
+def test_kernel_node_takes_the_subgradient_zero_where_the_force_vanishes():
+    # no field (psi_b = 0) and no pressure gradient on the first surface:
+    # F_mag is exactly 0 there and mu0 |p'| |grad s| elsewhere
+    asm, x = half_grid_case("small", 21, 0)
+    stack, grid, tables, iota, _, p_prime = asm._kernel_args(
+        nf.vector_to_params(x, asm.template), asm.half_grid, asm.half_tables
+    )
+    p_prime = np.where(np.arange(grid.n_rho) == 0, 0.0, p_prime)
+    (f_mag, grad), (_, want) = node_and_tape_gradients(stack, grid, tables, iota, 0.0, p_prime)
+    assert np.all(f_mag[0] == 0.0) and np.all(f_mag[1:] > 0.0)
+    assert np.all(np.isfinite(grad))
+    assert np.max(np.abs(grad - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n_theta, n_zeta", [(20, 8), (21, 7)])
