@@ -9,8 +9,9 @@ Two mechanisms live here:
 
 * :class:`Var` -- reverse-mode accumulation over the evaluation trace, used
   to obtain the gradient of the scalar loss with respect to every network
-  parameter.  Jet components may themselves be :class:`Var` nodes, so the
-  radial jets are differentiable primitives of the reverse pass.
+  parameter.  The loss tapes the networks and the force kernel as one
+  :func:`elemental` node each, with hand-written adjoints; the other
+  operators, and :class:`Jet2` on Vars, tape their test references.
 
 All array work is plain numpy.  Contractions go through ``np.einsum`` with
 ``optimize=False`` (no BLAS), and the final loss reduction uses exactly
@@ -402,8 +403,8 @@ def mean_all(x):
 class Jet2:
     """Value and first/second derivative with respect to one seed scalar.
 
-    Components may be floats, numpy arrays or :class:`Var` nodes.  The
-    networks need only the activation, ``(tanh u).d2 = sech^2 u (u.d2 -
+    Components may be floats, numpy arrays or :class:`Var` nodes (a taped
+    reference of the networks).  The networks need only the activation, ``(tanh u).d2 = sech^2 u (u.d2 -
     2 tanh u u.d1^2)``; their affine layers act on the components directly.
     """
 

@@ -86,9 +86,9 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"EQNNCKPT"
-CHECKPOINT_VERSION = 1
-# magic, version, case digest, iteration, width, mode count, M, N, n_fp
-_CHECKPOINT_HEADER = struct.Struct("<8sI32sQIIIII")
+CHECKPOINT_VERSION = 2
+# magic, version, case digest, iteration, width, mode count, M, N, n_fp, payload SHA-256 (v2)
+_CHECKPOINT_HEADERS = {1: struct.Struct("<8sI32sQIIIII"), 2: struct.Struct("<8sI32sQIIIII32s")}
 OUTDIR_ENV = "EQUINN_OUTDIR"
 
 DSHAPE_CASE = """\
@@ -339,12 +339,14 @@ def save_checkpoint(path, params: NetParams, digest: bytes, iteration: int) -> N
     """Little-endian binary dump of the parameter vector with provenance.
 
     Written to a temporary file in the target directory and moved over
-    ``path`` in one step, so ``path`` always holds a whole checkpoint.
+    ``path`` in one step, so ``path`` always holds a whole checkpoint.  The
+    header carries the payload's SHA-256, which :func:`load_checkpoint` checks.
     """
     modes = params.modes_cos
-    header = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest, iteration,
-                                     params.width, params.n_modes, modes.M, modes.N, modes.n_fp)
     data = np.asarray(nf.params_to_vector(params), dtype="<f8").tobytes()
+    header = _CHECKPOINT_HEADERS[CHECKPOINT_VERSION].pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest, iteration, params.width, params.n_modes,
+        modes.M, modes.N, modes.n_fp, hashlib.sha256(data).digest())
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -356,15 +358,20 @@ def save_checkpoint(path, params: NetParams, digest: bytes, iteration: int) -> N
 
 
 def load_checkpoint(path) -> tuple[NetParams, bytes, int]:
+    """Parameters, case digest and iteration of a checkpoint of version 1 or 2."""
     blob = Path(path).read_bytes()
-    if len(blob) < _CHECKPOINT_HEADER.size:
-        raise ValueError(f"{path}: truncated checkpoint")
-    magic, version, digest, iteration, width, k, M, N, n_fp = _CHECKPOINT_HEADER.unpack_from(blob)
-    if magic != CHECKPOINT_MAGIC:
+    version = int.from_bytes(blob[8:12], "little")
+    header = _CHECKPOINT_HEADERS.get(version)
+    if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    if version != CHECKPOINT_VERSION:
+    if header is None:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    vec = np.frombuffer(blob, dtype="<f8", offset=_CHECKPOINT_HEADER.size).astype(float)
+    if len(blob) < header.size:
+        raise ValueError(f"{path}: truncated checkpoint")
+    _, _, digest, iteration, width, k, M, N, n_fp, *sha = header.unpack_from(blob)
+    if sha and hashlib.sha256(blob[header.size :]).digest() != sha[0]:
+        raise ValueError(f"{path}: checkpoint payload does not match its SHA-256")
+    vec = np.frombuffer(blob, dtype="<f8", offset=header.size).astype(float)
     modes_cos, modes_sin = spectral.mode_set_pair(M, N, n_fp)
     if k != modes_cos.size:
         raise ValueError(f"{path}: inconsistent mode count")

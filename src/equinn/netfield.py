@@ -16,7 +16,8 @@ raw network output is composed with
 R and Z carry the boundary term; the poloidal renormalization stream
 function lambda is unconstrained apart from its pinned (0,0) sine mode.
 First and second radial derivatives of every profile are propagated
-exactly with second-order jets, never by finite differences.
+exactly with second-order jets, never by finite differences.  On the tape,
+networks and composition are one node with a hand-written adjoint.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "ProfileStack",
     "ProfileConstants",
     "input_map",
-    "mlp_forward",
     "init_params",
     "mode_profiles",
     "profile_stack",
@@ -142,25 +142,51 @@ def input_map(rho):
     return 2.0 * rho * rho - 1.0
 
 
-def _mlp_jets(nets: MLPCoefficients, f: Jet2):
+def _tanh_jet(u0, u1, u2):
+    """tanh of the jet (u0, u1, u2), rounded as :meth:`autodiff.Jet2.tanh`."""
+    t = np.tanh(u0)
+    sech2 = 1.0 - t * t
+    d1 = sech2 * u1
+    return np.stack([t, d1, sech2 * u2 - 2.0 * ((t * u1) * d1)])
+
+
+def _tanh_jet_adjoint(u, t, g):
+    """The gradient of the pre-activation jet ``u`` from the gradient ``g``
+    of its tanh jet (t, s u1, s (u2 - 2 t u1^2)), s = 1 - t^2."""
+    s, u1sq = 1.0 - t * t, u[1] * u[1]
+    return s * np.stack([g[0] - 2.0 * t * (u[1] * g[1] + (u[2] - 2.0 * t * u1sq) * g[2]) - 2.0 * s * u1sq * g[2],
+                         g[1] - 4.0 * t * u[1] * g[2], g[2]])
+
+
+def _network_jets(nets: MLPCoefficients, f: Jet2) -> tuple:
     """Field-stacked network outputs without the last bias, as jets in the
-    seed variable of ``f`` (components shaped (n_rho, 1)).
+    seed variable of ``f`` (plain arrays, components shaped (n_rho, 1)):
+    (3, F, n_rho, K), jet order (value, first, second derivative); and per
+    tanh layer its pre-activation and output jets, (3, F, n_rho, width)."""
+    u1 = np.stack([f.value * nets.w0 + nets.b0, f.d1 * nets.w0, f.d2 * nets.w0])
+    h1 = _tanh_jet(*u1)
+    a = [np.einsum("frh,fkh->frk", x, nets.w1, optimize=False) for x in h1]
+    u2 = np.stack([a[0] + nets.b1, a[1], a[2]])
+    h2 = _tanh_jet(*u2)
+    return np.einsum("jfrh,fkh->jfrk", h2, nets.w2, optimize=False), ((u1, h1), (u2, h2))
 
-    Returns one array of shape (3, F, n_rho, K): jet order (value, first,
-    second derivative), field, radius, mode.
-    """
-    h = Jet2(f.value * nets.w0 + nets.b0, f.d1 * nets.w0, f.d2 * nets.w0).tanh()
-    h = Jet2(*(ad.einsum("frh,fkh->frk", x, nets.w1) for x in (h.value, h.d1, h.d2)))
-    h = Jet2(h.value + nets.b1, h.d1, h.d2).tanh()
-    return ad.einsum("jfrh,fkh->jfrk", ad.stack([h.value, h.d1, h.d2]), nets.w2)
 
-
-def mlp_forward(net: MLPCoefficients, f: float):
-    """Output vector of one network (a field axis of length 1, such as
-    ``params.r``) and its first/second derivatives with respect to f."""
-    seed = Jet2(np.array([[float(f)]]), np.array([[1.0]]), np.array([[0.0]]))
-    raw = ad.value_of(_mlp_jets(net, seed))[:, 0, 0]
-    return raw[0] + ad.value_of(net.b2)[0, 0], raw[1].copy(), raw[2].copy()
+def _network_adjoint(nets: MLPCoefficients, c: "ProfileConstants", layers, g) -> np.ndarray:
+    """The gradient of the flat parameter vector from the gradient ``g`` of
+    the composed jets: the reverse of :func:`profile_stack`'s forward.  It
+    works with the radius last, (jet, field, unit, radius), so that every
+    contraction runs over radii or adds whole rows of them."""
+    (u1, h1), (u2, h2) = ([np.ascontiguousarray(x.swapaxes(2, 3)) for x in layer] for layer in layers)
+    g_raw = np.einsum("jfrk,jifrk->ifkr", g, c.compose, optimize=False)
+    g_u2 = _tanh_jet_adjoint(u2, h2[0], np.einsum("fkh,jfkr->jfhr", nets.w2, g_raw, optimize=False))
+    g_u1 = _tanh_jet_adjoint(u1, h1[0], np.einsum("fkh,jfkr->jfhr", nets.w1, g_u2, optimize=False))
+    f = np.stack([c.f.value, c.f.d1, c.f.d2])[..., 0]
+    blocks = (
+        np.einsum("jfhr,jr->fh", g_u1, f, optimize=False), g_u1[0].sum(axis=2),
+        np.einsum("jfkr,jfhr->fkh", g_u2, h1, optimize=False), g_u2[0].sum(axis=2),
+        np.einsum("jfkr,jfhr->fkh", g_raw, h2, optimize=False), np.einsum("jfrk,jfrk->fk", g, c.P, optimize=False),
+    )
+    return np.concatenate([b.reshape(3, -1) for b in blocks], axis=1).ravel()
 
 
 # -- equilibrium problem definition ------------------------------------------
@@ -301,7 +327,7 @@ def init_params(
         _axis_targets(input, modes_sin, zb, input.axis_z),
     ])
     axis = Jet2(np.array([[input_map(0.0)]]), np.array([[1.0]]), np.array([[0.0]]))
-    rows[:, bounds[5] :] = targets - _mlp_jets(params.fields(), axis)[0, :, 0]
+    rows[:, bounds[5] :] = targets - _network_jets(params.fields(), axis)[0][0, :, 0]
     return params
 
 
@@ -322,9 +348,9 @@ class ModeProfiles:
 class ProfileStack:
     """Profile values and radial derivatives for a whole radius batch.
 
-    ``jets`` (numpy array or autodiff variable, the kernel's input) has
-    shape (3, 3, n_rho, n_modes): jet order (value, d/drho, d2/drho2),
-    field (R, lambda, Z), radius, mode.
+    ``jets`` (numpy array, or the tape node :func:`profile_stack` makes of
+    an autodiff vector; the kernel's input) has shape (3, 3, n_rho,
+    n_modes): jet order (value, d/drho, d2/drho2), field, radius, mode.
     """
 
     rho: np.ndarray
@@ -391,15 +417,19 @@ def profile_stack(
 
     Accepts network parameters holding numpy arrays or autodiff variables;
     the radial grid must lie strictly inside (0, 1).  The last network bias
-    is constant in rho, so it enters the composition as ``P b2``.
+    is constant in rho, so it enters the composition as ``P b2``.  On a
+    variable the jets are one tape node in its dtype: a plain-array forward
+    and :func:`_network_adjoint`, ``np.einsum(..., optimize=False)``, no BLAS.
     """
-    c = constants or ProfileConstants.build(
-        input, params.modes_cos, params.modes_sin, rho
-    )
-    nets = params.fields()
-    raw = _mlp_jets(nets, c.f)
-    jets = ad.einsum("jifrk,ifrk->jfrk", c.compose, raw) + c.P * nets.b2 + c.C
-    return ProfileStack(c.rho, params.modes_cos, params.modes_sin, jets)
+    c = constants or ProfileConstants.build(input, params.modes_cos, params.modes_sin, rho)
+
+    def forward(vec):
+        nets = vector_to_params(vec, params).fields()
+        raw, layers = _network_jets(nets, c.f)
+        jets = np.einsum("jifrk,ifrk->jfrk", c.compose, raw, optimize=False) + c.P * nets.b2 + c.C
+        return jets, lambda g: _network_adjoint(nets, c, layers, g)
+
+    return ProfileStack(c.rho, params.modes_cos, params.modes_sin, ad.elemental(params.vector, forward))
 
 
 def mode_profiles(params: NetParams, input: EquilibriumInput, rho: float) -> ModeProfiles:

@@ -222,7 +222,8 @@ class LossAssembler:
         return ad.sum_all(f_mag * self.half_weights) / self.grid.n_nodes
 
     def _loss_expr(self, vec):
-        """The loss on the tape: the networks, the kernel as one node
+        """The loss on the tape: the networks as one node
+        (:func:`netfield.profile_stack`), the kernel as one node
         (:func:`mhdkernel.force_magnitude`) and the weighted mean."""
         params = nf.vector_to_params(vec, self.template)
         return self._mean(mk.force_magnitude(*self._kernel_args(params, self.half_grid, self.half_tables)))

@@ -3,6 +3,7 @@
 import numpy as np
 
 from equinn import autodiff as ad, mhdkernel as mk, netfield as nf
+from equinn.autodiff import Jet2
 from equinn.netfield import ProfileStack
 from equinn.solver import _strong_wolfe
 from equinn.spectral import build_mode_set
@@ -25,6 +26,34 @@ N = 2
 pressure = 1000.0 -2000.0 1000.0
 iota = 0.5 0.2
 """
+
+
+def mlp_jets(nets, f):
+    """The networks taped through :class:`Jet2` on Var or plain weights:
+    outputs without the last bias, shape (3, F, n_rho, K), as jets in the
+    seed variable of ``f`` (components shaped (n_rho, 1)).  The reference
+    for the network node of :func:`netfield.profile_stack`."""
+    h = Jet2(f.value * nets.w0 + nets.b0, f.d1 * nets.w0, f.d2 * nets.w0).tanh()
+    h = Jet2(*(ad.einsum("frh,fkh->frk", x, nets.w1) for x in (h.value, h.d1, h.d2)))
+    h = Jet2(h.value + nets.b1, h.d1, h.d2).tanh()
+    return ad.einsum("jfrh,fkh->jfrk", ad.stack([h.value, h.d1, h.d2]), nets.w2)
+
+
+def taped_profile_jets(params, constants):
+    """The composed jets of :func:`netfield.profile_stack`, taped op by op
+    through :func:`mlp_jets` instead of as one node."""
+    nets = params.fields()
+    raw = mlp_jets(nets, constants.f)
+    return ad.einsum("jifrk,ifrk->jfrk", constants.compose, raw) + constants.P * nets.b2 + constants.C
+
+
+def mlp_forward(net, f):
+    """Output vector of one network (a field axis of length 1, such as
+    ``params.r``) and its first/second derivatives with respect to f, from
+    the taped reference :func:`mlp_jets`."""
+    seed = Jet2(np.array([[float(f)]]), np.array([[1.0]]), np.array([[0.0]]))
+    raw = ad.value_of(mlp_jets(net, seed))[:, 0, 0]
+    return raw[0] + ad.value_of(net.b2)[0, 0], raw[1].copy(), raw[2].copy()
 
 
 def torus_stack(rho, R0=3.0, a=1.0, M=2, axis_shift=None):

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 from bruteforce import brute_point
-from support import contravariant_basis, torus_stack
+from support import contravariant_basis, mlp_forward, torus_stack
 
 from equinn import cli_io, mhdkernel as mk, netfield as nf, solver as sv
 from equinn.autodiff import grad_check
@@ -261,7 +261,7 @@ def test_criterion_6_construction_invariants():
         rb = nf.padded_boundary(input.boundary_r, sets[0])
         for rho in (1e-3, 1e-2, 0.1):
             prof = nf.mode_profiles(params, input, rho)
-            nn_out, _, _ = nf.mlp_forward(params.r, nf.input_map(rho))
+            nn_out, _, _ = mlp_forward(params.r, nf.input_map(rho))
             bound = 10.0 * (np.abs(rb) + np.max(np.abs(nn_out)) + 1e-9)
             ratio = np.abs(prof.r.values / rho ** sets[0].m)
             checks.append(("analyticity", float(np.max(ratio / bound)), 1.0))

@@ -241,6 +241,35 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
 
+def test_checkpoint_rejects_a_flipped_payload_byte(tmp_path):
+    input, config = dshape()
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, nf.init_params(mode_set_pair(input.M, input.N, input.n_fp), 3, 5, input),
+                    case_digest(input, config), 7)
+    blob = bytearray(path.read_bytes())
+    blob[-100] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"{path}: .*SHA-256"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loads_version_1(tmp_path):
+    # version 1: magic, version, case digest, iteration, width, mode count,
+    # M, N, n_fp, then the little-endian float64 vector, without a hash
+    import struct
+
+    input, config = dshape()
+    sets = mode_set_pair(input.M, input.N, input.n_fp)
+    params = nf.init_params(sets, 3, 5, input)
+    digest = case_digest(input, config)
+    header = struct.pack("<8sI32sQIIIII", b"EQNNCKPT", 1, digest, 42, 3, sets[0].size, input.M, input.N, input.n_fp)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(header + nf.params_to_vector(params).astype("<f8").tobytes())
+    loaded, digest2, iteration = load_checkpoint(path)
+    assert digest2 == digest and iteration == 42
+    assert np.array_equal(nf.params_to_vector(loaded), nf.params_to_vector(params))
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"this is not a checkpoint at all")

@@ -11,12 +11,12 @@ from equinn.netfield import (
     NetParams,
     init_params,
     input_map,
-    mlp_forward,
     mode_profiles,
     params_to_vector,
     vector_to_params,
 )
 from equinn.spectral import SurfaceCoefficients, build_mode_set, mode_set_pair, synthesize
+from support import mlp_forward
 
 
 def make_input(M=5, N=0, r_pairs=None, z_pairs=None, axis_r=None, axis_z=None, psi_b=1.0, mb=3):
