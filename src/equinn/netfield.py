@@ -184,7 +184,7 @@ def _network_adjoint(nets: MLPCoefficients, c: "ProfileConstants", layers, g) ->
     blocks = (
         np.einsum("jfhr,jr->fh", g_u1, f, optimize=False), g_u1[0].sum(axis=2),
         np.einsum("jfkr,jfhr->fkh", g_u2, h1, optimize=False), g_u2[0].sum(axis=2),
-        np.einsum("jfkr,jfhr->fkh", g_raw, h2, optimize=False), np.einsum("jfrk,jfrk->fk", g, c.P, optimize=False),
+        np.einsum("jfkr,jfhr->fkh", g_raw, h2, optimize=False), np.einsum("jfrk,jfrk->fkr", g, c.P, optimize=False).sum(axis=2),
     )
     return np.concatenate([b.reshape(3, -1) for b in blocks], axis=1).ravel()
 

@@ -399,7 +399,7 @@ def test_dshape_gradient_digest_is_frozen():
     x = nf.params_to_vector(nf.init_params((asm.modes_cos, asm.modes_sin), config.width, 0, input))
     val, grad = asm.value_and_grad(x + 0.01 * np.random.default_rng(3).normal(size=x.size))
     digest = hashlib.sha256((np.append(grad, val) + 0.0).tobytes()).hexdigest()
-    assert digest == "f1f3518577211ca9a593466a13342f60ebaf520b61b173abf251e9c046397f0b"
+    assert digest == "d4e0fb378c198da5a9fe9cd70c18b138fb1cb50bbb2c1b5f961937245117ce41"
 
 
 # -- the loss on the mirror half of the grid ---------------------------------------------
