@@ -9,9 +9,16 @@ Two mechanisms live here:
 
 * :class:`Var` -- reverse-mode accumulation over the evaluation trace, used
   to obtain the gradient of the scalar loss with respect to every network
-  parameter.  The loss tapes the networks and the force kernel as one
-  :func:`elemental` node each, with hand-written adjoints; the other
-  operators, and :class:`Jet2` on Vars, tape their test references.
+  parameter.  numpy records a Var's calls through ``__array_ufunc__`` and
+  ``__array_function__`` (NEP 13 and NEP 18): the ufuncs add, subtract,
+  multiply, true_divide, negative, absolute, power (constant scalar
+  exponent), sqrt and tanh, the operators that call them, indexing, and
+  ``np.einsum`` (two operands, explicit ``->``, ``optimize=False``),
+  ``np.stack`` and ``np.reshape``.  Any other numpy call on a Var, any
+  ufunc method and any ``out=`` or ``where=`` raises ``TypeError``.  The
+  loss tapes the networks and the force kernel as one :func:`elemental`
+  node each, with hand-written adjoints; the stage functions, called on a
+  Var, tape their test references node by node.
 
 All array work is plain numpy.  Contractions go through ``np.einsum`` with
 ``optimize=False`` (no BLAS), and the final loss reduction uses exactly
@@ -23,9 +30,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 __all__ = [
     "Var",
@@ -33,15 +41,8 @@ __all__ = [
     "NonFiniteLossError",
     "loss_gradient",
     "grad_check",
-    "tanh",
-    "sqrt",
-    "matmul",
-    "einsum",
     "elemental",
     "linear",
-    "stack",
-    "transpose",
-    "reshape",
     "mean_all",
     "sum_all",
     "value_of",
@@ -77,18 +78,18 @@ def _exact_sum(a: np.ndarray):
     return a.sum(dtype=a.dtype)
 
 
-class Var:
+class Var(NDArrayOperatorsMixin):
     """One node of the reverse-mode evaluation trace.
 
     Holds the forward value, the parent nodes and a vector-Jacobian-product
-    closure.  Gradients are accumulated by :meth:`backward` in reverse
-    topological (construction) order.
+    closure.  numpy records a node for every call of the ufuncs in
+    ``_UFUNC_RULES`` and the functions in ``_FUNCTION_RULES`` on a Var, the
+    operators included; any other numpy call on a Var raises ``TypeError``.
+    Gradients are accumulated by :meth:`backward` in reverse topological
+    (construction) order.
     """
 
     __slots__ = ("value", "grad", "_parents", "_vjp")
-
-    # defer mixed ndarray-Var arithmetic to the reflected operators below
-    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value)
@@ -103,161 +104,45 @@ class Var:
     def __repr__(self):
         return f"Var(shape={self.value.shape}, leaf={self._vjp is None})"
 
-    # -- elementwise arithmetic (broadcasting, constants allowed) ---------
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rules = _UFUNC_RULES.get(ufunc)
+        if method != "__call__" or kwargs or rules is None:
+            raise TypeError(f"a Var records no np.{ufunc.__name__}.{method} with arguments {sorted(kwargs)}")
+        if ufunc is np.power and not np.isscalar(inputs[1]):
+            raise TypeError("a Var records np.power only with a constant scalar exponent")
+        values = [x.value if isinstance(x, Var) else x for x in inputs]
+        y = ufunc(*values)
+        slots = [i for i, x in enumerate(inputs) if isinstance(x, Var)]
+        return Var(y, tuple(inputs[i] for i in slots), lambda g: tuple(
+            _unbroadcast(rules[i](g, values, y), inputs[i].shape) for i in slots
+        ))
 
-    def __add__(self, other):
-        if isinstance(other, Var):
-            out = Var(self.value + other.value, (self, other))
-            out._vjp = lambda g: (
-                _unbroadcast(g, self.shape),
-                _unbroadcast(g, other.shape),
-            )
-            return out
-        c = np.asarray(other)
-        out = Var(self.value + c, (self,))
-        out._vjp = lambda g: (_unbroadcast(g, self.shape),)
-        return out
-
-    def __neg__(self):
-        out = Var(-self.value, (self,))
-        out._vjp = lambda g: (-g,)
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, Var):
-            out = Var(self.value - other.value, (self, other))
-            out._vjp = lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
-            return out
-        return self + (-np.asarray(other))
-
-    def __rsub__(self, other):
-        out = Var(np.asarray(other) - self.value, (self,))
-        out._vjp = lambda g: (_unbroadcast(-g, self.shape),)
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            av, bv = self.value, other.value
-            out = Var(av * bv, (self, other))
-            out._vjp = lambda g: (
-                _unbroadcast(g * bv, self.shape),
-                _unbroadcast(g * av, other.shape),
-            )
-            return out
-        c = np.asarray(other)
-        out = Var(self.value * c, (self,))
-        out._vjp = lambda g: (_unbroadcast(g * c, self.shape),)
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            av, bv = self.value, other.value
-            val = av / bv
-            out = Var(val, (self, other))
-            out._vjp = lambda g: (
-                _unbroadcast(g / bv, self.shape),
-                _unbroadcast(-g * val / bv, other.shape),
-            )
-            return out
-        c = np.asarray(other)
-        out = Var(self.value / c, (self,))
-        out._vjp = lambda g: (_unbroadcast(g / c, self.shape),)
-        return out
-
-    def __rtruediv__(self, other):
-        c = np.asarray(other)
-        val = c / self.value
-        out = Var(val, (self,))
-        sv = self.value
-        out._vjp = lambda g: (_unbroadcast(-g * val / sv, self.shape),)
-        return out
-
-    def __pow__(self, p):
-        if not np.isscalar(p):
-            raise TypeError("Var ** expects a scalar exponent")
-        sv = self.value
-        out = Var(sv**p, (self,))
-        out._vjp = lambda g: (g * (p * sv ** (p - 1)),)
-        return out
-
-    def __abs__(self):
-        sv = self.value
-        out = Var(np.abs(sv), (self,))
-        out._vjp = lambda g: (g * np.sign(sv),)
-        return out
-
-    # -- structural ops ----------------------------------------------------
+    def __array_function__(self, func, types, args, kwargs):
+        rule = _FUNCTION_RULES.get(func)
+        if rule is None:
+            raise TypeError(f"a Var records no np.{func.__name__}")
+        return rule(*args, **kwargs)
 
     def __getitem__(self, idx):
-        out = Var(self.value[idx], (self,))
-        out._vjp = lambda g: (_Slice(idx, g),)
-        return out
+        def vjp(g):
+            full = np.zeros(self.shape, dtype=self.value.dtype)
+            np.add.at(full, idx, g)
+            return (full,)
 
-    @property
-    def T(self):
-        out = Var(self.value.T, (self,))
-        out._vjp = lambda g: (np.asarray(g).T,)
-        return out
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.shape
-        out = Var(self.value.reshape(shape), (self,))
-        out._vjp = lambda g: (np.asarray(g).reshape(old),)
-        return out
-
-    # -- reverse pass --------------------------------------------------------
+        return Var(self.value[idx], (self,), vjp)
 
     def backward(self):
-        """Accumulate gradients of this (scalar) node into the trace.
-
-        A node's first gradient is stored as is (other products may share
-        it), the second is added out of place and later ones in place;
-        slice gradients (:class:`_Slice`) go in place into a zero buffer.
-        """
+        """Accumulate gradients of this (scalar) node into the trace; a node's
+        gradients are summed out of place, in reverse tape order."""
         order = _toposort(self)
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.value)
-        owned = set()
         for node in reversed(order):
             if node._vjp is None or node.grad is None:
                 continue
             for parent, pg in zip(node._parents, node._vjp(node.grad)):
-                if type(pg) is _Slice:
-                    if id(parent) not in owned:
-                        zero = np.zeros(parent.shape, dtype=parent.value.dtype)
-                        parent.grad = zero if parent.grad is None else zero + parent.grad
-                        owned.add(id(parent))
-                    pg.add_to(parent.grad)
-                elif parent.grad is None:
-                    parent.grad = pg
-                elif id(parent) in owned:
-                    parent.grad += pg
-                else:
-                    parent.grad = parent.grad + pg
-                    owned.add(id(parent))
-
-
-class _Slice(NamedTuple):
-    """Gradient of ``x[idx]``: ``g`` at ``idx`` and zero elsewhere."""
-
-    idx: object
-    g: np.ndarray
-
-    def add_to(self, full: np.ndarray) -> None:
-        idx = self.idx if isinstance(self.idx, tuple) else (self.idx,)
-        if len(idx) == 1 and np.ndim(idx[0]) == 1 and np.asarray(idx[0]).dtype.kind in "iu":
-            # rows of the leading axis, maybe repeated: one slab add per row
-            for j, row in enumerate(idx[0]):
-                full[row] += self.g[j]
-        elif any(isinstance(i, (np.ndarray, list)) for i in idx):  # may repeat an index
-            np.add.at(full, self.idx, self.g)
-        else:
-            full[self.idx] += self.g
+                parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
 def _toposort(root: Var) -> list:
@@ -279,7 +164,7 @@ def _toposort(root: Var) -> list:
     return order
 
 
-# -- generic ops: work on Var and plain ndarrays ----------------------------
+# -- the numpy calls a Var records ------------------------------------------
 
 
 def value_of(x):
@@ -287,29 +172,24 @@ def value_of(x):
     return x.value if isinstance(x, Var) else np.asarray(x)
 
 
-def tanh(x):
-    if isinstance(x, Var):
-        y = np.tanh(x.value)
-        out = Var(y, (x,))
-        out._vjp = lambda g: (g * (1.0 - y * y),)
-        return out
-    return np.tanh(x)
+def _sqrt_slope(y):
+    """d sqrt(x) / dx = 0.5 / y, and the subgradient 0 where y = 0."""
+    return np.divide(0.5, y, out=np.zeros_like(y), where=y != 0.0)
 
 
-def sqrt(x):
-    """Square root; at 0 the reverse pass uses the subgradient 0, not 1/0."""
-    if isinstance(x, Var):
-        y = np.sqrt(x.value)
-        out = Var(y, (x,))
-        slope = np.divide(0.5, y, out=np.zeros_like(y), where=y != 0.0)
-        out._vjp = lambda g: (g * slope,)
-        return out
-    return np.sqrt(x)
-
-
-def matmul(a, b):
-    """2D matrix product, BLAS-free, differentiable in both operands."""
-    return einsum("ij,jk->ik", a, b)
+# per ufunc and operand: the gradient of that operand (before unbroadcasting)
+# from the output's gradient g, the operand values x and the output y
+_UFUNC_RULES = {
+    np.add: (lambda g, x, y: g, lambda g, x, y: g),
+    np.subtract: (lambda g, x, y: g, lambda g, x, y: -g),
+    np.multiply: (lambda g, x, y: g * x[1], lambda g, x, y: g * x[0]),
+    np.true_divide: (lambda g, x, y: g / x[1], lambda g, x, y: -g * y / x[1]),
+    np.negative: (lambda g, x, y: -g,),
+    np.absolute: (lambda g, x, y: g * np.sign(x[0]),),
+    np.power: (lambda g, x, y: g * (x[1] * x[0] ** (x[1] - 1)),),
+    np.sqrt: (lambda g, x, y: g * _sqrt_slope(y),),
+    np.tanh: (lambda g, x, y: g * (1.0 - y * y),),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -322,23 +202,31 @@ def _einsum_vjp_specs(subscripts: str) -> tuple:
     return f"{out},{ib}->{ia}", f"{out},{ia}->{ib}"
 
 
-def einsum(subscripts: str, a, b):
-    """Two-operand ``np.einsum`` (explicit ``->`` form) differentiable in
-    every :class:`Var` operand; ``optimize=False`` never calls BLAS, so the
-    summation order is fixed for any thread count.  Each index of an operand
-    must appear in the other or in the output, without repeats.
-    """
-    parents = tuple(x for x in (a, b) if isinstance(x, Var))
-    if not parents:
-        return np.einsum(subscripts, a, b, optimize=False)
-    spec_a, spec_b = _einsum_vjp_specs(subscripts)
-    av, bv = value_of(a), value_of(b)
-    out = Var(np.einsum(subscripts, av, bv, optimize=False), parents)
-    out._vjp = lambda g: tuple(
-        np.einsum(spec, g, other, optimize=False)
-        for x, spec, other in ((a, spec_a, bv), (b, spec_b, av)) if isinstance(x, Var)
-    )
-    return out
+def _einsum(subscripts, *operands, optimize=False):
+    """Two operands, explicit ``->`` form, ``optimize=False`` (no BLAS, so the
+    summation order is fixed for any thread count).  Each index of an
+    operand must appear in the other or in the output, without repeats."""
+    if len(operands) != 2 or "->" not in subscripts or optimize is not False:
+        raise TypeError("a Var records np.einsum of two operands with '->' and optimize=False only")
+    specs = _einsum_vjp_specs(subscripts)
+    values = [value_of(x) for x in operands]
+    slots = [i for i, x in enumerate(operands) if isinstance(x, Var)]
+    return Var(np.einsum(subscripts, *values, optimize=False), tuple(operands[i] for i in slots),
+               lambda g: tuple(np.einsum(specs[i], g, values[1 - i], optimize=False) for i in slots))
+
+
+def _stack(arrays, axis=0):
+    val = np.stack([value_of(x) for x in arrays], axis=axis)
+    lead = (slice(None),) * (axis % val.ndim)
+    slots = [i for i, x in enumerate(arrays) if isinstance(x, Var)]
+    return Var(val, tuple(arrays[i] for i in slots), lambda g: tuple(g[lead + (i,)] for i in slots))
+
+
+def _reshape(a, shape):
+    return Var(a.value.reshape(shape), (a,), lambda g: (np.asarray(g).reshape(a.shape),))
+
+
+_FUNCTION_RULES = {np.einsum: _einsum, np.stack: _stack, np.reshape: _reshape}
 
 
 def elemental(x, forward: Callable):
@@ -359,37 +247,10 @@ def linear(x, forward: Callable, adjoint: Callable):
     return elemental(x, lambda v: (forward(v), adjoint))
 
 
-def stack(xs, axis: int = 0):
-    """``np.stack`` of Vars and plain arrays of one shape along a new axis."""
-    val = np.stack([value_of(x) for x in xs], axis=axis)
-    parents = tuple(x for x in xs if isinstance(x, Var))
-    if not parents:
-        return val
-    out = Var(val, parents)
-    lead = (slice(None),) * (axis % val.ndim)
-    slots = [i for i, x in enumerate(xs) if isinstance(x, Var)]
-    out._vjp = lambda g: tuple(g[lead + (i,)] for i in slots)
-    return out
-
-
-def transpose(x):
-    return x.T if isinstance(x, Var) else np.asarray(x).T
-
-
-def reshape(x, shape):
-    if isinstance(x, Var):
-        return x.reshape(shape)
-    return np.asarray(x).reshape(shape)
-
-
 def sum_all(x):
-    if isinstance(x, Var):
-        val = _exact_sum(x.value)
-        out = Var(val, (x,))
-        shape, dtype = x.shape, x.value.dtype
-        out._vjp = lambda g: (np.full(shape, g, dtype=dtype),)
-        return out
-    return _exact_sum(np.asarray(x))
+    if not isinstance(x, Var):
+        return _exact_sum(np.asarray(x))
+    return Var(_exact_sum(x.value), (x,), lambda g: (np.full(x.shape, g, dtype=x.value.dtype),))
 
 
 def mean_all(x):
@@ -404,8 +265,9 @@ class Jet2:
     """Value and first/second derivative with respect to one seed scalar.
 
     Components may be floats, numpy arrays or :class:`Var` nodes (a taped
-    reference of the networks).  The networks need only the activation, ``(tanh u).d2 = sech^2 u (u.d2 -
-    2 tanh u u.d1^2)``; their affine layers act on the components directly.
+    reference of the networks).  The networks need only the activation,
+    ``(tanh u).d2 = sech^2 u (u.d2 - 2 tanh u u.d1^2)``; their affine layers
+    act on the components directly.
     """
 
     __slots__ = ("value", "d1", "d2")
@@ -419,7 +281,7 @@ class Jet2:
         return f"Jet2({self.value!r}, {self.d1!r}, {self.d2!r})"
 
     def tanh(self):
-        t = tanh(self.value)
+        t = np.tanh(self.value)
         sech2 = 1.0 - t * t
         d1 = sech2 * self.d1
         return Jet2(t, d1, sech2 * self.d2 - 2.0 * ((t * self.d1) * d1))
@@ -431,10 +293,10 @@ class Jet2:
 def loss_gradient(loss: Callable, params: np.ndarray):
     """Evaluate ``loss`` at ``params`` and return ``(value, gradient)``.
 
-    ``loss`` must accept a 1D Var and combine it through Var/Jet2 arithmetic
-    into a scalar Var.  The gradient comes from one reverse sweep over the
-    evaluation trace and is deterministic: identical params give bit-identical
-    gradients.
+    ``loss`` must accept a 1D Var and combine it, through the numpy calls a
+    Var records and the functions of this module, into a scalar Var.  The
+    gradient comes from one reverse sweep over the evaluation trace and is
+    deterministic: identical params give bit-identical gradients.
     """
     leaf = Var(np.asarray(params, dtype=float))
     out = loss(leaf)

@@ -58,7 +58,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from . import netfield as nf
 from . import solver as sv
 from . import spectral
@@ -425,7 +424,7 @@ def poincare_section(
     coeffs[0, ~inner] = nf.padded_boundary(input.boundary_r, params.modes_cos)
     coeffs[1, ~inner] = nf.padded_boundary(input.boundary_z, params.modes_sin)
     if inner.any():
-        coeffs[:, inner] = ad.value_of(nf.profile_stack(params, input, surfaces[inner]).jets)[0, ::2]
+        coeffs[:, inner] = nf.profile_stack(params, input, surfaces[inner]).jets[0, ::2]
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     tables = spectral.pair_tables(params.modes_cos, params.modes_sin, theta, np.array([zeta]))[:, 0]
     r, z = np.einsum("fsk,fka->fsa", coeffs, tables, optimize=False)
@@ -506,7 +505,7 @@ def theta_star_contours(
     targets = np.asarray(targets, dtype=float)
     rho = np.asarray(rho_samples, dtype=float)
     stack = nf.profile_stack(params, input, np.minimum(rho, 1.0 - 1e-12))
-    r_c, lam_c, z_c = ad.value_of(stack.jets)[0]  # (surface, mode) each
+    r_c, lam_c, z_c = stack.jets[0]  # (surface, mode) each
 
     probe = 2.0 * np.pi * np.arange(720) / 720.0
     # sine parity, d/dtheta row: m cos(m theta - n n_fp zeta)
@@ -561,7 +560,7 @@ def _write_table(path, header: str, columns) -> None:
 def _write_fnorm(out: Path, rho, profile, params: NetParams, input: EquilibriumInput):
     """fnorm_profile.csv, with the spectral width per radius from one batched
     profile evaluation; returns the path and the widths."""
-    value = ad.value_of(nf.profile_stack(params, input, rho).jets)[0]
+    value = nf.profile_stack(params, input, rho).jets[0]
     widths = spectral.spectral_width(params.modes_cos, params.modes_sin, value[0], value[2])
     path = out / "fnorm_profile.csv"
     _write_table(path, "rho,f_norm_avg,spectral_width", [rho, profile, widths])

@@ -29,12 +29,13 @@ normal and a helical part,
 
 and the reported magnitude is ||F|| = sqrt(F_s^2 (e^s.e^s) + F_h^2 (e^h.e^h)).
 
-All field arrays are shaped (n_rho, n_theta * n_zeta) and may be plain numpy
-arrays or autodiff variables.  The training loss and the diagnostics run the
-same four stage functions on plain arrays: the loss tapes them as one node
-from the profile jets to ||F|| (:func:`force_magnitude`), whose reverse pass
-is a hand-written adjoint.  Run on autodiff variables, the stages tape
-themselves node by node, which gives the reference gradient for that adjoint.
+All field arrays are shaped (n_rho, n_theta * n_zeta).  The training loss and
+the diagnostics run the same four stage functions on plain arrays: the loss
+tapes them as one node from the profile jets to ||F|| (:func:`force_magnitude`),
+whose reverse pass is a hand-written adjoint.  The stages call numpy
+directly; on jets that are an :class:`autodiff.Var`, numpy records each call,
+so the stages tape themselves node by node, which gives the reference
+gradient for that adjoint.  The quadratures take plain arrays only.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "gradient_magnitude",
     "volume",
     "volume_average",
-    "surface_average",
     "surface_average_profile",
     "f_norm",
 ]
@@ -443,23 +443,23 @@ def geometry(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[Ker
         tables = KernelTables(profiles.modes_cos, profiles.modes_sin, grid)
     st = FieldState(grid=grid)
     rows = ad.linear(profiles.jets, tables.forward, tables.adjoint)
-    st.de = ad.reshape(rows[:9], (3, 3) + rows.shape[1:])
+    st.de = np.reshape(rows[:9], (3, 3) + rows.shape[1:])
     st.dlam, st.ddlam, st.R, st.e = rows[9], rows[10:13], rows[13, 0], rows[14:]
 
     R, plane = st.R, st.e
     st.dR = plane[:, 0]
-    rot = ad.einsum("icra,cd->idra", plane, _ROT)
-    cross = ad.einsum("jcra,kcra->jkra", plane, rot)  # cross2(e_j, e_k)
+    rot = np.einsum("icra,cd->idra", plane, _ROT)
+    cross = np.einsum("jcra,kcra->jkra", plane, rot)  # cross2(e_j, e_k)
     w = cross[1, 0]
     st.sqrtg = R * w
     _check_jacobian(st.sqrtg, grid)
-    tilt = ad.einsum("ij,jcra->icra", _PLANE, rot)
-    w_k = ad.einsum("kicra,icra->kra", st.de, tilt)
+    tilt = np.einsum("ij,jcra->icra", _PLANE, rot)
+    w_k = np.einsum("kicra,icra->kra", st.de, tilt)
     st.dsqrtg = st.dR * w + R * w_k
     inplane = R * tilt
     # phi part cross2(e_{i+2}, e_{i+1}) = -eps_ijk cross2(e_j, e_k) / 2
-    phi = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA * -0.5, cross)
-    st.dual = ad.stack([inplane[:, 0], phi, inplane[:, 1]], axis=1)
+    phi = np.einsum("ijk,jkra->ira", _LEVI_CIVITA * -0.5, cross)
+    st.dual = np.stack([inplane[:, 0], phi, inplane[:, 1]], axis=1)
     return st
 
 
@@ -481,15 +481,15 @@ def magnetic_field(state: FieldState, iota_coeffs, psi_b: float) -> FieldState:
     d_offset = np.zeros((3, 2) + s.shape)
     d_offset[0, 0] = psi * npoly.polyval(s, npoly.polyder(iota_coeffs))
     # psi (-dz lambda, dt lambda) + (psi iota, psi), linear in dlam
-    st.gbsup = ad.einsum("lm,mra->lra", psi * _ROT, st.dlam) + offset
-    d_gbsup = ad.einsum("lm,kmra->klra", psi * _ROT, st.ddlam) + d_offset
+    st.gbsup = np.einsum("lm,mra->lra", psi * _ROT, st.dlam) + offset
+    d_gbsup = np.einsum("lm,kmra->klra", psi * _ROT, st.ddlam) + d_offset
     st.b = st.gbsup / st.sqrtg
-    st.db = (d_gbsup - ad.einsum("lra,kra->klra", st.b, st.dsqrtg)) / st.sqrtg
+    st.db = (d_gbsup - np.einsum("lra,kra->klra", st.b, st.dsqrtg)) / st.sqrtg
 
     R, plane = st.R, st.e[1:]
-    st.b_plane = ad.einsum("lcra,lra->cra", plane, st.b)
+    st.b_plane = np.einsum("lcra,lra->cra", plane, st.b)
     st.b_phi = R * st.b[1]
-    st.db_plane = ad.einsum("klcra,lra->kcra", st.de[:, 1:], st.b) + ad.einsum(
+    st.db_plane = np.einsum("klcra,lra->kcra", st.de[:, 1:], st.b) + np.einsum(
         "lcra,klra->kcra", plane, st.db
     )
     st.db_phi = st.dR * st.b[1] + R * st.db[:, 1]
@@ -504,9 +504,9 @@ def current(state: FieldState) -> FieldState:
     adds d_j (R B_phi) to d_j B_zeta.
     """
     st = state
-    edb = ad.einsum("icra,kcra->kira", st.e, st.db_plane)  # e_i . d_k B, (R, Z) part
+    edb = np.einsum("icra,kcra->kira", st.e, st.db_plane)  # e_i . d_k B, (R, Z) part
     d_rbphi = st.dR * st.b_phi + st.R * st.db_phi
-    curl = ad.einsum("ijk,jkra->ira", _LEVI_CIVITA / MU0, edb) + ad.einsum(
+    curl = np.einsum("ijk,jkra->ira", _LEVI_CIVITA / MU0, edb) + np.einsum(
         "ij,jra->ira", _LEVI_CIVITA[:, :, 2] / MU0, d_rbphi
     )
     st.jsup = curl / st.sqrtg
@@ -525,15 +525,15 @@ def force(state: FieldState, p_prime) -> FieldState:
     if pp.ndim == 1:
         pp = pp[:, None]
     # h = sqrt(g) (0, B^zeta, -B^theta), so e^h = h_i e^i = (h_i dual_i) / sqrt(g)
-    h = ad.einsum("il,lra->ira", _H, st.gbsup)
-    st.F_s = (ad.einsum("ira,ira->ra", h, st.jsup) - pp) * MU0
+    h = np.einsum("il,lra->ira", _H, st.gbsup)
+    st.F_s = (np.einsum("ira,ira->ra", h, st.jsup) - pp) * MU0
     st.F_h = st.jsup[0] * (-MU0)
     det = st.sqrtg * st.sqrtg
-    e_h = ad.einsum("ira,icra->cra", h, st.dual)
-    ehh = ad.einsum("cra,cra->ra", e_h, e_h) / det
+    e_h = np.einsum("ira,icra->cra", h, st.dual)
+    ehh = np.einsum("cra,cra->ra", e_h, e_h) / det
     e_s = st.dual[0]
-    gu_ss = ad.einsum("cra,cra->ra", e_s, e_s) / det
-    st.F_mag = ad.sqrt(st.F_s * st.F_s * gu_ss + st.F_h * st.F_h * ehh)
+    gu_ss = np.einsum("cra,cra->ra", e_s, e_s) / det
+    st.F_mag = np.sqrt(st.F_s * st.F_s * gu_ss + st.F_h * st.F_h * ehh)
     return st
 
 
@@ -576,7 +576,7 @@ def _kernel_adjoint(st: FieldState, g, psi_b: float) -> np.ndarray:
     :func:`magnetic_field` and :func:`geometry` on the plain arrays of a
     state that :func:`field_state` filled.  The intermediates the state does
     not keep (w, tilt, w_k, det, e_h) are recomputed.  Where F_mag = 0 the
-    subgradient 0 is taken, as :func:`autodiff.sqrt` does.
+    subgradient 0 is taken, as ``np.sqrt`` on an :class:`autodiff.Var` does.
     """
     R, e, de, sqrtg, dual, b, db, jsup = st.R, st.e, st.de, st.sqrtg, st.dual, st.b, st.db, st.jsup
     out = np.zeros((17, 2) + R.shape, dtype=R.dtype)
@@ -656,14 +656,14 @@ def gradient_magnitude(state: FieldState, dq_s, dq_t, dq_z):
     of q (arrays over the nodes or scalars)."""
     dual = state.dual
     grad = dq_s * dual[0] + dq_t * dual[1] + dq_z * dual[2]
-    return ad.sqrt(ad.einsum("cra,cra->ra", grad, grad)) / abs(state.sqrtg)
+    return np.sqrt(np.einsum("cra,cra->ra", grad, grad)) / abs(state.sqrtg)
 
 
 def grad_B2_magnitude(state: FieldState):
     """Magnetic-pressure gradient magnitude |grad |B|^2| / (2 mu0) per node,
     from d_k |B|^2 = 2 (B_R d_k B_R + B_phi d_k B_phi + B_Z d_k B_Z)."""
     st = state
-    db2 = 2.0 * (ad.einsum("cra,kcra->kra", st.b_plane, st.db_plane) + st.b_phi * st.db_phi)
+    db2 = 2.0 * (np.einsum("cra,kcra->kra", st.b_plane, st.db_plane) + st.b_phi * st.db_phi)
     return gradient_magnitude(st, *db2) / (2.0 * MU0)
 
 
@@ -673,7 +673,7 @@ def grad_B2_magnitude(state: FieldState):
 def _node_weights(state: FieldState, grid: CollocationGrid, weights=None) -> np.ndarray:
     """|sqrt(g)| times the s-measure 2 rho d rho, per node (uniform angles),
     times the per-node ``weights`` when given (e.g. mirror multiplicities)."""
-    absg = np.abs(ad.value_of(state.sqrtg))
+    absg = np.abs(state.sqrtg)
     radial = (2.0 * grid.rho * grid.rho_weights)[:, None]
     w = absg * radial
     return w if weights is None else w * weights
@@ -691,24 +691,15 @@ def volume_average(q, state: FieldState, grid: CollocationGrid, weights=None) ->
     """Volume average with |sqrt(g)| weights; exact 1 for q = 1.  ``weights``
     (per node, optional) multiply the quadrature weight of each node."""
     w = _node_weights(state, grid, weights)
-    q = ad.value_of(q)
     return float((q * w).sum() / w.sum())
-
-
-def surface_average(q, state: FieldState, grid: CollocationGrid, index: int) -> float:
-    """Flux-surface average of q on the surface at grid.rho[index]."""
-    absg = np.abs(ad.value_of(state.sqrtg)[index])
-    q = ad.value_of(q)[index]
-    return float((q * absg).sum() / absg.sum())
 
 
 def surface_average_profile(q, state: FieldState, grid: CollocationGrid, weights=None) -> np.ndarray:
     """Flux-surface average of q on every surface, optionally with per-node
     ``weights`` as in :func:`volume_average`."""
-    absg = np.abs(ad.value_of(state.sqrtg))
+    absg = np.abs(state.sqrtg)
     if weights is not None:
         absg = absg * weights
-    q = ad.value_of(q)
     return (q * absg).sum(axis=1) / absg.sum(axis=1)
 
 
@@ -722,5 +713,5 @@ def f_norm(state: FieldState, grid: CollocationGrid, normalizer: float, weights=
     """
     if normalizer <= 0.0:
         raise ValueError("normalizer must be positive (degenerate field)")
-    fn = ad.value_of(state.F_mag) / (MU0 * normalizer)
+    fn = state.F_mag / (MU0 * normalizer)
     return fn, volume_average(fn, state, grid, weights)

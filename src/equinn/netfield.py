@@ -83,11 +83,12 @@ def _net_layout(n: int, k: int) -> tuple:
 class NetParams:
     """The flat parameter vector of the three networks and its layout.
 
-    ``vector`` (numpy array or autodiff variable) holds the networks of R,
-    lambda and Z back to back, each as W0, b0, W1, b1, W2, b2 in row-major
-    order, so its (3, P) reshape has one network per row.  :meth:`fields`
-    and the single networks ``r``, ``lam``, ``z`` are views of it, read-only
-    where it is an array.
+    ``vector`` (numpy array or :class:`autodiff.Var`) holds the networks of
+    R, lambda and Z back to back, each as W0, b0, W1, b1, W2, b2 in
+    row-major order, so its (3, P) reshape has one network per row.
+    :meth:`fields` and the single networks ``r``, ``lam``, ``z`` are views
+    of it, read-only where it is an array; on a Var, numpy records the
+    reshapes and slices on the tape.
     """
 
     def __init__(self, vector, width: int, modes_cos: ModeSet, modes_sin: ModeSet):
@@ -114,11 +115,11 @@ class NetParams:
         """The networks ``f`` of (R, lambda, Z) on one leading field axis:
         six column blocks of the vector's (3, P) reshape."""
         shapes, bounds = _net_layout(self.width, self.n_modes)
-        rows = ad.reshape(self.vector, (3, int(bounds[-1])))
+        rows = np.reshape(self.vector, (3, int(bounds[-1])))
         if not isinstance(rows, ad.Var):
             rows.flags.writeable = False  # a fresh view; the vector stays writeable
         return MLPCoefficients(*(
-            ad.reshape(rows[f, lo:hi], (-1,) + shape) for shape, lo, hi in zip(shapes, bounds, bounds[1:])
+            np.reshape(rows[f, lo:hi], (-1,) + shape) for shape, lo, hi in zip(shapes, bounds, bounds[1:])
         ))
 
     r = property(lambda self: self.fields(slice(0, 1)))
@@ -415,11 +416,12 @@ def profile_stack(
 ) -> ProfileStack:
     """Composed mode profiles with exact first/second rho-derivatives.
 
-    Accepts network parameters holding numpy arrays or autodiff variables;
-    the radial grid must lie strictly inside (0, 1).  The last network bias
-    is constant in rho, so it enters the composition as ``P b2``.  On a
-    variable the jets are one tape node in its dtype: a plain-array forward
-    and :func:`_network_adjoint`, ``np.einsum(..., optimize=False)``, no BLAS.
+    Accepts network parameters whose vector is a numpy array or an
+    :class:`autodiff.Var`; the radial grid must lie strictly inside (0, 1).
+    The last network bias is constant in rho, so it enters the composition
+    as ``P b2``.  On a Var the jets are one tape node in its dtype
+    (:func:`autodiff.elemental`): the plain-array forward and
+    :func:`_network_adjoint`, ``np.einsum(..., optimize=False)``, no BLAS.
     """
     c = constants or ProfileConstants.build(input, params.modes_cos, params.modes_sin, rho)
 
@@ -434,7 +436,7 @@ def profile_stack(
 
 def mode_profiles(params: NetParams, input: EquilibriumInput, rho: float) -> ModeProfiles:
     """Profiles and radial derivatives of every coefficient at one radius."""
-    jets = ad.value_of(profile_stack(params, input, [float(rho)]).jets)[:, :, 0]
+    jets = profile_stack(params, input, [float(rho)]).jets[:, :, 0]
     modes = (params.modes_cos, params.modes_sin, params.modes_sin)
     r, lam, z = (SurfaceCoefficients(modes[f], *jets[:, f]) for f in range(3))
     return ModeProfiles(rho=float(rho), r=r, lam=lam, z=z)

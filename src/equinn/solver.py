@@ -138,8 +138,11 @@ _heap_pad = 0
 
 def _retain_freed_heap(n_bytes: int) -> None:
     """Have glibc keep ``n_bytes`` of freed memory at the heap top (process-wide,
-    only ever raised): a gradient frees kilobytes of tape per node at once, and
-    trimmed off the heap they fault back in, 23,000 minor faults at 24,576 nodes."""
+    only ever raised).  Each ``value_and_grad`` and ``metrics`` frees the
+    kernel's ``FieldState`` and the adjoint's temporaries at once; trimmed off
+    the heap they fault back in.  Minor faults per call after 5 warm-up calls,
+    without this and with it: ellipse3d ``value_and_grad`` about 4,500 and 0.1,
+    ellipse3d ``metrics`` 2,100 and 0.05, dshape ``value_and_grad`` 270 and 0.15."""
     global _heap_pad
     if n_bytes > _heap_pad:
         try:

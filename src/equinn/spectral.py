@@ -32,7 +32,6 @@ __all__ = [
     "SynthesizedField",
     "build_mode_set",
     "mode_set_pair",
-    "fourier_angle",
     "pair_tables",
     "synthesize",
     "project",
@@ -97,11 +96,6 @@ def build_mode_set(M: int, N: int, n_fp: int, parity: str) -> ModeSet:
 def mode_set_pair(M: int, N: int, n_fp: int) -> tuple[ModeSet, ModeSet]:
     """(cosine, sine) mode sets sharing one resolution, for (R) and (lambda, Z)."""
     return build_mode_set(M, N, n_fp, COSINE), build_mode_set(M, N, n_fp, SINE)
-
-
-def fourier_angle(m: int, n: int, n_fp: int, theta, zeta):
-    """Combined angle m*theta - n*n_fp*zeta."""
-    return m * theta - n * n_fp * zeta
 
 
 @dataclass

@@ -34,9 +34,9 @@ def mlp_jets(nets, f):
     seed variable of ``f`` (components shaped (n_rho, 1)).  The reference
     for the network node of :func:`netfield.profile_stack`."""
     h = Jet2(f.value * nets.w0 + nets.b0, f.d1 * nets.w0, f.d2 * nets.w0).tanh()
-    h = Jet2(*(ad.einsum("frh,fkh->frk", x, nets.w1) for x in (h.value, h.d1, h.d2)))
+    h = Jet2(*(np.einsum("frh,fkh->frk", x, nets.w1) for x in (h.value, h.d1, h.d2)))
     h = Jet2(h.value + nets.b1, h.d1, h.d2).tanh()
-    return ad.einsum("jfrh,fkh->jfrk", ad.stack([h.value, h.d1, h.d2]), nets.w2)
+    return np.einsum("jfrh,fkh->jfrk", np.stack([h.value, h.d1, h.d2]), nets.w2)
 
 
 def taped_profile_jets(params, constants):
@@ -44,7 +44,7 @@ def taped_profile_jets(params, constants):
     through :func:`mlp_jets` instead of as one node."""
     nets = params.fields()
     raw = mlp_jets(nets, constants.f)
-    return ad.einsum("jifrk,ifrk->jfrk", constants.compose, raw) + constants.P * nets.b2 + constants.C
+    return np.einsum("jifrk,ifrk->jfrk", constants.compose, raw) + constants.P * nets.b2 + constants.C
 
 
 def mlp_forward(net, f):

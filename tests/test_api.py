@@ -15,3 +15,12 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_autodiff_exports_the_tape_and_nothing_of_numpy():
+    from equinn import autodiff
+
+    assert set(autodiff.__all__) == {
+        "Var", "Jet2", "NonFiniteLossError", "loss_gradient", "grad_check",
+        "elemental", "linear", "sum_all", "mean_all", "value_of",
+    }

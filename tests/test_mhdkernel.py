@@ -295,10 +295,11 @@ def test_torus_volume_matches_analytic():
 def test_surface_average_of_one_and_flux_functions():
     grid, state = torus_state(n_rho=5, n_theta=12, with_force=False)
     ones = np.ones_like(state.sqrtg)
-    assert abs(mk.surface_average(ones, state, grid, 2) - 1.0) < 1e-13
+    assert abs(mk.surface_average_profile(ones, state, grid)[2] - 1.0) < 1e-13
     f_of_rho = (grid.rho**2)[:, None] * np.ones_like(state.sqrtg)
+    profile = mk.surface_average_profile(f_of_rho, state, grid)
     for i in (0, 3):
-        assert abs(mk.surface_average(f_of_rho, state, grid, i) - grid.rho[i] ** 2) < 1e-13
+        assert abs(profile[i] - grid.rho[i] ** 2) < 1e-13
 
 
 # -- normalized residual ---------------------------------------------------------------

@@ -8,7 +8,6 @@ from equinn.mhdkernel import CollocationGrid
 from equinn.spectral import (
     SurfaceCoefficients,
     build_mode_set,
-    fourier_angle,
     mode_set_pair,
     pair_tables,
     project,
@@ -55,12 +54,6 @@ def test_mode_set_ordering_is_m_then_n():
 def test_mode_set_rejects_degenerate(bad):
     with pytest.raises(ValueError):
         build_mode_set(parity="cos", **bad)
-
-
-def test_fourier_angle_values():
-    assert np.isclose(fourier_angle(2, 1, 5, np.pi / 2, 0.0), np.pi)
-    assert fourier_angle(0, 0, 3, 1.23, 4.56) == 0.0
-    assert np.isclose(fourier_angle(1, 1, 5, 0.0, 2 * np.pi / 5), -2 * np.pi)
 
 
 # -- synthesis -------------------------------------------------------------
