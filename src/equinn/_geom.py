@@ -1,7 +1,6 @@
-"""Planar curve checks: segment intersection, winding numbers.
+"""Planar curve checks: segment intersection.
 
-Used to validate that boundary cross-sections are simple closed curves and
-that exported flux-surface sections stay nested.
+Used to validate that boundary cross-sections are simple closed curves.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ import numpy as np
 __all__ = [
     "segments_cross",
     "polygon_self_intersects",
-    "polylines_cross",
-    "winding_number",
 ]
 
 
@@ -52,25 +49,3 @@ def polygon_self_intersects(points: np.ndarray) -> bool:
     i, j = i[keep], j[keep]
     hits = segments_cross(starts[i], ends[i], starts[j], ends[j])
     return bool(hits.any())
-
-
-def polylines_cross(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if any segment of polyline ``a`` properly crosses one of ``b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a0, a1 = a[:-1], a[1:]
-    b0, b1 = b[:-1], b[1:]
-    hits = segments_cross(
-        a0[:, None, :], a1[:, None, :], b0[None, :, :], b1[None, :, :]
-    )
-    return bool(hits.any())
-
-
-def winding_number(polygon: np.ndarray, point) -> int:
-    """Winding count of a closed polygon around ``point``."""
-    pts = np.asarray(polygon, dtype=float)
-    rel = pts - np.asarray(point, dtype=float)
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    dang = np.diff(np.concatenate([ang, ang[:1]]))
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    return int(np.round(dang.sum() / (2.0 * np.pi)))

@@ -32,7 +32,9 @@ and the reported magnitude is ||F|| = sqrt(F_s^2 (e^s.e^s) + F_h^2 (e^h.e^h)).
 All field arrays are shaped (n_rho, n_theta * n_zeta).  The training loss and
 the diagnostics run the same four stage functions on plain arrays: the loss
 tapes them as one node from the profile jets to ||F|| (:func:`force_magnitude`),
-whose reverse pass is a hand-written adjoint.  The stages call numpy
+whose reverse pass is a hand-written adjoint.  Nothing in that node sums
+over radii, so on a large grid it runs as two radial blocks on two threads
+and rounds exactly as on one.  The stages call numpy
 directly; on jets that are an :class:`autodiff.Var`, numpy records each call,
 so the stages tape themselves node by node, which gives the reference
 gradient for that adjoint.  The quadratures take plain arrays only.
@@ -40,6 +42,8 @@ gradient for that adjoint.  The quadratures take plain arrays only.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -62,7 +66,6 @@ __all__ = [
     "force_magnitude",
     "grad_B2_magnitude",
     "gradient_magnitude",
-    "volume",
     "volume_average",
     "surface_average_profile",
     "f_norm",
@@ -423,8 +426,16 @@ class KernelTables:
                     out[o, f] = x
         return out
 
+    def block(self, rows: slice) -> "KernelTables":
+        """These tables on the radii ``rows`` of their grid: only the radial
+        weights are sliced."""
+        out = copy.copy(self)
+        out.weights = self.weights[:, rows]
+        return out
 
-def geometry(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[KernelTables] = None) -> FieldState:
+
+def geometry(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[KernelTables] = None,
+             check: bool = True) -> FieldState:
     """Synthesize the map, its derivatives, the Jacobian and the dual basis.
 
     Radial derivatives arrive as d/d rho in the profile jets and convert to
@@ -437,7 +448,9 @@ def geometry(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[Ker
 
     The covariant basis e_i = (d_i R, R delta_i_zeta, d_i Z) has its (R, Z)
     part in ``e``; with the in-plane cross product cross2 the Jacobian is
-    sqrt(g) = R cross2(e_theta, e_s).
+    sqrt(g) = R cross2(e_theta, e_s).  Unless ``check`` is false, a Jacobian
+    that is non-finite, vanishes or changes sign raises
+    :class:`JacobianSignError` naming the first such node.
     """
     if tables is None:
         tables = KernelTables(profiles.modes_cos, profiles.modes_sin, grid)
@@ -452,7 +465,8 @@ def geometry(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[Ker
     cross = np.einsum("jcra,kcra->jkra", plane, rot)  # cross2(e_j, e_k)
     w = cross[1, 0]
     st.sqrtg = R * w
-    _check_jacobian(st.sqrtg, grid)
+    if check:
+        _check_jacobian(st.sqrtg, grid)
     tilt = np.einsum("ij,jcra->icra", _PLANE, rot)
     w_k = np.einsum("kicra,icra->kra", st.de, tilt)
     st.dsqrtg = st.dR * w + R * w_k
@@ -548,17 +562,120 @@ def field_state(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[
     return st
 
 
+# The kernel node splits a grid into two radial blocks when each keeps at
+# least this many nodes (see :func:`_radial_blocks`).
+_MIN_BLOCK_NODES = 4000
+
+# The worker thread of the second radial block runs the stages through
+# references bound here, at import: a tracer that patches the module's stage
+# functions (``bench/spans.py``) keeps one span stack for all threads, so
+# only the calling thread may enter them.
+_BOUND_STAGES = (geometry, magnetic_field, current, force)
+_WORKER = None  # made by the first split, see _worker
+
+
+def _worker():
+    """The pool of the worker thread, made by the first split: importing
+    ``concurrent.futures`` adds 0.65 MB to the peak RSS of a process whose
+    grids never split."""
+    global _WORKER
+    if _WORKER is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="equinn-kernel")
+    return _WORKER
+
+
+def _radial_blocks(grid: CollocationGrid) -> list:
+    """The radius ranges the kernel node runs as separate blocks: the two
+    halves of the radii when each keeps at least ``_MIN_BLOCK_NODES`` nodes,
+    else all of them.  The count depends on the grid only.
+
+    ``value_and_grad`` per half grid, whole and split on two threads
+    (medians of 30-40 alternated calls, 2-core Xeon VM): dshape, 1,150
+    nodes, 3.0 and 7.0 ms; ellipse3d at 12 to 32 surfaces, 4,800 nodes 9.1
+    and 11.0 ms, 6,400 nodes 11.7 and 13.2, 8,000 nodes 19.1-19.7 and
+    15.1-16.9, 12,800 nodes 24.2-31.3 and 18.6-23.8.  Blocks of 3,200 nodes
+    lose, blocks of 4,000 win."""
+    half = grid.n_rho // 2
+    if half * grid.n_angular < _MIN_BLOCK_NODES:
+        return [slice(0, grid.n_rho)]
+    return [slice(0, half), slice(half, grid.n_rho)]
+
+
+def _run_blocks(calls: list) -> list:
+    """The results of ``calls``: the first runs in the calling thread, the
+    others on the worker.  The worker is waited for before an error of the
+    first call propagates, so no block outlives the call."""
+    futures = [_worker().submit(call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        for f in futures:
+            f.exception()  # returns once the block has run
+    return [first] + [f.result() for f in futures]
+
+
+def _block_state(stages, profiles, grid, tables, iota_coeffs, psi_b, p_prime) -> FieldState:
+    """:func:`field_state` on one radial block through ``stages``, without
+    the Jacobian check: the caller checks the joined sqrt(g).  A block whose
+    own check fails stops after :func:`geometry`."""
+    geometry_, magnetic_field_, current_, force_ = stages
+    st = geometry_(profiles, grid, tables, check=False)
+    try:
+        _check_jacobian(st.sqrtg, grid)
+    except JacobianSignError:
+        return st
+    magnetic_field_(st, iota_coeffs, psi_b)
+    current_(st)
+    return force_(st, p_prime)
+
+
 def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: KernelTables,
                     iota_coeffs, psi_b: float, p_prime):
     """``F_mag`` of :func:`field_state` as one tape node of the profile jets.
 
     The forward runs the four stages on the jets' plain value; the reverse
     pass maps the gradient of ``F_mag`` to the synthesized rows
-    (:func:`_kernel_adjoint`) and on through ``tables.adjoint``.
+    (:func:`_kernel_adjoint`) and on through ``tables.adjoint``.  Both run
+    over the radial blocks of :func:`_radial_blocks`, the first in the
+    calling thread and the second on a worker thread.  Every sum in the node
+    runs within one radius, so ``F_mag`` and the jets' gradient, joined along
+    the radius, equal those of the whole grid bit for bit; the Jacobian check
+    runs on the joined sqrt(g) and raises what the whole grid raises.
     """
+    blocks = _radial_blocks(grid)
+    if len(blocks) == 1:
+        def forward(jets):
+            st = field_state(replace(profiles, jets=jets), grid, tables, iota_coeffs, psi_b, p_prime)
+            return st.F_mag, lambda g: tables.adjoint(_kernel_adjoint(st, g, psi_b))
+
+        return ad.elemental(profiles.jets, forward)
+
+    pp = np.asarray(p_prime, dtype=float)
+    parts = [(rows, replace(grid, rho=grid.rho[rows]), tables.block(rows), pp[rows] if pp.ndim else pp)
+             for rows in blocks]
+    here = (geometry, magnetic_field, current, force)  # looked up per call, so a tracer sees block 0
+
     def forward(jets):
-        st = field_state(replace(profiles, jets=jets), grid, tables, iota_coeffs, psi_b, p_prime)
-        return st.F_mag, lambda g: tables.adjoint(_kernel_adjoint(st, g, psi_b))
+        states = _run_blocks([
+            functools.partial(_block_state, _BOUND_STAGES if i else here,
+                              replace(profiles, rho=profiles.rho[rows], jets=jets[:, :, rows]),
+                              block_grid, block_tables, iota_coeffs, psi_b, block_pp)
+            for i, (rows, block_grid, block_tables, block_pp) in enumerate(parts)
+        ])
+        _check_jacobian(np.concatenate([st.sqrtg for st in states]), grid)
+
+        def vjp(g):
+            out = np.empty_like(jets)
+
+            def adjoint(st, rows, block_tables):
+                out[:, :, rows] = block_tables.adjoint(_kernel_adjoint(st, g[rows], psi_b))
+
+            _run_blocks([functools.partial(adjoint, st, rows, t) for st, (rows, _, t, _) in zip(states, parts)])
+            return out
+
+        return np.concatenate([st.F_mag for st in states]), vjp
 
     return ad.elemental(profiles.jets, forward)
 
@@ -677,14 +794,6 @@ def _node_weights(state: FieldState, grid: CollocationGrid, weights=None) -> np.
     radial = (2.0 * grid.rho * grid.rho_weights)[:, None]
     w = absg * radial
     return w if weights is None else w * weights
-
-
-def volume(state: FieldState, grid: CollocationGrid) -> float:
-    """Plasma volume of the full torus."""
-    w = _node_weights(state, grid)
-    dtheta = 2.0 * np.pi / grid.theta.size
-    dzeta = 2.0 * np.pi / grid.zeta.size
-    return float(w.sum() * dtheta * dzeta)
 
 
 def volume_average(q, state: FieldState, grid: CollocationGrid, weights=None) -> float:

@@ -142,7 +142,11 @@ def _retain_freed_heap(n_bytes: int) -> None:
     kernel's ``FieldState`` and the adjoint's temporaries at once; trimmed off
     the heap they fault back in.  Minor faults per call after 5 warm-up calls,
     without this and with it: ellipse3d ``value_and_grad`` about 4,500 and 0.1,
-    ellipse3d ``metrics`` 2,100 and 0.05, dshape ``value_and_grad`` 270 and 0.15."""
+    ellipse3d ``metrics`` 2,100 and 0.05, dshape ``value_and_grad`` 270 and 0.15.
+    The pad holds in the kernel worker's own arena too: on the ellipse3d
+    kernel's second radial block (``RUSAGE_THREAD`` in the worker, 20 calls)
+    ``value_and_grad`` faults 1,343 times per call without it and 0.2 with it,
+    ``loss_value`` 896 and 0."""
     global _heap_pad
     if n_bytes > _heap_pad:
         try:

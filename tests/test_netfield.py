@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from equinn import _geom, netfield as nf
+from equinn import netfield as nf
 from equinn.netfield import (
     EquilibriumInput,
     MLPCoefficients,
@@ -16,7 +16,7 @@ from equinn.netfield import (
     vector_to_params,
 )
 from equinn.spectral import SurfaceCoefficients, build_mode_set, mode_set_pair, synthesize
-from support import mlp_forward
+from support import mlp_forward, polylines_cross, winding_number
 
 
 def make_input(M=5, N=0, r_pairs=None, z_pairs=None, axis_r=None, axis_z=None, psi_b=1.0, mb=3):
@@ -181,9 +181,9 @@ def test_dshape_init_profiles_and_nesting():
         curves.append(np.column_stack([np.append(r, r[0]), np.append(z, z[0])]))
     axis_point = (3.51, 0.0)
     for inner, outer in zip(curves, curves[1:]):
-        assert not _geom.polylines_cross(inner, outer)
+        assert not polylines_cross(inner, outer)
     for curve in curves:
-        assert abs(_geom.winding_number(curve[:-1], axis_point)) == 1
+        assert abs(winding_number(curve[:-1], axis_point)) == 1
 
 
 # -- composed profiles ------------------------------------------------------------

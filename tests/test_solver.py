@@ -558,23 +558,150 @@ def test_loss_tapes_only_the_rows_theta_up_to_pi(monkeypatch, n_theta, n_zeta):
     assert shapes == [half, half, (4, n_theta * n_zeta)]
 
 
-def test_half_grid_loss_names_the_same_overlapping_node_as_the_full_grid():
+def test_half_grid_loss_names_the_same_overlapping_node_as_the_full_grid(monkeypatch):
+    # once as one block and once as two radial blocks of two surfaces
+    from equinn import mhdkernel as mk
     from equinn.mhdkernel import JacobianSignError
 
     asm, x0 = ellipse_problem()
-    nodes = set()
-    for seed in range(4):
-        x = x0 + 0.2 * np.random.default_rng(seed).normal(size=x0.size)
-        with pytest.raises(JacobianSignError) as full:
-            asm.field_state(nf.vector_to_params(x, asm.template))
-        for half_grid_eval in (asm.value_and_grad, asm.metrics):
-            with pytest.raises(JacobianSignError) as half:
-                half_grid_eval(x)
-            assert half.value.node == full.value.node
-            assert str(half.value) == str(full.value)
-        nodes.add(full.value.node)
-    # offenders off the first row and zeta plane are covered too
-    assert any(i_theta > 0 and i_zeta > 0 for _, i_theta, i_zeta in nodes)
+    for threshold in (mk._MIN_BLOCK_NODES, 1):
+        monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", threshold)
+        nodes = set()
+        for seed in range(4):
+            x = x0 + 0.2 * np.random.default_rng(seed).normal(size=x0.size)
+            with pytest.raises(JacobianSignError) as full:
+                asm.field_state(nf.vector_to_params(x, asm.template))
+            for half_grid_eval in (asm.value_and_grad, asm.loss_value, asm.metrics):
+                with pytest.raises(JacobianSignError) as half:
+                    half_grid_eval(x)
+                assert half.value.node == full.value.node
+                assert str(half.value) == str(full.value)
+            nodes.add(full.value.node)
+        # offenders off the first row and zeta plane are covered too
+        assert any(i_theta > 0 and i_zeta > 0 for _, i_theta, i_zeta in nodes)
+    # and in the second block
+    assert any(i_rho >= asm.grid.n_rho // 2 for i_rho, _, _ in nodes)
+
+
+# -- the kernel node over radial blocks --------------------------------------------------
+
+
+def _digest(value, grad):
+    import hashlib
+
+    return hashlib.sha256(np.float64(value).tobytes() + grad.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case, n_theta, n_zeta", [("dshape", 0, 0), ("ellipse", 0, 0), ("ellipse", 21, 7)])
+def test_two_radial_blocks_round_as_one(monkeypatch, case, n_theta, n_zeta):
+    from equinn import mhdkernel as mk
+
+    asm, x = half_grid_case(case, n_theta, n_zeta)
+    assert len(mk._radial_blocks(asm.half_grid)) == 1
+    got = {}
+    for threshold in (mk._MIN_BLOCK_NODES, 1):
+        monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", threshold)
+        val, grad = asm.value_and_grad(x)
+        got[threshold] = (val, _digest(val, grad), asm.loss_value(x), asm.loss_value_precise(x))
+    assert len(mk._radial_blocks(asm.half_grid)) == 2
+    one, two = got.values()
+    assert one == two
+
+
+def test_radial_blocks_split_the_3d_bench_grid_only():
+    from equinn import mhdkernel as mk
+
+    dshape, config = cli_io.parse_case("dshape")
+    dshape_half, _ = sv._mirror_half(CollocationGrid.build(config.n_rho, dshape.M, dshape.N, dshape.n_fp))
+    ellipse3d_half, _ = sv._mirror_half(CollocationGrid.build(32, 12, 4, 5))
+    assert (dshape_half.n_nodes, ellipse3d_half.n_nodes) == (1150, 12800)
+    assert mk._radial_blocks(dshape_half) == [slice(0, 50)]
+    assert mk._radial_blocks(ellipse3d_half) == [slice(0, 16), slice(16, 32)]
+
+
+def test_only_the_calling_thread_enters_the_module_stage_functions(monkeypatch):
+    # A tracer that patches the module's stage functions keeps one span stack
+    # for all threads: the worker's block must not reach it.
+    import threading
+
+    from equinn import mhdkernel as mk
+
+    asm, x = ellipse_problem()
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    threads = []
+    for name in ("geometry", "magnetic_field", "current", "force"):
+        def recording(*args, _stage=getattr(mk, name), **kwargs):
+            threads.append(threading.get_ident())
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(mk, name, recording)
+    asm.value_and_grad(x)
+    assert threads == [threading.get_ident()] * 4
+
+
+class _RecordingWorker:
+    """The kernel's worker, keeping every future it hands out."""
+
+    def __init__(self, worker):
+        self.worker, self.futures = worker, []
+
+    def submit(self, fn):
+        self.futures.append(self.worker.submit(fn))
+        return self.futures[-1]
+
+
+def test_an_error_in_either_block_reaches_the_caller_after_both_finish(monkeypatch):
+    import threading
+    import time
+
+    from equinn import mhdkernel as mk
+
+    asm, x = ellipse_problem()
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    worker = _RecordingWorker(mk._worker())
+    monkeypatch.setattr(mk, "_WORKER", worker)
+    geometry, *rest = mk._BOUND_STAGES
+
+    def failing(*args, **kwargs):
+        raise RuntimeError(f"block failed in {threading.current_thread().name}")
+
+    monkeypatch.setattr(mk, "_BOUND_STAGES", (failing, *rest))
+    with pytest.raises(RuntimeError, match="block failed in equinn-kernel"):
+        asm.value_and_grad(x)
+    assert worker.futures and all(f.done() for f in worker.futures)
+
+    # the calling thread's block fails while the worker's is still running
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return geometry(*args, **kwargs)
+
+    monkeypatch.setattr(mk, "_BOUND_STAGES", (slow, *rest))
+    monkeypatch.setattr(mk, "geometry", failing)
+    worker.futures.clear()
+    with pytest.raises(RuntimeError, match="block failed in MainThread"):
+        asm.loss_value(x)
+    assert worker.futures and all(f.done() for f in worker.futures)
+
+
+def test_a_second_block_of_the_other_jacobian_sign_names_its_first_node(monkeypatch):
+    # each block alone has one sign; the whole half grid does not
+    from equinn import mhdkernel as mk
+    from equinn.mhdkernel import JacobianSignError
+
+    asm, x = ellipse_problem()
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    geometry, *rest = mk._BOUND_STAGES
+
+    def flipped(*args, **kwargs):
+        st = geometry(*args, **kwargs)
+        st.sqrtg = -st.sqrtg
+        return st
+
+    monkeypatch.setattr(mk, "_BOUND_STAGES", (flipped, *rest))
+    with pytest.raises(JacobianSignError) as err:
+        asm.value_and_grad(x)
+    assert err.value.node == (asm.grid.n_rho // 2, 0, 0)
+    assert str(err.value) == f"Jacobian vanished or changed sign at node {err.value.node}: flux surfaces overlap"
 
 
 def test_loss_rejects_grids_without_the_mirror_symmetry():

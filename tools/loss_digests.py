@@ -8,9 +8,11 @@ a float hex, then one SHA-256 each of ``value_and_grad``,
 ``loss_value_precise`` and ``metrics``, of the kernel node and its tape
 (``node_and_tape_gradients``), of the network node and its tape
 (``network_node_and_tape``) and of the full-grid taped mean with its
-gradient.  Every digest counts -0.0 as +0.0.  Two trees whose outputs are
-equal round the loss, the gradient, the diagnostics and both taped
-references alike at these points.
+gradient.  Every digest counts -0.0 as +0.0.  Then it prints the first
+four lines for ``bench/ellipse3d.case`` on its own grid (32 surfaces,
+12,800 half-grid nodes: the kernel node runs as two radial blocks) at one
+seeded point.  Two trees whose outputs are equal round the loss, the
+gradient, the diagnostics and both taped references alike at these points.
 """
 
 import hashlib
@@ -21,10 +23,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from equinn import autodiff as ad, netfield as nf  # noqa: E402
+from equinn import autodiff as ad, cli_io, netfield as nf, solver as sv  # noqa: E402
+from equinn.mhdkernel import CollocationGrid  # noqa: E402
 from test_solver import half_grid_case, network_node_and_tape, node_and_tape_gradients  # noqa: E402
 
 CASES = [("dshape", 0, 0), ("small", 21, 0), ("ellipse", 21, 7)]
+ELLIPSE3D = Path(__file__).resolve().parent.parent / "bench" / "ellipse3d.case"
 
 
 def digest(*arrays) -> str:
@@ -42,29 +46,44 @@ def pairs_digest(pairs) -> str:
     return digest(*(a for pair in pairs for a in pair))
 
 
-def case_lines(case: str, n_theta: int, n_zeta: int) -> list:
-    asm, x = half_grid_case(case, n_theta, n_zeta)
-    params = nf.vector_to_params(x, asm.template)
+def loss_lines(asm, x) -> list:
     metrics = asm.metrics(x)
-    full_mean = ad.loss_gradient(
-        lambda v: ad.mean_all(asm.field_state(nf.vector_to_params(v, asm.template)).F_mag), x
-    )
-    args = asm._kernel_args(params, asm.half_grid, asm.half_tables)
     return [
         ("loss_value", float(asm.loss_value(x)).hex()),
         ("value_and_grad", digest(*asm.value_and_grad(x))),
         ("loss_value_precise", digest(asm.loss_value_precise(x))),
         ("metrics", digest(*(metrics[k] for k in sorted(metrics)))),
+    ]
+
+
+def case_lines(case: str, n_theta: int, n_zeta: int) -> list:
+    asm, x = half_grid_case(case, n_theta, n_zeta)
+    params = nf.vector_to_params(x, asm.template)
+    full_mean = ad.loss_gradient(
+        lambda v: ad.mean_all(asm.field_state(nf.vector_to_params(v, asm.template)).F_mag), x
+    )
+    args = asm._kernel_args(params, asm.half_grid, asm.half_tables)
+    return loss_lines(asm, x) + [
         ("node_and_tape_gradients", pairs_digest(node_and_tape_gradients(*args))),
         ("network_node_and_tape", pairs_digest(network_node_and_tape(asm, x))),
         ("full_grid_taped_mean", digest(*full_mean)),
     ]
 
 
+def ellipse3d_lines() -> list:
+    input, config = cli_io.parse_case(str(ELLIPSE3D))
+    grid = CollocationGrid.build(config.n_rho, input.M, input.N, input.n_fp, config.n_theta, config.n_zeta)
+    asm = sv.LossAssembler(input, config.width, grid)
+    x = nf.params_to_vector(nf.init_params((asm.modes_cos, asm.modes_sin), config.width, 0, input))
+    return loss_lines(asm, x + 0.01 * np.random.default_rng(2).normal(size=x.size))
+
+
 def main() -> None:
     for case, n_theta, n_zeta in CASES:
         for name, value in case_lines(case, n_theta, n_zeta):
             print(f"{case} ({n_theta}, {n_zeta}) {name} {value}")
+    for name, value in ellipse3d_lines():
+        print(f"ellipse3d ({ELLIPSE3D.name}) {name} {value}")
 
 
 if __name__ == "__main__":
