@@ -426,8 +426,8 @@ def poincare_section(
     if inner.any():
         coeffs[:, inner] = nf.profile_stack(params, input, surfaces[inner]).jets[0, ::2]
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    tables = spectral.pair_tables(params.modes_cos, params.modes_sin, theta, np.array([zeta]))[:, 0]
-    r, z = np.einsum("fsk,fka->fsa", coeffs, tables, optimize=False)
+    angle = spectral.mode_angles(params.modes_cos, theta, [zeta])
+    r, z = np.einsum("fsk,fka->fsa", coeffs, np.stack([np.cos(angle), np.sin(angle)]), optimize=False)
     theta_closed = np.concatenate([theta, theta[:1]])
     out = [
         (index, float(rho), theta_closed, np.append(r[index], r[index, 0]), np.append(z[index], z[index, 0]))
@@ -507,17 +507,20 @@ def theta_star_contours(
     stack = nf.profile_stack(params, input, np.minimum(rho, 1.0 - 1e-12))
     r_c, lam_c, z_c = stack.jets[0]  # (surface, mode) each
 
+    m = params.modes_sin.m.astype(float)
     probe = 2.0 * np.pi * np.arange(720) / 720.0
-    # sine parity, d/dtheta row: m cos(m theta - n n_fp zeta)
-    d_theta = spectral.pair_tables(params.modes_cos, params.modes_sin, probe, [zeta])[1, 1]
-    monotone = (1.0 + lam_c @ d_theta).min(axis=1) > 0.0
+    # the d/dtheta row of the sine parity: m cos(m theta - n n_fp zeta)
+    d_theta = m[:, None] * np.cos(spectral.mode_angles(params.modes_sin, probe, [zeta]))
+    # einsum, not BLAS: the threads of an OpenBLAS GEMM keep spinning after it
+    # and take the core of the kernel's worker thread (the ellipse3d bench's
+    # fine-grid metrics right after took 62 ms instead of 38)
+    monotone = (1.0 + np.einsum("sk,ka->sa", lam_c, d_theta, optimize=False)).min(axis=1) > 0.0
     if not monotone.all():
         raise ThetaStarError(
             f"theta + lambda is non-monotone on surface rho={rho[np.argmin(monotone)]:.4f}: "
             "|d lambda/d theta| >= 1"
         )
 
-    m = params.modes_sin.m.astype(float)
     n_zeta = (params.modes_sin.n * params.modes_sin.n_fp).astype(float) * zeta
     dlam_c = lam_c * m
 

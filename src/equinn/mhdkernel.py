@@ -32,9 +32,10 @@ and the reported magnitude is ||F|| = sqrt(F_s^2 (e^s.e^s) + F_h^2 (e^h.e^h)).
 All field arrays are shaped (n_rho, n_theta * n_zeta).  The training loss and
 the diagnostics run the same four stage functions on plain arrays: the loss
 tapes them as one node from the profile jets to ||F|| (:func:`force_magnitude`),
-whose reverse pass is a hand-written adjoint.  Nothing in that node sums
-over radii, so on a large grid it runs as two radial blocks on two threads
-and rounds exactly as on one.  The stages call numpy
+whose reverse pass is a hand-written adjoint.  Nothing in that node, nor in
+the arrays the diagnostics read (:func:`residual_fields`), sums over radii,
+so on a large grid both run as radial blocks on two threads and round
+exactly as on one.  The stages call numpy
 directly; on jets that are an :class:`autodiff.Var`, numpy records each call,
 so the stages tape themselves node by node, which gives the reference
 gradient for that adjoint.  The quadratures take plain arrays only.
@@ -43,7 +44,6 @@ gradient for that adjoint.  The quadratures take plain arrays only.
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -64,6 +64,7 @@ __all__ = [
     "force",
     "field_state",
     "force_magnitude",
+    "residual_fields",
     "grad_B2_magnitude",
     "gradient_magnitude",
     "volume_average",
@@ -562,14 +563,16 @@ def field_state(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[
     return st
 
 
-# The kernel node splits a grid into two radial blocks when each keeps at
-# least this many nodes (see :func:`_radial_blocks`).
+# A grid splits into radial blocks only when each keeps at least
+# _MIN_BLOCK_NODES nodes; past two, the blocks halve again while they hold
+# more than _MAX_BLOCK_NODES (see :func:`_radial_blocks`).
 _MIN_BLOCK_NODES = 4000
+_MAX_BLOCK_NODES = 6400
 
-# The worker thread of the second radial block runs the stages through
-# references bound here, at import: a tracer that patches the module's stage
-# functions (``bench/spans.py``) keeps one span stack for all threads, so
-# only the calling thread may enter them.
+# The worker thread runs its radial blocks through the stages bound here, at
+# import: a tracer that patches the module's stage functions
+# (``bench/spans.py``) keeps one span stack for all threads, so only the
+# calling thread may enter them.
 _BOUND_STAGES = (geometry, magnetic_field, current, force)
 _WORKER = None  # made by the first split, see _worker
 
@@ -587,33 +590,43 @@ def _worker():
 
 
 def _radial_blocks(grid: CollocationGrid) -> list:
-    """The radius ranges the kernel node runs as separate blocks: the two
-    halves of the radii when each keeps at least ``_MIN_BLOCK_NODES`` nodes,
-    else all of them.  The count depends on the grid only.
+    """The radius ranges the kernel runs as separate blocks, in order.  The
+    count depends on the grid only: the two halves of the radii when each
+    keeps at least ``_MIN_BLOCK_NODES`` nodes, else all of them; then the
+    blocks halve again while they hold more than ``_MAX_BLOCK_NODES`` nodes
+    and their halves keep at least ``_MIN_BLOCK_NODES``.
 
-    ``value_and_grad`` per half grid, whole and split on two threads
+    ``value_and_grad`` per half grid, whole and as two blocks on two threads
     (medians of 30-40 alternated calls, 2-core Xeon VM): dshape, 1,150
     nodes, 3.0 and 7.0 ms; ellipse3d at 12 to 32 surfaces, 4,800 nodes 9.1
     and 11.0 ms, 6,400 nodes 11.7 and 13.2, 8,000 nodes 19.1-19.7 and
     15.1-16.9, 12,800 nodes 24.2-31.3 and 18.6-23.8.  Blocks of 3,200 nodes
-    lose, blocks of 4,000 win."""
-    half = grid.n_rho // 2
-    if half * grid.n_angular < _MIN_BLOCK_NODES:
-        return [slice(0, grid.n_rho)]
-    return [slice(0, half), slice(half, grid.n_rho)]
+    lose, blocks of 4,000 win.  The bound above keeps the worker's blocks
+    within the heap its 6,400-node block of the ellipse3d training grid has
+    already grown: see :func:`residual_fields` for the measurements."""
+    n_rho, n_angular = grid.n_rho, grid.n_angular
+    n = 1  # blocks of n_rho // n or one more radii
+    while (n_rho // (2 * n) * n_angular >= _MIN_BLOCK_NODES
+           and (n == 1 or -(-n_rho // n) * n_angular > _MAX_BLOCK_NODES)):
+        n *= 2
+    edges = [i * n_rho // n for i in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _run_blocks(calls: list) -> list:
-    """The results of ``calls``: the first runs in the calling thread, the
-    others on the worker.  The worker is waited for before an error of the
-    first call propagates, so no block outlives the call."""
-    futures = [_worker().submit(call) for call in calls[1:]]
+def _run_blocks(block, n: int) -> list:
+    """``[block(i, stages) for i in range(n)]``: the first half of the blocks
+    in the calling thread through the module's stage names, the second half
+    one after another as one task on the worker through ``_BOUND_STAGES``.
+    The worker is waited for before an error of the calling thread's blocks
+    propagates, so no block outlives the call."""
+    here = (geometry, magnetic_field, current, force)  # looked up per call, so a tracer sees these blocks
+    k = (n + 1) // 2
+    future = _worker().submit(lambda: [block(i, _BOUND_STAGES) for i in range(k, n)])
     try:
-        first = calls[0]()
+        first = [block(i, here) for i in range(k)]
     finally:
-        for f in futures:
-            f.exception()  # returns once the block has run
-    return [first] + [f.result() for f in futures]
+        future.exception()  # returns once the worker's blocks have run
+    return first + future.result()
 
 
 def _block_state(stages, profiles, grid, tables, iota_coeffs, psi_b, p_prime) -> FieldState:
@@ -631,6 +644,24 @@ def _block_state(stages, profiles, grid, tables, iota_coeffs, psi_b, p_prime) ->
     return force_(st, p_prime)
 
 
+def _map_blocks(fn, blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime) -> tuple:
+    """``fn(state, rows)`` of the :func:`_block_state` of each radial block
+    in ``blocks`` (on :func:`_run_blocks`' threads), and each block's (rows,
+    tables)."""
+    pp = np.asarray(p_prime, dtype=float)
+    parts = [(rows, tables.block(rows)) for rows in blocks]
+    # sliced here, in the calling thread: slicing on the worker, while the
+    # caller runs Python too, cost the ellipse3d value_and_grad about 2%
+    args = [(replace(profiles, rho=profiles.rho[rows], jets=profiles.jets[:, :, rows]),
+             replace(grid, rho=grid.rho[rows]), block_tables, iota_coeffs, psi_b, pp[rows] if pp.ndim else pp)
+            for rows, block_tables in parts]
+
+    def block(i, stages):
+        return fn(_block_state(stages, *args[i]), parts[i][0])
+
+    return _run_blocks(block, len(parts)), parts
+
+
 def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: KernelTables,
                     iota_coeffs, psi_b: float, p_prime):
     """``F_mag`` of :func:`field_state` as one tape node of the profile jets.
@@ -638,11 +669,11 @@ def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
     The forward runs the four stages on the jets' plain value; the reverse
     pass maps the gradient of ``F_mag`` to the synthesized rows
     (:func:`_kernel_adjoint`) and on through ``tables.adjoint``.  Both run
-    over the radial blocks of :func:`_radial_blocks`, the first in the
-    calling thread and the second on a worker thread.  Every sum in the node
-    runs within one radius, so ``F_mag`` and the jets' gradient, joined along
-    the radius, equal those of the whole grid bit for bit; the Jacobian check
-    runs on the joined sqrt(g) and raises what the whole grid raises.
+    over the radial blocks of :func:`_radial_blocks`, the first half in the
+    calling thread and the second half on a worker thread.  Every sum in the
+    node runs within one radius, so ``F_mag`` and the jets' gradient, joined
+    along the radius, equal those of the whole grid bit for bit; the Jacobian
+    check runs on the joined sqrt(g) and raises what the whole grid raises.
     """
     blocks = _radial_blocks(grid)
     if len(blocks) == 1:
@@ -652,32 +683,63 @@ def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
 
         return ad.elemental(profiles.jets, forward)
 
-    pp = np.asarray(p_prime, dtype=float)
-    parts = [(rows, replace(grid, rho=grid.rho[rows]), tables.block(rows), pp[rows] if pp.ndim else pp)
-             for rows in blocks]
-    here = (geometry, magnetic_field, current, force)  # looked up per call, so a tracer sees block 0
-
     def forward(jets):
-        states = _run_blocks([
-            functools.partial(_block_state, _BOUND_STAGES if i else here,
-                              replace(profiles, rho=profiles.rho[rows], jets=jets[:, :, rows]),
-                              block_grid, block_tables, iota_coeffs, psi_b, block_pp)
-            for i, (rows, block_grid, block_tables, block_pp) in enumerate(parts)
-        ])
+        states, parts = _map_blocks(lambda st, rows: st, blocks, replace(profiles, jets=jets), grid, tables,
+                                    iota_coeffs, psi_b, p_prime)
         _check_jacobian(np.concatenate([st.sqrtg for st in states]), grid)
 
         def vjp(g):
             out = np.empty_like(jets)
 
-            def adjoint(st, rows, block_tables):
+            def adjoint(i, stages):
+                (rows, block_tables), st = parts[i], states[i]
                 out[:, :, rows] = block_tables.adjoint(_kernel_adjoint(st, g[rows], psi_b))
 
-            _run_blocks([functools.partial(adjoint, st, rows, t) for st, (rows, _, t, _) in zip(states, parts)])
+            _run_blocks(adjoint, len(parts))
             return out
 
         return np.concatenate([st.F_mag for st in states]), vjp
 
     return ad.elemental(profiles.jets, forward)
+
+
+def residual_fields(profiles: ProfileStack, grid: CollocationGrid, tables: KernelTables,
+                    iota_coeffs, psi_b: float, p_prime) -> tuple:
+    """What the residual quadratures read of :func:`field_state`: a state
+    that holds ``sqrtg`` and ``F_mag``, and :func:`grad_B2_magnitude`, on
+    plain jets.
+
+    On a grid of several radial blocks (:func:`_radial_blocks`) each block
+    computes the three arrays on :func:`_run_blocks`' threads, writes them
+    into its radii of the joined arrays and drops its state; the Jacobian
+    check runs on the joined sqrt(g).  Nothing in them sums over radii, so
+    they equal the whole grid's bit for bit.
+
+    Fine-grid ``metrics`` of the ellipse3d bench (50,176 half-grid nodes;
+    2-core Xeon VM, medians of 8-12 alternated in-process calls): whole
+    58.8-60.8 ms, as 2, 4 and 8 blocks 35.0-35.4, 34.3-35.4 and 39.7 ms.
+    ``_MAX_BLOCK_NODES`` bounds the blocks because the worker's heap grows
+    by the largest block it holds: in 40 s bench runs, 4 blocks of 12,544
+    nodes raised ``peak_rss_mb`` by 0.7 and 4.2 MB.
+    """
+    blocks = _radial_blocks(grid)
+    if len(blocks) == 1:
+        st = field_state(profiles, grid, tables, iota_coeffs, psi_b, p_prime)
+        return st, grad_B2_magnitude(st)
+
+    # sqrt(g), F_mag and |grad |B|^2| / (2 mu0), allocated here so that the
+    # worker's heap holds no block's arrays past its block
+    out = np.empty((3, grid.n_rho, grid.n_angular), dtype=profiles.jets.dtype)
+
+    def fill(st, rows):
+        out[0, rows] = st.sqrtg
+        if st.F_mag is not None:  # else the check below raises
+            out[1, rows] = st.F_mag
+            out[2, rows] = grad_B2_magnitude(st)
+
+    _map_blocks(fill, blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime)
+    _check_jacobian(out[0], grid)
+    return FieldState(grid, sqrtg=out[0], F_mag=out[1]), out[2]
 
 
 def _rot(v):

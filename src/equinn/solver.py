@@ -212,9 +212,6 @@ class LossAssembler:
         stack = nf.profile_stack(params, self.input, grid.rho, self.constants)
         return stack, grid, tables, self.input.iota, self.input.psi_b, self.p_prime
 
-    def _state(self, params: NetParams, grid: CollocationGrid, tables) -> mk.FieldState:
-        return mk.field_state(*self._kernel_args(params, grid, tables))
-
     @functools.cached_property
     def tables(self) -> mk.KernelTables:
         """The kernel tables of the full grid, which only :meth:`field_state`
@@ -222,7 +219,7 @@ class LossAssembler:
         return mk.KernelTables(self.modes_cos, self.modes_sin, self.grid)
 
     def field_state(self, params: NetParams) -> mk.FieldState:
-        return self._state(params, self.grid, self.tables)
+        return mk.field_state(*self._kernel_args(params, self.grid, self.tables))
 
     def _mean(self, f_mag):
         """The full-grid node mean of ``f_mag`` given on the half grid."""
@@ -260,11 +257,14 @@ class LossAssembler:
 
     def metrics(self, vec: np.ndarray) -> dict:
         """Normalized residual diagnostics of the training grid, as quadratures
-        over its mirror half with the multiplicity of each node."""
+        over its mirror half with the multiplicity of each node.  The kernel
+        runs over the radial blocks of the loss node
+        (:func:`mhdkernel.residual_fields`); the quadratures sum the joined
+        arrays."""
         params = nf.vector_to_params(np.asarray(vec, dtype=float), self.template)
         grid, w = self.half_grid, self.half_weights
-        state = self._state(params, grid, self.half_tables)
-        normalizer = mk.volume_average(mk.grad_B2_magnitude(state), state, grid, w)
+        state, grad_b2 = mk.residual_fields(*self._kernel_args(params, grid, self.half_tables))
+        normalizer = mk.volume_average(grad_b2, state, grid, w)
         fnorm, fvol = mk.f_norm(state, grid, normalizer, w)
         return {
             "f_vol_norm": fvol,

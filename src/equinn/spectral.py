@@ -9,10 +9,11 @@ leaving ``M*(2N+1) - N`` coefficients per field.
 
 Synthesis and all angular derivatives are evaluated by direct summation
 against precomputed trigonometric tables; the mode counts of interest are
-far too small for FFTs to pay off.  :func:`synthesize`, :func:`project` and
-the point-list exports contract against the full (mode, node) tables
-(:func:`pair_tables`).  The field kernel works on tensor grids, where the
-basis factors into poloidal and toroidal tables (:class:`TensorTables`):
+far too small for FFTs to pay off.  :func:`synthesize` and :func:`project`
+contract against the full (mode, node) tables; the point-list exports take
+the cosine and sine of the few rows they read (:func:`mode_angles`).  The
+field kernel works on tensor grids, where the basis factors into poloidal
+and toroidal tables (:class:`TensorTables`):
 its synthesis (``mhdkernel.KernelTables``) sums over n for each (m, zeta),
 then over m for each theta, about 3x fewer multiply-adds than the full
 contraction at M = 12, N = 4.  All contractions are ``np.einsum`` without
@@ -32,7 +33,7 @@ __all__ = [
     "SynthesizedField",
     "build_mode_set",
     "mode_set_pair",
-    "pair_tables",
+    "mode_angles",
     "synthesize",
     "project",
     "spectral_width",
@@ -125,20 +126,28 @@ class SurfaceCoefficients:
             raise ValueError("sine-parity (0,0) coefficient must be exactly 0")
 
 
+def mode_angles(mode_set: ModeSet, theta, zeta) -> np.ndarray:
+    """m theta - n n_fp zeta of every mode on the flattened grid, shape
+    (n_modes, n_theta * n_zeta), theta-major: the angle of every table row.
+    A caller that needs a few rows takes ``np.cos`` or ``np.sin`` of it and
+    gets the rows of :func:`_tables` bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    if theta.size == 0 or zeta.size == 0:
+        raise ValueError("angular grid must have at least one node")
+    return (
+        mode_set.m[:, None, None] * theta[None, :, None]
+        - (mode_set.n * mode_set.n_fp)[:, None, None] * zeta[None, None, :]
+    ).reshape(mode_set.size, theta.size * zeta.size)
+
+
 def _tables(mode_set: ModeSet, theta, zeta, parities) -> np.ndarray:
     """Basis functions of ``mode_set``'s (m, n) for each parity and their
     angular derivatives on the flattened grid, shape (parities, 6, n_modes,
     n_theta * n_zeta); the second axis is (value, d_theta, d_zeta,
     d_theta^2, d_theta d_zeta, d_zeta^2).  Synthesis of any field or
     derivative is one contraction against these constants."""
-    theta = np.asarray(theta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if theta.size == 0 or zeta.size == 0:
-        raise ValueError("angular grid must have at least one node")
-    angle = (
-        mode_set.m[:, None, None] * theta[None, :, None]
-        - (mode_set.n * mode_set.n_fp)[:, None, None] * zeta[None, None, :]
-    ).reshape(mode_set.size, theta.size * zeta.size)
+    angle = mode_angles(mode_set, theta, zeta)
     m = mode_set.m.astype(float)[:, None]
     nf = (mode_set.n * mode_set.n_fp).astype(float)[:, None]
     c, s = np.cos(angle), np.sin(angle)
@@ -151,14 +160,6 @@ def _tables(mode_set: ModeSet, theta, zeta, parities) -> np.ndarray:
         for row, factor in zip(t[3:], (-m * m, m * nf, -nf * nf)):
             np.multiply(factor, t[0], out=row)
     return tables
-
-
-def pair_tables(modes_cos: ModeSet, modes_sin: ModeSet, theta, zeta) -> np.ndarray:
-    """Cosine and sine tables of one (m, n) set, shape (2, 6, n_modes,
-    n_theta * n_zeta), second axis as in :func:`_tables`."""
-    if not (np.array_equal(modes_cos.m, modes_sin.m) and np.array_equal(modes_cos.n, modes_sin.n)):
-        raise ValueError("cosine and sine mode sets must share their (m, n)")
-    return _tables(modes_cos, theta, zeta, (COSINE, SINE))
 
 
 class TensorTables:

@@ -6,7 +6,7 @@ from equinn import _geom, autodiff as ad, mhdkernel as mk, netfield as nf
 from equinn.autodiff import Jet2
 from equinn.netfield import ProfileStack
 from equinn.solver import _strong_wolfe
-from equinn.spectral import build_mode_set
+from equinn.spectral import COSINE, SINE, _tables, build_mode_set
 
 # A small stellarator-symmetric 3D case (n_fp=2, M=5, N=2) that exercises
 # every zeta-derivative path.
@@ -170,3 +170,12 @@ def volume(state, grid) -> float:
     dtheta = 2.0 * np.pi / grid.theta.size
     dzeta = 2.0 * np.pi / grid.zeta.size
     return float(w.sum() * dtheta * dzeta)
+
+
+def pair_tables(modes_cos, modes_sin, theta, zeta) -> np.ndarray:
+    """Cosine and sine tables of one (m, n) set, shape (2, 6, n_modes,
+    n_theta * n_zeta), second axis as in ``spectral._tables``: the reference
+    of the kernel's synthesis and of the exports' rows."""
+    if not (np.array_equal(modes_cos.m, modes_sin.m) and np.array_equal(modes_cos.n, modes_sin.n)):
+        raise ValueError("cosine and sine mode sets must share their (m, n)")
+    return _tables(modes_cos, theta, zeta, (COSINE, SINE))

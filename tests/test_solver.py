@@ -636,7 +636,14 @@ def test_only_the_calling_thread_enters_the_module_stage_functions(monkeypatch):
 
         monkeypatch.setattr(mk, name, recording)
     asm.value_and_grad(x)
-    assert threads == [threading.get_ident()] * 4
+    asm.metrics(x)
+    assert threads == [threading.get_ident()] * 8
+    # four blocks: the calling thread runs two of them
+    monkeypatch.setattr(mk, "_MAX_BLOCK_NODES", 1)
+    threads.clear()
+    asm.metrics(x)
+    assert len(mk._radial_blocks(asm.half_grid)) == 4
+    assert threads == [threading.get_ident()] * 8
 
 
 class _RecordingWorker:
@@ -702,6 +709,117 @@ def test_a_second_block_of_the_other_jacobian_sign_names_its_first_node(monkeypa
         asm.value_and_grad(x)
     assert err.value.node == (asm.grid.n_rho // 2, 0, 0)
     assert str(err.value) == f"Jacobian vanished or changed sign at node {err.value.node}: flux surfaces overlap"
+
+
+def _metrics_bytes(metrics):
+    return [np.asarray(metrics[k]).tobytes() for k in sorted(metrics)]
+
+
+def _split(monkeypatch, max_block_nodes):
+    """Split every grid of two or more surfaces into radial blocks of at most
+    ``max_block_nodes`` nodes."""
+    from equinn import mhdkernel as mk
+
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    monkeypatch.setattr(mk, "_MAX_BLOCK_NODES", max_block_nodes)
+
+
+@pytest.mark.parametrize("case, n_theta, n_zeta", [("dshape", 0, 0), ("ellipse", 0, 0), ("ellipse", 21, 7)])
+def test_split_metrics_round_as_whole(monkeypatch, case, n_theta, n_zeta):
+    from equinn import mhdkernel as mk
+
+    asm, x = half_grid_case(case, n_theta, n_zeta)
+    assert len(mk._radial_blocks(asm.half_grid)) == 1
+    whole = _metrics_bytes(asm.metrics(x))
+    counts = []
+    for max_block_nodes in (10**9, 1):  # two blocks, then one or two surfaces per block
+        _split(monkeypatch, max_block_nodes)
+        counts.append(len(mk._radial_blocks(asm.half_grid)))
+        assert _metrics_bytes(asm.metrics(x)) == whole
+    assert counts[0] == 2 and counts[1] == (32 if case == "dshape" else 4)
+
+
+def test_radial_blocks_keep_the_worker_within_the_training_block():
+    # the bench's fine grids: twice the surfaces and theta nodes of the case
+    from equinn import mhdkernel as mk
+
+    dshape, config = cli_io.parse_case("dshape")
+    dshape_fine, _ = sv._mirror_half(CollocationGrid.build(2 * config.n_rho, dshape.M, dshape.N, dshape.n_fp,
+                                                           8 * dshape.M))
+    ellipse3d_fine, _ = sv._mirror_half(CollocationGrid.build(64, 12, 4, 5, 96))
+    assert (dshape_fine.n_nodes, ellipse3d_fine.n_nodes) == (4500, 50176)
+    assert mk._radial_blocks(dshape_fine) == [slice(0, 100)]
+    assert mk._radial_blocks(ellipse3d_fine) == [slice(i, i + 8) for i in range(0, 64, 8)]
+
+
+def test_the_worker_runs_the_second_half_of_the_blocks_as_one_task(monkeypatch):
+    import threading
+
+    from equinn import mhdkernel as mk
+
+    worker = _RecordingWorker(mk._worker())
+    monkeypatch.setattr(mk, "_WORKER", worker)
+    here = (mk.geometry, mk.magnetic_field, mk.current, mk.force)
+    ran = mk._run_blocks(lambda i, stages: (i, threading.current_thread().name, stages), 5)
+    assert [i for i, _, _ in ran] == list(range(5))
+    assert [name for _, name, _ in ran] == ["MainThread"] * 3 + ["equinn-kernel_0"] * 2
+    assert [stages for _, _, stages in ran] == [here] * 3 + [mk._BOUND_STAGES] * 2
+    assert len(worker.futures) == 1
+
+
+def test_split_metrics_name_the_same_overlapping_node_as_the_whole_grid(monkeypatch):
+    from equinn import mhdkernel as mk
+    from equinn.mhdkernel import JacobianSignError
+
+    asm, x0 = ellipse_problem()
+    _split(monkeypatch, 1)
+    first_rows = mk._radial_blocks(asm.half_grid)[0]
+    nodes = set()
+    for seed in range(4):
+        x = x0 + 0.2 * np.random.default_rng(seed).normal(size=x0.size)
+        with pytest.raises(JacobianSignError) as full:
+            asm.field_state(nf.vector_to_params(x, asm.template))
+        with pytest.raises(JacobianSignError) as half:
+            asm.metrics(x)
+        assert half.value.node == full.value.node
+        assert str(half.value) == str(full.value)
+        nodes.add(full.value.node)
+    # offenders past the first block: there, the check of the joined sqrt(g) names them
+    assert any(i_rho >= first_rows.stop for i_rho, _, _ in nodes)
+
+    # the worker's blocks alone have the other sign, each consistently
+    geometry, *rest = mk._BOUND_STAGES
+
+    def flipped(*args, **kwargs):
+        st = geometry(*args, **kwargs)
+        st.sqrtg = -st.sqrtg
+        return st
+
+    monkeypatch.setattr(mk, "_BOUND_STAGES", (flipped, *rest))
+    with pytest.raises(JacobianSignError) as err:
+        asm.metrics(x0)
+    assert err.value.node == (asm.grid.n_rho // 2, 0, 0)
+    assert str(err.value) == f"Jacobian vanished or changed sign at node {err.value.node}: flux surfaces overlap"
+
+
+def test_an_error_in_the_workers_metrics_blocks_reaches_the_caller(monkeypatch):
+    import threading
+
+    from equinn import mhdkernel as mk
+
+    asm, x = ellipse_problem()
+    _split(monkeypatch, 1)
+    worker = _RecordingWorker(mk._worker())
+    monkeypatch.setattr(mk, "_WORKER", worker)
+    geometry, magnetic_field, *rest = mk._BOUND_STAGES
+
+    def failing(*args, **kwargs):
+        raise RuntimeError(f"block failed in {threading.current_thread().name}")
+
+    monkeypatch.setattr(mk, "_BOUND_STAGES", (geometry, failing, *rest))
+    with pytest.raises(RuntimeError, match="block failed in equinn-kernel"):
+        asm.metrics(x)
+    assert len(worker.futures) == 1 and worker.futures[0].done()
 
 
 def test_loss_rejects_grids_without_the_mirror_symmetry():

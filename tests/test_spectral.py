@@ -8,12 +8,13 @@ from equinn.mhdkernel import CollocationGrid
 from equinn.spectral import (
     SurfaceCoefficients,
     build_mode_set,
+    mode_angles,
     mode_set_pair,
-    pair_tables,
     project,
     spectral_width,
     synthesize,
 )
+from support import pair_tables
 
 
 def coeffs_for(mode_set, pairs):
@@ -202,6 +203,20 @@ def test_spectral_width_rejects_mismatched_sets():
     z = coeffs_for(build_mode_set(4, 0, 1, "sin"), {})
     with pytest.raises(ValueError):
         spectral_width(r.mode_set, z.mode_set, r.values, z.values)
+
+
+@pytest.mark.parametrize("M, N, n_fp, zeta", [(6, 0, 1, 0.0), (5, 2, 3, 0.4)])
+def test_rows_of_the_mode_angles_are_the_pair_table_rows(M, N, n_fp, zeta):
+    # the rows the exports read: cos and sin (poincare_section) and the
+    # d/dtheta row of the sine parity, m cos (theta_star_contours)
+    cos_set, sin_set = mode_set_pair(M, N, n_fp)
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    pair = pair_tables(cos_set, sin_set, theta, [zeta])
+    angle = mode_angles(cos_set, theta, [zeta])
+    assert np.cos(angle).tobytes() == pair[0, 0].tobytes()
+    assert np.sin(angle).tobytes() == pair[1, 0].tobytes()
+    d_theta = sin_set.m.astype(float)[:, None] * np.cos(mode_angles(sin_set, theta, [zeta]))
+    assert d_theta.tobytes() == pair[1, 1].tobytes()
 
 
 # -- the kernel's synthesis against the table contraction ---------------------------

@@ -11,8 +11,10 @@ a float hex, then one SHA-256 each of ``value_and_grad``,
 gradient.  Every digest counts -0.0 as +0.0.  Then it prints the first
 four lines for ``bench/ellipse3d.case`` on its own grid (32 surfaces,
 12,800 half-grid nodes: the kernel node runs as two radial blocks) at one
-seeded point.  Two trees whose outputs are equal round the loss, the
-gradient, the diagnostics and both taped references alike at these points.
+seeded point, and ``metrics`` at that point on the bench's fine grid (64
+surfaces, 8 M theta nodes: 50,176 half-grid nodes).  Two trees whose
+outputs are equal round the loss, the gradient, the diagnostics and both
+taped references alike at these points.
 """
 
 import hashlib
@@ -46,13 +48,17 @@ def pairs_digest(pairs) -> str:
     return digest(*(a for pair in pairs for a in pair))
 
 
-def loss_lines(asm, x) -> list:
+def metrics_digest(asm, x) -> str:
     metrics = asm.metrics(x)
+    return digest(*(metrics[k] for k in sorted(metrics)))
+
+
+def loss_lines(asm, x) -> list:
     return [
         ("loss_value", float(asm.loss_value(x)).hex()),
         ("value_and_grad", digest(*asm.value_and_grad(x))),
         ("loss_value_precise", digest(asm.loss_value_precise(x))),
-        ("metrics", digest(*(metrics[k] for k in sorted(metrics)))),
+        ("metrics", metrics_digest(asm, x)),
     ]
 
 
@@ -75,7 +81,10 @@ def ellipse3d_lines() -> list:
     grid = CollocationGrid.build(config.n_rho, input.M, input.N, input.n_fp, config.n_theta, config.n_zeta)
     asm = sv.LossAssembler(input, config.width, grid)
     x = nf.params_to_vector(nf.init_params((asm.modes_cos, asm.modes_sin), config.width, 0, input))
-    return loss_lines(asm, x + 0.01 * np.random.default_rng(2).normal(size=x.size))
+    x = x + 0.01 * np.random.default_rng(2).normal(size=x.size)
+    # the bench's fine grid: twice the surfaces and theta nodes
+    fine = CollocationGrid.build(2 * config.n_rho, input.M, input.N, input.n_fp, 8 * input.M, config.n_zeta)
+    return loss_lines(asm, x) + [("metrics (fine grid)", metrics_digest(sv.LossAssembler(input, config.width, fine), x))]
 
 
 def main() -> None:
