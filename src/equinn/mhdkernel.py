@@ -564,8 +564,8 @@ def field_state(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[
 
 
 # A grid splits into radial blocks only when each keeps at least
-# _MIN_BLOCK_NODES nodes; past two, the blocks halve again while they hold
-# more than _MAX_BLOCK_NODES (see :func:`_radial_blocks`).
+# _MIN_BLOCK_NODES nodes; past two, the blocks of residual_fields halve again
+# while they hold more than _MAX_BLOCK_NODES (see :func:`_radial_blocks`).
 _MIN_BLOCK_NODES = 4000
 _MAX_BLOCK_NODES = 6400
 
@@ -589,25 +589,29 @@ def _worker():
     return _WORKER
 
 
-def _radial_blocks(grid: CollocationGrid) -> list:
+def _radial_blocks(grid: CollocationGrid, max_nodes=None) -> list:
     """The radius ranges the kernel runs as separate blocks, in order.  The
-    count depends on the grid only: the two halves of the radii when each
-    keeps at least ``_MIN_BLOCK_NODES`` nodes, else all of them; then the
-    blocks halve again while they hold more than ``_MAX_BLOCK_NODES`` nodes
-    and their halves keep at least ``_MIN_BLOCK_NODES``.
+    count depends on the grid and ``max_nodes`` only: the two halves of the
+    radii when each keeps at least ``_MIN_BLOCK_NODES`` nodes, else all of
+    them; with ``max_nodes``, the blocks then halve again while they hold
+    more than ``max_nodes`` nodes and their halves keep at least
+    ``_MIN_BLOCK_NODES``.
 
     ``value_and_grad`` per half grid, whole and as two blocks on two threads
     (medians of 30-40 alternated calls, 2-core Xeon VM): dshape, 1,150
     nodes, 3.0 and 7.0 ms; ellipse3d at 12 to 32 surfaces, 4,800 nodes 9.1
     and 11.0 ms, 6,400 nodes 11.7 and 13.2, 8,000 nodes 19.1-19.7 and
     15.1-16.9, 12,800 nodes 24.2-31.3 and 18.6-23.8.  Blocks of 3,200 nodes
-    lose, blocks of 4,000 win.  The bound above keeps the worker's blocks
-    within the heap its 6,400-node block of the ellipse3d training grid has
-    already grown: see :func:`residual_fields` for the measurements."""
+    lose, blocks of 4,000 win.  The loss node takes no ``max_nodes``: it
+    keeps every block's state until its reverse pass, and more blocks only
+    add overhead.  ``value_and_grad`` on an ellipse3d grid of 40 surfaces
+    (16,000 half-grid nodes; 2-core Xeon VM, medians of 36 alternated rounds
+    of 5 calls) took 27.0 ms as 2 blocks and 33.5 ms as 4 blocks of 4,000
+    nodes."""
     n_rho, n_angular = grid.n_rho, grid.n_angular
     n = 1  # blocks of n_rho // n or one more radii
     while (n_rho // (2 * n) * n_angular >= _MIN_BLOCK_NODES
-           and (n == 1 or -(-n_rho // n) * n_angular > _MAX_BLOCK_NODES)):
+           and (n == 1 or max_nodes is not None and -(-n_rho // n) * n_angular > max_nodes)):
         n *= 2
     edges = [i * n_rho // n for i in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
@@ -720,9 +724,11 @@ def residual_fields(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
     58.8-60.8 ms, as 2, 4 and 8 blocks 35.0-35.4, 34.3-35.4 and 39.7 ms.
     ``_MAX_BLOCK_NODES`` bounds the blocks because the worker's heap grows
     by the largest block it holds: in 40 s bench runs, 4 blocks of 12,544
-    nodes raised ``peak_rss_mb`` by 0.7 and 4.2 MB.
+    nodes raised ``peak_rss_mb`` by 0.7 and 4.2 MB.  The bound keeps the
+    worker's blocks within the heap its 6,400-node block of the ellipse3d
+    training grid has already grown.
     """
-    blocks = _radial_blocks(grid)
+    blocks = _radial_blocks(grid, _MAX_BLOCK_NODES)
     if len(blocks) == 1:
         st = field_state(profiles, grid, tables, iota_coeffs, psi_b, p_prime)
         return st, grad_B2_magnitude(st)

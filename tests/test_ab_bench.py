@@ -1,7 +1,8 @@
-"""Smoke test of ``tools/ab_bench.py``: one ``--smoke`` pair of two identical
-trees, then the schema of the table it writes."""
+"""Smoke test of ``tools/ab_bench.py``: one ``--smoke`` pair of the committed
+``HEAD`` and this working tree, then the schema of the table it writes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,12 +20,14 @@ def _git_head():
 
 
 @pytest.mark.skipif(_git_head() is None, reason="needs a git checkout with a commit")
-def test_one_smoke_pair_of_identical_trees_writes_the_ab_schema(tmp_path):
+def test_one_smoke_pair_writes_the_ab_schema_and_removes_the_parent_tree(tmp_path):
     out = tmp_path / "BENCH_smoke.json"
-    command = [sys.executable, "tools/ab_bench.py", "HEAD", "--change-rev", "HEAD",
-               "--workload", "dshape-solve", "--pairs", "1", "--seeds", "3", "--seconds", "1", "--smoke",
-               "--out", str(out), "--description", "smoke", "--scratch", str(tmp_path)]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    command = [sys.executable, "tools/ab_bench.py", "HEAD", "--workload", "dshape-solve", "--seeds", "3",
+               "--seconds", "1", "--smoke", "--out", str(out), "--description", "smoke"]
+    env = dict(os.environ, TMPDIR=str(scratch))  # where the parent's tree is exported
+    proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     table = json.loads(out.read_text())
     assert table["description"] == "smoke" and list(table["workloads"]) == ["dshape-solve"]
@@ -41,4 +44,4 @@ def test_one_smoke_pair_of_identical_trees_writes_the_ab_schema(tmp_path):
         assert set(row) == ROW_KEYS | {"change_lower_in_pairs", "pairs"}, name
         assert row["pairs"] == 1 and row["change_lower_in_pairs"] in (0, 1)
         assert row["parent_median"] == pair["parent"][name] and row["change_median"] == pair["change"][name]
-    assert list(tmp_path.iterdir()) == [out]  # the exported trees are gone
+    assert list(scratch.iterdir()) == []  # the exported tree is gone

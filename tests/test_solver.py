@@ -638,12 +638,14 @@ def test_only_the_calling_thread_enters_the_module_stage_functions(monkeypatch):
     asm.value_and_grad(x)
     asm.metrics(x)
     assert threads == [threading.get_ident()] * 8
-    # four blocks: the calling thread runs two of them
+    # metrics as four blocks: the calling thread runs two of them; the loss
+    # node keeps its two
     monkeypatch.setattr(mk, "_MAX_BLOCK_NODES", 1)
     threads.clear()
+    asm.value_and_grad(x)
     asm.metrics(x)
-    assert len(mk._radial_blocks(asm.half_grid)) == 4
-    assert threads == [threading.get_ident()] * 8
+    assert len(mk._radial_blocks(asm.half_grid, mk._MAX_BLOCK_NODES)) == 4
+    assert threads == [threading.get_ident()] * 12
 
 
 class _RecordingWorker:
@@ -734,7 +736,7 @@ def test_split_metrics_round_as_whole(monkeypatch, case, n_theta, n_zeta):
     counts = []
     for max_block_nodes in (10**9, 1):  # two blocks, then one or two surfaces per block
         _split(monkeypatch, max_block_nodes)
-        counts.append(len(mk._radial_blocks(asm.half_grid)))
+        counts.append(len(mk._radial_blocks(asm.half_grid, mk._MAX_BLOCK_NODES)))
         assert _metrics_bytes(asm.metrics(x)) == whole
     assert counts[0] == 2 and counts[1] == (32 if case == "dshape" else 4)
 
@@ -748,8 +750,10 @@ def test_radial_blocks_keep_the_worker_within_the_training_block():
                                                            8 * dshape.M))
     ellipse3d_fine, _ = sv._mirror_half(CollocationGrid.build(64, 12, 4, 5, 96))
     assert (dshape_fine.n_nodes, ellipse3d_fine.n_nodes) == (4500, 50176)
-    assert mk._radial_blocks(dshape_fine) == [slice(0, 100)]
-    assert mk._radial_blocks(ellipse3d_fine) == [slice(i, i + 8) for i in range(0, 64, 8)]
+    assert mk._radial_blocks(dshape_fine, mk._MAX_BLOCK_NODES) == [slice(0, 100)]
+    assert mk._radial_blocks(ellipse3d_fine, mk._MAX_BLOCK_NODES) == [slice(i, i + 8) for i in range(0, 64, 8)]
+    # the loss node, which holds every block's state until its reverse pass, keeps two
+    assert mk._radial_blocks(ellipse3d_fine) == [slice(0, 32), slice(32, 64)]
 
 
 def test_the_worker_runs_the_second_half_of_the_blocks_as_one_task(monkeypatch):
@@ -773,7 +777,7 @@ def test_split_metrics_name_the_same_overlapping_node_as_the_whole_grid(monkeypa
 
     asm, x0 = ellipse_problem()
     _split(monkeypatch, 1)
-    first_rows = mk._radial_blocks(asm.half_grid)[0]
+    first_rows = mk._radial_blocks(asm.half_grid, mk._MAX_BLOCK_NODES)[0]
     nodes = set()
     for seed in range(4):
         x = x0 + 0.2 * np.random.default_rng(seed).normal(size=x0.size)

@@ -1,15 +1,15 @@
 """Alternating parent/change pairs of ``bench/run.py``, written as a BENCH_*.json table.
 
-    python3 tools/ab_bench.py PARENT_REV --workload ellipse3d-solve --pairs 10 \\
+    python3 tools/ab_bench.py PARENT_REV --workload ellipse3d-solve \\
         --seeds 5501 5502 ... --out BENCH_x.json --description "..."
 
 The parent is the committed tree of ``PARENT_REV``, exported with ``git
 archive`` into a temporary directory: exactly its committed files, and
 nothing registered in the repository, so an interrupted run leaves no
-worktree behind.  The change is this checkout's working tree, or the
-committed tree of ``--change-rev``.  Pair i runs seed ``seeds[i]`` on both
-trees, one run at a time, the parent first on even pairs.  Each run's
-end-to-end metrics come from the JSON object that ends its standard output.
+worktree behind.  The change is this checkout's working tree.  There is
+one pair per seed: pair i runs seed ``seeds[i]`` on both trees, one run at
+a time, the parent first on even pairs.  Each run's end-to-end metrics
+come from the JSON object that ends its standard output.
 
 The table has the schema of the committed A/B files: per workload a
 ``summary`` (per metric the parent's and the change's median and linear
@@ -95,27 +95,20 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_rev", help="git revision of the parent tree")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one seed per pair")
     parser.add_argument("--seconds", type=float, default=55.0, help="length of each run (default 55)")
-    parser.add_argument("--change-rev", help="git revision of the change tree (default: this working tree)")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to write or extend")
     parser.add_argument("--description", help="the table's description (default: keep the file's)")
-    parser.add_argument("--scratch", type=Path, help="directory for the exported trees (default: a temporary one)")
     parser.add_argument("--smoke", action="store_true", help="pass --smoke to bench/run.py")
-    args = parser.parse_args(argv)
-    if args.pairs < 1 or len(args.seeds) != args.pairs:
-        parser.error("give exactly one seed per pair")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    scratch = Path(tempfile.mkdtemp(prefix="ab-bench-", dir=args.scratch))
+    scratch = Path(tempfile.mkdtemp(prefix="ab-bench-"))
     try:
         parent = export_tree(args.parent_rev, scratch / "parent")
-        change = export_tree(args.change_rev, scratch / "change") if args.change_rev else ROOT
-        pairs = ab_pairs(parent, change, args.workload, args.seeds, args.seconds, args.smoke)
+        pairs = ab_pairs(parent, ROOT, args.workload, args.seeds, args.seconds, args.smoke)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     table = json.loads(args.out.read_text()) if args.out.exists() else {"description": "", "workloads": {}}
