@@ -551,11 +551,19 @@ def theta_star_contours(
 
 def _write_table(path, header: str, columns) -> None:
     """CSV from equal-length columns: float columns as ``repr`` text, the
-    shortest that round-trips, and every other column as ``str``."""
+    shortest that round-trips, and every other column as ``str``.  A float
+    column formats each distinct value once, told apart by its bits, so that
+    -0.0 and 0.0 keep their own text (a Poincare table repeats theta on every
+    surface and rho along it)."""
     cells = []
     for col in columns:
         col = np.asarray(col)
-        cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+        if col.dtype.kind == "f":
+            bits, index = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
+            text = [repr(v) for v in bits.view(np.float64).tolist()]
+            cells.append([text[i] for i in index.tolist()])
+        else:
+            cells.append(map(str, col.tolist()))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 

@@ -800,7 +800,7 @@ def _kernel_adjoint(st: FieldState, g, psi_b: float) -> np.ndarray:
     # field: db_plane = de[:, 1:] . b + e[1:] . db, d_k B_phi = d_k R b^zeta + R d_k b^zeta
     g_db = np.einsum("kcra,lcra->klra", g_dbp, e[1:])
     g_db[:2, 1] += (R * R) * g_drb
-    g_de[:, 1:] += np.einsum("kcra,lra->klcra", g_dbp, b)
+    g_de[:, 1:] += g_dbp[:, None] * b[:, None]
     g_e[1:] += np.einsum("kcra,klra->lcra", g_dbp, db)
     g_b = np.einsum("kcra,klcra->lra", g_dbp, de[:, 1:])
     g_b[1] += (2.0 * R) * g_b_phi  # through B_phi = R b^zeta and through d_k B_phi
@@ -826,7 +826,7 @@ def _kernel_adjoint(st: FieldState, g, psi_b: float) -> np.ndarray:
     g_inplane = g_dual[:2, ::2]
     g_R += np.einsum("icra,icra->ra", g_inplane, tilt)
     g_wk = R * g_dsqrtg
-    g_de[:, :2] += np.einsum("kra,icra->kicra", g_wk, tilt)
+    g_de[:, :2] += g_wk[:, None, None] * tilt
     g_tilt = R * g_inplane + np.einsum("kra,kicra->icra", g_wk, de[:, :2])
     gp = g_dual[:, 1]
     gp[2] += g_w

@@ -396,12 +396,13 @@ def bfgs_stage(
     two bundle steps follow along minus the least-norm point of the hull of
     g and the gradient beyond the kink, the nearest trial gradient where the
     loss rose (each failed search adds its own); one that moves resets the
-    inverse Hessian H.  H is exactly symmetric and stored as its lower block
-    triangle, about n^2 / 2 doubles (:class:`_InverseHessian`).  Each
-    iteration reads H once for H y and writes it once, taking the next H g
-    from each block as it is updated; while H is a multiple of I neither
-    product reads it, and resets overwrite the same blocks.  Every dot of
-    two parameter vectors is a fixed-order ``einsum`` (:func:`_dot`).
+    inverse Hessian H (:class:`_InverseHessian`).  Until n / 12 updates
+    follow the start or a reset, H is a multiple of I plus its curvature
+    pairs, and H y and H g each read the pairs, O(k n) for k pairs.  Then H
+    becomes exactly symmetric blocks of its lower triangle, about n^2 / 2
+    doubles: each iteration reads H once for H y and writes it once, taking
+    the next H g from each block as it is updated.  Every dot of two
+    parameter vectors is a fixed-order ``einsum`` (:func:`_dot`).
     Returns ``(x, records, status)``, status in {'param-stall', 'grad-tol',
     'target-reached', 'max-iter'}.
     """
@@ -530,59 +531,90 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 _BLOCK_BYTES = 512 * 1024  # a full-width block of rows of H; with its scratch it stays in L2
+# Curvature pairs per parameter that H holds before it becomes blocks.  In
+# an ellipse3d stage (n = 3,072, 2-core Xeon VM) H took at most 5.8 ms per
+# iteration on 256 pairs and 21.6 ms on the blocks, and the switch 4.2 ms per
+# pair once, so a later switch would be faster; but during it the pairs,
+# n^2 / 6 doubles at 1 / 12, sit beside the blocks' n^2 / 2.
+_PAIRS_PER_PARAMETER = 1 / 12
 
 
 class _InverseHessian:
     """The inverse Hessian H of :func:`bfgs_stage`, exactly symmetric.
 
-    While ``scale`` is not None, H = scale I and no product reads the
-    storage; setting it resets H, and the next :meth:`update` writes scale I
-    into the blocks.  Otherwise H is its lower block triangle ``blocks``:
-    contiguous row blocks of equal height (the last may be lower), block
-    [lo, hi) holding H[lo:hi, :hi] with its diagonal block whole.  The height
-    is the rows of n doubles that fit ``_BLOCK_BYTES``.  Separate arrays, not
-    the lower part of one n x n array, so that the upper part takes neither
-    memory nor a pass.  No product goes through BLAS.
+    Setting ``scale`` resets H to scale I.  While ``scale`` is not None, H is
+    scale I + sum_i (s_i w_i^T + w_i s_i^T) over the k curvature pairs since
+    the reset, pair i held as ``pairs[:, i]`` = [s_i w_i], n x 2: a product
+    reads the pairs twice, O(k n), and no n x n storage exists.  When an
+    update finds ``capacity`` pairs held, n / 12 of them
+    (``_PAIRS_PER_PARAMETER``), they are materialized into the lower block
+    triangle ``blocks`` and ``scale`` becomes None: contiguous row blocks of
+    equal height (the last may be lower), block [lo, hi) holding
+    H[lo:hi, :hi] with its diagonal block whole.  The height is the rows of n
+    doubles that fit ``_BLOCK_BYTES``.  Separate arrays, not the lower part
+    of one n x n array, so that the upper part takes neither memory nor a
+    pass.  The switch drops the pairs, and the first pair after a reset
+    drops the blocks.  No product goes through BLAS.
     """
 
     def __init__(self, n: int):
-        rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
-        self.blocks = [np.empty((min(n, lo + rows) - lo, min(n, lo + rows))) for lo in range(0, n, rows)]
-        self.scratch = np.empty(max(blk.size for blk in self.blocks))
+        self.n = n
+        self.capacity = int(_PAIRS_PER_PARAMETER * n)
+        self.pairs = self.blocks = self.scratch = None
         self.scale = 1.0
 
+    @property
+    def scale(self):
+        return self._scale
+
+    @scale.setter
+    def scale(self, gamma):
+        self._scale, self.k = gamma, 0
+
     def times(self, v: np.ndarray) -> np.ndarray:
-        """H v, reading each block once and in order, so that every entry
-        sums in a fixed order."""
-        if self.scale is not None:
+        """H v: scale v plus the pairs' sum, both a fixed-order ``einsum``
+        over the pairs, or each block read once and in order, so that every
+        entry sums in a fixed order."""
+        if self.scale is None:
+            out = np.empty_like(v)
+            for blk in self.blocks:
+                _block_product(blk, v, out)
+            return out
+        if not self.k:
             return self.scale * v
-        out = np.empty_like(v)
-        for blk in self.blocks:
-            _block_product(blk, v, out)
-        return out
+        held = self.pairs[:, : self.k]
+        dots = np.einsum("jka,j->ka", held, v, optimize=False)  # [s_i.v w_i.v]
+        # swapped and contiguous, so that the inner loop is one dot per row
+        # (on the reversed view it took 3.6 ms instead of 0.6 at 256 pairs)
+        return self.scale * v + np.einsum("jka,ka->j", held, dots[:, ::-1].copy(), optimize=False)
 
     def update(self, s: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """In-place update with the curvature pair (s, y), y.s > 0; returns the
-        updated H times ``g``.
+        """Update with the curvature pair (s, y), y.s > 0; returns the updated
+        H times ``g``.
 
         (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s
-        equals H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy.  Each
-        block's share of the rank-2 term is one ``einsum`` of [s w] by [w s]
-        into ``scratch`` and one add, so entry (i, j) gains s_i w_j + w_i s_j
-        and its mirror s_j w_i + w_j s_i, equal bit for bit.  Each updated
-        block is multiplied by g while it is in cache, so the update and the
-        next H g take one pass over H, after the one that reads H y.
+        equals H + s w^T + w s^T, w = rho (1 + rho y.Hy) s / 2 - rho Hy.
+        While H is pairs, (s, w) is one more.  On the blocks, each block's
+        share of the rank-2 term is one ``einsum`` of [s w] by [w s] into
+        ``scratch`` and one add, so entry (i, j) gains s_i w_j + w_i s_j and
+        its mirror s_j w_i + w_j s_i, equal bit for bit.  Each updated block
+        is multiplied by g while it is in cache, so the update and the next
+        H g take one pass over H, after the one that reads H y.
         """
-        if self.scale is None:
-            hy = self.times(y)
-        else:  # write scale I into the blocks
-            for blk in self.blocks:
-                rows, hi = blk.shape
-                blk.fill(0.0)
-                blk.reshape(-1)[hi - rows :: hi + 1] = self.scale
-            hy, self.scale = self.scale * y, None
+        if self.scale is not None and self.k == self.capacity:
+            self._materialize()
+        hy = self.times(y)
         rho = 1.0 / _dot(y, s)
         w = (0.5 * rho * (1.0 + rho * _dot(y, hy))) * s - rho * hy
+        if self.scale is not None:
+            if self.pairs is None:
+                self.pairs = np.empty((self.n, self.capacity, 2))
+                self.blocks = self.scratch = None
+            self.pairs[:, self.k, 0], self.pairs[:, self.k, 1] = s, w
+            self.k += 1
+            return self.times(g)
+        if self.scratch is None:
+            self.scratch = np.empty(max(blk.size for blk in self.blocks))
         left, right = np.stack([s, w], axis=1), np.stack([w, s])
         hg = np.empty_like(g)
         for blk in self.blocks:
@@ -592,6 +624,27 @@ class _InverseHessian:
             blk += np.einsum("ik,kj->ij", left[lo:hi], right[:, :hi], out=term, optimize=False)
             _block_product(blk, g, hg)
         return hg
+
+    def _materialize(self) -> None:
+        """Write scale I plus the held pairs into the blocks and drop the
+        pairs.  Each block is one ``einsum`` over the pairs, of its rows of
+        [w_i s_i] by [s_i w_i], with the pairs of a row contiguous, as the
+        inner loop.  Entry and mirror of a diagonal block sum the same terms,
+        pairwise swapped; einsum's inner loop need not add them in the same
+        order, so the block's lower triangle is copied onto its upper."""
+        n = self.n
+        if self.blocks is None:
+            rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
+            self.blocks = [np.empty((min(n, lo + rows) - lo, min(n, lo + rows))) for lo in range(0, n, rows)]
+        held = self.pairs[:, : self.k] if self.k else np.zeros((n, 0, 2))
+        for blk in self.blocks:
+            rows, hi = blk.shape
+            lo = hi - rows
+            np.einsum("ika,jka->ij", held[lo:hi, :, ::-1].copy(), held[:hi], out=blk, optimize=False)
+            blk.reshape(-1)[lo :: hi + 1] += self.scale
+            diag, upper = blk[:, lo:], np.triu_indices(rows, 1)
+            diag[upper] = diag.T[upper]
+        self.pairs, self.scale = None, None
 
 
 def _block_product(blk: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:

@@ -497,6 +497,22 @@ def test_exports_are_byte_identical_and_frozen(tmp_path):
         assert hashlib.sha256((first / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_tables_format_each_float_as_its_repr(tmp_path):
+    # repeated values, -0.0 beside 0.0, nan and inf, and an integer column:
+    # one repr per distinct float must write what one repr per entry writes
+    rng = np.random.default_rng(3)
+    theta = np.tile(rng.normal(size=7), 5)
+    rho = np.repeat([0.0, -0.0, 0.25, np.nan, np.inf], 7)
+    index = np.repeat(np.arange(5), 7)
+    columns = [index, rho, theta, -theta, rho * theta]
+    path = tmp_path / "t.csv"
+    cli_io._write_table(path, "i,a,b,c,d", columns)
+    rows = zip(*([str(v) if c.dtype.kind == "i" else repr(v) for v in c.tolist()] for c in columns))
+    want = "i,a,b,c,d\n" + "".join(",".join(row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
+    assert "-0.0" in want and ",0.0," in want
+
+
 @pytest.mark.parametrize("target, reason, iterations", [(None, "max-iter", 12), (1e9, "target-reached", 0)])
 def test_summary_counts_the_iterations_run(tmp_path, target, reason, iterations):
     input, _ = dshape()

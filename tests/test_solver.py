@@ -840,12 +840,13 @@ def test_loss_rejects_grids_without_the_mirror_symmetry():
 
 
 def _packed(h):
-    """An :class:`solver._InverseHessian` holding the symmetric matrix ``h``."""
+    """An :class:`solver._InverseHessian` holding the symmetric matrix ``h``
+    in its blocks."""
     packed = sv._InverseHessian(len(h))
+    packed._materialize()
     for blk in packed.blocks:
         rows, hi = blk.shape
         blk[...] = h[hi - rows : hi, :hi]
-    packed.scale = None
     return packed
 
 
@@ -895,11 +896,11 @@ def test_packed_inverse_hessian_follows_the_textbook_recursion(monkeypatch):
     # A of condition 10, so that rounding does not grow along the recursion
     n = 40
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 7 * n * 8)  # blocks of 7 rows, the last of 5
+    monkeypatch.setattr(sv, "_PAIRS_PER_PARAMETER", 0.0)  # blocks from the first update
     rng = np.random.default_rng(5)
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     a = (q * np.geomspace(1.0, 10.0, n)) @ q.T
     h = sv._InverseHessian(n)
-    assert len(h.blocks) == 6
     h.scale, dense = 0.3, 0.3 * np.eye(n)
     for step in ["update"] * 8 + ["skip", "reset"] + ["update"] * 8:
         g, v = rng.normal(size=(2, n))
@@ -916,9 +917,47 @@ def test_packed_inverse_hessian_follows_the_textbook_recursion(monkeypatch):
         dense = _textbook_update(dense, s, y)
         # measured agreement: at most 2.1e-15 relative
         assert _close(h.update(s, y, g), dense @ g)
+        assert len(h.blocks) == 6
         full = _unpacked(h)
         assert np.array_equal(full, full.T)
         assert _close(h.times(v), dense @ v)
+
+
+def test_inverse_hessian_follows_the_textbook_recursion_through_its_pairs(monkeypatch):
+    # pairs from each reset, a skipped pair in either phase, the switch to
+    # blocks after 5 pairs, a reset from the blocks and one from the pairs
+    n = 40
+    monkeypatch.setattr(sv, "_BLOCK_BYTES", 7 * n * 8)
+    monkeypatch.setattr(sv, "_PAIRS_PER_PARAMETER", 5 / n)
+    rng = np.random.default_rng(6)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    a = (q * np.geomspace(1.0, 10.0, n)) @ q.T
+    h = sv._InverseHessian(n)
+    assert h.capacity == 5 and h.blocks is None
+    h.scale, dense = 0.3, 0.3 * np.eye(n)
+    steps = "uusuuuuuusRuuRuuuuuuu"  # update, skip, reset
+    phases = ""
+    for step in steps:
+        g, v = rng.normal(size=(2, n))
+        if step == "s":
+            assert _close(h.times(g), dense @ g)
+        elif step == "R":
+            h.scale, dense = 1.0, np.eye(n)
+        else:
+            s = rng.normal(size=n)
+            y = a @ s
+            dense = _textbook_update(dense, s, y)
+            # measured agreement: at most 1.9e-15 relative
+            assert _close(h.update(s, y, g), dense @ g)
+            assert _close(h.times(v), dense @ v)
+        phases += "p" if h.scale is not None else "b"
+        # one representation at a time: the pairs or the blocks
+        assert (h.pairs is None) != (h.blocks is None) or step == "R"
+        if h.scale is None:
+            full = _unpacked(h)
+            assert np.array_equal(full, full.T)
+            assert _close(full, dense)
+    assert phases == "ppppppbbbbpppppppppbb"
 
 
 def _capped_well(n):
@@ -942,6 +981,7 @@ def _capped_well(n):
 def test_bfgs_stage_keeps_h_symmetric_through_skips_and_resets(monkeypatch):
     n = 40
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 7 * n * 8)
+    monkeypatch.setattr(sv, "_PAIRS_PER_PARAMETER", 0.0)  # blocks from each first update
 
     # np.dot is BLAS ddot, which rounds differently with 1 and 4 threads from
     # about 20,000 entries; the stage's dots, bundle steps included, are einsum
@@ -1018,9 +1058,19 @@ def _kinked_quadratic(n):
     return vg
 
 
+def _switches(monkeypatch):
+    """A list that gains an entry at each switch of H from pairs to blocks."""
+    switches = []
+    materialize = sv._InverseHessian._materialize
+    monkeypatch.setattr(sv._InverseHessian, "_materialize", lambda h: switches.append(1) or materialize(h))
+    return switches
+
+
 @pytest.mark.parametrize("kinked", [False, True], ids=["quadratic", "kinked"])
 def test_bfgs_stage_holds_one_inverse_hessian(monkeypatch, kinked):
     n = 400
+    monkeypatch.setattr(sv, "_PAIRS_PER_PARAMETER", 0.01)  # blocks after 4 pairs
+    switches = _switches(monkeypatch)
     bundles = []
     least_norm = sv._least_norm
     monkeypatch.setattr(sv, "_least_norm", lambda points: bundles.append(1) or least_norm(points))
@@ -1039,14 +1089,35 @@ def test_bfgs_stage_holds_one_inverse_hessian(monkeypatch, kinked):
     # loss one moved and reset H
     assert len(records) == 20
     assert bool(bundles) == kinked
+    assert switches
     # H itself is n^2 doubles; a reset that allocated a new n x n array,
     # such as the scaled identity before the first update, would add as much
     assert peak < 1.5 * n * n * 8
 
 
-def test_bfgs_stage_stores_half_of_the_inverse_hessian():
-    # the lower block triangle and its scratch block: a full n x n H alone
+def test_bfgs_stage_stores_half_of_the_inverse_hessian(monkeypatch):
+    # past the switch, with the pairs and the lower block triangle side by
+    # side, then the blocks and their scratch block: a full n x n H alone
     # would take n^2 doubles
+    n = 1000
+    switches = _switches(monkeypatch)
+    vg, x0 = quadratic(np.ones(n), np.geomspace(1.0, 100.0, n)), np.zeros(n)
+    max_iter = int(sv._PAIRS_PER_PARAMETER * n) + 20
+    tracemalloc.start()
+    try:
+        _, records, _ = bfgs_stage(x0, vg, BFGSConfig(max_iter=max_iter))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == max_iter
+    assert switches == [1]
+    # measured: 0.722 n^2 doubles at 1 / 12 pairs per parameter
+    assert peak < 0.75 * n * n * 8
+
+
+def test_bfgs_stage_holds_only_its_pairs_before_the_switch():
+    # 20 iterations with resets (a bundle step off the kink and more), all of
+    # them before the switch: H is the preallocated pairs, n^2 / 6 doubles
     n = 1000
     vg, x0 = _kinked_quadratic(n), np.full(n, -2.0)
     x0[0] = 1.0
@@ -1057,7 +1128,10 @@ def test_bfgs_stage_stores_half_of_the_inverse_hessian():
     finally:
         tracemalloc.stop()
     assert len(records) == 20
-    assert peak < 0.75 * n * n * 8
+    pairs = 2 * int(sv._PAIRS_PER_PARAMETER * n) * n * 8
+    # measured: the pairs and 45 more vectors of n doubles, the search's
+    # trial gradients among them; the blocks alone would be n^2 / 2 doubles
+    assert peak < pairs + 64 * n * 8 < 0.25 * n * n * 8
 
 
 def test_final_checkpoint_is_numbered_with_the_last_iteration():

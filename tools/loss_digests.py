@@ -12,9 +12,11 @@ gradient.  Every digest counts -0.0 as +0.0.  Then it prints the first
 four lines for ``bench/ellipse3d.case`` on its own grid (32 surfaces,
 12,800 half-grid nodes: the kernel node runs as two radial blocks) at one
 seeded point, and ``metrics`` at that point on the bench's fine grid (64
-surfaces, 8 M theta nodes: 50,176 half-grid nodes).  Two trees whose
-outputs are equal round the loss, the gradient, the diagnostics and both
-taped references alike at these points.
+surfaces, 8 M theta nodes: 50,176 half-grid nodes).  Last, for each of the
+three cases, one SHA-256 of the iterates of a ``bfgs_stage`` of
+``BFGS_ITERATIONS`` iterations from its seeded point.  Two trees whose
+outputs are equal round the loss, the gradient, the diagnostics, both taped
+references and stage 2 alike at these points.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from test_solver import half_grid_case, network_node_and_tape, node_and_tape_gra
 
 CASES = [("dshape", 0, 0), ("small", 21, 0), ("ellipse", 21, 7)]
 ELLIPSE3D = Path(__file__).resolve().parent.parent / "bench" / "ellipse3d.case"
+BFGS_ITERATIONS = 60  # each case runs past the switch of H from curvature pairs to blocks
 
 
 def digest(*arrays) -> str:
@@ -76,6 +79,14 @@ def case_lines(case: str, n_theta: int, n_zeta: int) -> list:
     ]
 
 
+def bfgs_line(case: str, n_theta: int, n_zeta: int) -> tuple:
+    asm, x = half_grid_case(case, n_theta, n_zeta)
+    iterates = []
+    sv.bfgs_stage(x, asm.value_and_grad, sv.BFGSConfig(max_iter=BFGS_ITERATIONS),
+                  on_iteration=lambda it, xi, f: iterates.append(xi))
+    return f"bfgs_stage ({len(iterates)} iterations)", digest(*iterates)
+
+
 def ellipse3d_lines() -> list:
     input, config = cli_io.parse_case(str(ELLIPSE3D))
     grid = CollocationGrid.build(config.n_rho, input.M, input.N, input.n_fp, config.n_theta, config.n_zeta)
@@ -93,6 +104,9 @@ def main() -> None:
             print(f"{case} ({n_theta}, {n_zeta}) {name} {value}")
     for name, value in ellipse3d_lines():
         print(f"ellipse3d ({ELLIPSE3D.name}) {name} {value}")
+    for case, n_theta, n_zeta in CASES:
+        name, value = bfgs_line(case, n_theta, n_zeta)
+        print(f"{case} ({n_theta}, {n_zeta}) {name} {value}")
 
 
 if __name__ == "__main__":
