@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
@@ -50,7 +50,13 @@ __all__ = [
 
 
 class NonFiniteLossError(RuntimeError):
-    """Loss evaluated to NaN/inf, typically from overlapping flux surfaces."""
+    """Loss evaluated to NaN/inf, typically from overlapping flux surfaces.
+    ``node`` is the (rho, theta, zeta) index of the first non-finite node,
+    where the caller knows it."""
+
+    def __init__(self, message: str, node: Optional[tuple] = None):
+        super().__init__(message)
+        self.node = node
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -323,8 +323,22 @@ def case_text(input: EquilibriumInput, config: SolverConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path, data) -> None:
+    """Write ``data`` (text or bytes) to a temporary file in the directory of
+    ``path`` and move it over ``path`` in one step, so ``path`` always holds
+    a whole file: the old one if the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_case(input: EquilibriumInput, config: SolverConfig, path) -> None:
-    Path(path).write_text(case_text(input, config))
+    _write_atomic(path, case_text(input, config))
 
 
 def case_digest(input: EquilibriumInput, config: SolverConfig) -> bytes:
@@ -337,23 +351,16 @@ def case_digest(input: EquilibriumInput, config: SolverConfig) -> bytes:
 def save_checkpoint(path, params: NetParams, digest: bytes, iteration: int) -> None:
     """Little-endian binary dump of the parameter vector with provenance.
 
-    Written to a temporary file in the target directory and moved over
-    ``path`` in one step, so ``path`` always holds a whole checkpoint.  The
-    header carries the payload's SHA-256, which :func:`load_checkpoint` checks.
+    Written through :func:`_write_atomic`, so ``path`` always holds a whole
+    checkpoint.  The header carries the payload's SHA-256, which
+    :func:`load_checkpoint` checks.
     """
     modes = params.modes_cos
     data = np.asarray(nf.params_to_vector(params), dtype="<f8").tobytes()
     header = _CHECKPOINT_HEADERS[CHECKPOINT_VERSION].pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest, iteration, params.width, params.n_modes,
         modes.M, modes.N, modes.n_fp, hashlib.sha256(data).digest())
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(header + data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _write_atomic(path, header + data)
 
 
 def load_checkpoint(path) -> tuple[NetParams, bytes, int]:
@@ -512,7 +519,7 @@ def theta_star_contours(
     # the d/dtheta row of the sine parity: m cos(m theta - n n_fp zeta)
     d_theta = m[:, None] * np.cos(spectral.mode_angles(params.modes_sin, probe, [zeta]))
     # einsum, not BLAS: the threads of an OpenBLAS GEMM keep spinning after it
-    # and take the core of the kernel's worker thread (the ellipse3d bench's
+    # and take the core the kernel's worker needs (the ellipse3d bench's
     # fine-grid metrics right after took 62 ms instead of 38)
     monotone = (1.0 + np.einsum("sk,ka->sa", lam_c, d_theta, optimize=False)).min(axis=1) > 0.0
     if not monotone.all():
@@ -564,8 +571,7 @@ def _write_table(path, header: str, columns) -> None:
             cells.append([text[i] for i in index.tolist()])
         else:
             cells.append(map(str, col.tolist()))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+    _write_atomic(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def _write_fnorm(out: Path, rho, profile, params: NetParams, input: EquilibriumInput):
@@ -628,7 +634,7 @@ def export_metrics(solution: Solution, out_dir) -> dict:
         "spectral_width": [float(w) for w in msp],
     }
     files["summary"] = out / "summary.json"
-    files["summary"].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_atomic(files["summary"], json.dumps(summary, indent=2, sort_keys=True) + "\n")
     files.update(_write_sections(params, input, out))
     return files
 
@@ -763,7 +769,7 @@ def _cmd_eval(args) -> int:
         "checkpoint_iteration": iteration,
         "grid": [grid.n_rho, grid.theta.size, grid.zeta.size],
     }
-    (out / "eval_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out / "eval_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"F_vol_norm: {metrics['f_vol_norm']:.6e}")
     return 0
 

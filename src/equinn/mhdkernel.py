@@ -34,8 +34,8 @@ the diagnostics run the same four stage functions on plain arrays: the loss
 tapes them as one node from the profile jets to ||F|| (:func:`force_magnitude`),
 whose reverse pass is a hand-written adjoint.  Nothing in that node, nor in
 the arrays the diagnostics read (:func:`residual_fields`), sums over radii,
-so on a large grid both run as radial blocks on two threads and round
-exactly as on one.  The stages call numpy
+so on a large grid both run as radial blocks, half of them in a worker
+process, and round exactly as one block.  The stages call numpy
 directly; on jets that are an :class:`autodiff.Var`, numpy records each call,
 so the stages tape themselves node by node, which gives the reference
 gradient for that adjoint.  The quadratures take plain arrays only.
@@ -43,8 +43,18 @@ gradient for that adjoint.  The quadratures take plain arrays only.
 
 from __future__ import annotations
 
+import atexit
 import copy
+import ctypes
+import itertools
+import os
+import pickle
+import struct
+import sys
+import threading
+import weakref
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -58,6 +68,7 @@ __all__ = [
     "CollocationGrid",
     "FieldState",
     "JacobianSignError",
+    "KernelWorkerError",
     "geometry",
     "magnetic_field",
     "current",
@@ -566,27 +577,8 @@ def field_state(profiles: ProfileStack, grid: CollocationGrid, tables: Optional[
 # A grid splits into radial blocks only when each keeps at least
 # _MIN_BLOCK_NODES nodes; past two, the blocks of residual_fields halve again
 # while they hold more than _MAX_BLOCK_NODES (see :func:`_radial_blocks`).
-_MIN_BLOCK_NODES = 4000
+_MIN_BLOCK_NODES = 2400
 _MAX_BLOCK_NODES = 6400
-
-# The worker thread runs its radial blocks through the stages bound here, at
-# import: a tracer that patches the module's stage functions
-# (``bench/spans.py``) keeps one span stack for all threads, so only the
-# calling thread may enter them.
-_BOUND_STAGES = (geometry, magnetic_field, current, force)
-_WORKER = None  # made by the first split, see _worker
-
-
-def _worker():
-    """The pool of the worker thread, made by the first split: importing
-    ``concurrent.futures`` adds 0.65 MB to the peak RSS of a process whose
-    grids never split."""
-    global _WORKER
-    if _WORKER is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="equinn-kernel")
-    return _WORKER
 
 
 def _radial_blocks(grid: CollocationGrid, max_nodes=None) -> list:
@@ -597,17 +589,33 @@ def _radial_blocks(grid: CollocationGrid, max_nodes=None) -> list:
     more than ``max_nodes`` nodes and their halves keep at least
     ``_MIN_BLOCK_NODES``.
 
-    ``value_and_grad`` per half grid, whole and as two blocks on two threads
-    (medians of 30-40 alternated calls, 2-core Xeon VM): dshape, 1,150
-    nodes, 3.0 and 7.0 ms; ellipse3d at 12 to 32 surfaces, 4,800 nodes 9.1
-    and 11.0 ms, 6,400 nodes 11.7 and 13.2, 8,000 nodes 19.1-19.7 and
-    15.1-16.9, 12,800 nodes 24.2-31.3 and 18.6-23.8.  Blocks of 3,200 nodes
-    lose, blocks of 4,000 win.  The loss node takes no ``max_nodes``: it
-    keeps every block's state until its reverse pass, and more blocks only
-    add overhead.  ``value_and_grad`` on an ellipse3d grid of 40 surfaces
-    (16,000 half-grid nodes; 2-core Xeon VM, medians of 36 alternated rounds
-    of 5 calls) took 27.0 ms as 2 blocks and 33.5 ms as 4 blocks of 4,000
-    nodes."""
+    ``value_and_grad`` on the ellipse3d case at 6 to 20 surfaces, whole and
+    as two blocks, one in the worker process (ms; medians of 12 alternated
+    rounds of 5 in-process calls, two runs, 2-core Xeon VM):
+
+    ======================  ===========  ===========
+    half-grid nodes         whole        two blocks
+    ======================  ===========  ===========
+    2,400                   4.96, 4.79   5.30, 4.51
+    3,200                   5.63, 8.28   5.59, 6.24
+    4,000                   6.95, 6.98   5.30, 5.17
+    4,800                   8.12, 7.83   6.47, 5.82
+    6,400                   10.54, 10.38 7.52, 7.32
+    8,000                   13.33, 13.50 9.11, 11.22
+    12,800 (the bench's)    22.65        13.67
+    ======================  ===========  ===========
+
+    Blocks of 1,200 and 1,600 nodes tie, blocks of 2,000 and more win.  The
+    fine-grid ``metrics`` of dshape (4,500 half-grid nodes, N = 0) lose as
+    blocks of 2,250: 2.61 ms whole, 3.03 as two.  So a block needs 2,400
+    nodes.  With worker threads, which share the GIL, blocks of 2,400 and
+    3,200 lost (9.1 against 11.0 ms, 11.7 against 13.2) and the bound was
+    4,000.  The loss node takes no ``max_nodes``: it keeps every block's
+    state until its reverse pass, and more blocks only add overhead.
+    ``value_and_grad`` on an ellipse3d grid of 40 surfaces (16,000 half-grid
+    nodes; 2-core Xeon VM, medians of 36 alternated rounds of 5 calls) took
+    27.0 ms as 2 blocks and 33.5 ms as 4 blocks of 4,000 nodes on two
+    threads."""
     n_rho, n_angular = grid.n_rho, grid.n_angular
     n = 1  # blocks of n_rho // n or one more radii
     while (n_rho // (2 * n) * n_angular >= _MIN_BLOCK_NODES
@@ -617,53 +625,340 @@ def _radial_blocks(grid: CollocationGrid, max_nodes=None) -> list:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _run_blocks(block, n: int) -> list:
-    """``[block(i, stages) for i in range(n)]``: the first half of the blocks
-    in the calling thread through the module's stage names, the second half
-    one after another as one task on the worker through ``_BOUND_STAGES``.
-    The worker is waited for before an error of the calling thread's blocks
-    propagates, so no block outlives the call."""
-    here = (geometry, magnetic_field, current, force)  # looked up per call, so a tracer sees these blocks
-    k = (n + 1) // 2
-    future = _worker().submit(lambda: [block(i, _BOUND_STAGES) for i in range(k, n)])
-    try:
-        first = [block(i, here) for i in range(k)]
-    finally:
-        future.exception()  # returns once the worker's blocks have run
-    return first + future.result()
-
-
-def _block_state(stages, profiles, grid, tables, iota_coeffs, psi_b, p_prime) -> FieldState:
-    """:func:`field_state` on one radial block through ``stages``, without
+def _block_state(jets, profiles, grid, tables, iota_coeffs, psi_b, p_prime) -> FieldState:
+    """:func:`field_state` of the jets ``jets`` on one radial block, without
     the Jacobian check: the caller checks the joined sqrt(g).  A block whose
     own check fails stops after :func:`geometry`."""
-    geometry_, magnetic_field_, current_, force_ = stages
-    st = geometry_(profiles, grid, tables, check=False)
+    st = geometry(replace(profiles, jets=jets), grid, tables, check=False)
     try:
         _check_jacobian(st.sqrtg, grid)
     except JacobianSignError:
         return st
-    magnetic_field_(st, iota_coeffs, psi_b)
-    current_(st)
-    return force_(st, p_prime)
+    magnetic_field(st, iota_coeffs, psi_b)
+    current(st)
+    return force(st, p_prime)
 
 
-def _map_blocks(fn, blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime) -> tuple:
-    """``fn(state, rows)`` of the :func:`_block_state` of each radial block
-    in ``blocks`` (on :func:`_run_blocks`' threads), and each block's (rows,
-    tables)."""
+def _block_args(blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime) -> list:
+    """The arguments of :func:`_block_state` after the jets, per radial block."""
     pp = np.asarray(p_prime, dtype=float)
-    parts = [(rows, tables.block(rows)) for rows in blocks]
-    # sliced here, in the calling thread: slicing on the worker, while the
-    # caller runs Python too, cost the ellipse3d value_and_grad about 2%
-    args = [(replace(profiles, rho=profiles.rho[rows], jets=profiles.jets[:, :, rows]),
-             replace(grid, rho=grid.rho[rows]), block_tables, iota_coeffs, psi_b, pp[rows] if pp.ndim else pp)
-            for rows, block_tables in parts]
+    return [(replace(profiles, rho=profiles.rho[rows], jets=None), replace(grid, rho=grid.rho[rows]),
+             tables.block(rows), iota_coeffs, psi_b, pp[rows] if pp.ndim else pp)
+            for rows in blocks]
 
-    def block(i, stages):
-        return fn(_block_state(stages, *args[i]), parts[i][0])
 
-    return _run_blocks(block, len(parts)), parts
+_heap_pad = 0
+
+
+def _retain_freed_heap(n_nodes: int) -> None:
+    """Have glibc keep 8 KiB per kernel node of freed memory at the heap top
+    (``mallopt(M_TOP_PAD)``: process-wide, only ever raised).  Each
+    ``value_and_grad`` and ``metrics`` frees the kernel's ``FieldState`` and
+    the adjoint's temporaries at once; trimmed off the heap they fault back
+    in.  Minor faults per call after 5 warm-up calls, without this and with
+    it: ellipse3d ``value_and_grad`` about 4,500 and 0.1, ellipse3d
+    ``metrics`` 2,100 and 0.05, dshape ``value_and_grad`` 270 and 0.15.  The
+    loss assembler sets the pad for its half grid; the worker process sets
+    its own, for the nodes of the blocks of each grid it is sent.  The
+    worker's minor faults per call on the second block of the ellipse3d
+    training grid (20 calls after 5), without its pad and with it:
+    ``value_and_grad`` 2,466 and 0, ``loss_value`` 1,040 and 0."""
+    global _heap_pad
+    n_bytes = 8192 * n_nodes
+    if n_bytes > _heap_pad:
+        try:
+            ctypes.CDLL(None).mallopt(-2, n_bytes)  # M_TOP_PAD
+        except (OSError, AttributeError):
+            return
+        _heap_pad = n_bytes
+
+
+# -- the worker process -----------------------------------------------------------
+
+
+class KernelWorkerError(RuntimeError):
+    """The kernel's worker process could not serve a call.  The message holds
+    the worker's traceback, or the worker's pid and exit status."""
+
+
+_WORKER = None  # started by the first split, see _worker
+_LOCK = threading.Lock()  # one caller at a time talks to the worker and fills the shared arrays
+_HEADER = struct.Struct("<Q")  # the byte length of the pickle that follows
+# the worker's command line: equinn from the caller's own directory, then the loop
+_WORKER_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from equinn import mhdkernel; mhdkernel._serve(sys.argv[2])")
+
+
+def _write(stream, message) -> None:
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    stream.write(_HEADER.pack(len(data)) + data)
+    stream.flush()
+
+
+def _read(stream):
+    """The next message, or None at the end of the stream."""
+    head = stream.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        return None
+    return pickle.loads(stream.read(_HEADER.unpack(head)[0]))
+
+
+def _checked(reply) -> tuple:
+    if reply[0] != "ok":
+        raise KernelWorkerError(reply[1])
+    return reply[1:]
+
+
+class _Shared:
+    """The arrays a grid's caller and worker share for the worker's radii,
+    laid out in the mapped file ``buffer`` in any float dtype.  ``dims`` are
+    the worker's radii, the angular nodes and the modes."""
+
+    @staticmethod
+    def shapes(n_rho: int, n_angular: int, n_modes: int) -> dict:
+        """Their jets and the jets' gradient, the gradient ``g`` of F_mag,
+        and ``fields``: sqrt(g), F_mag and |grad |B|^2| / (2 mu0)."""
+        jets = (3, 3, n_rho, n_modes)
+        return {"jets": jets, "grad_jets": jets, "g": (n_rho, n_angular), "fields": (3, n_rho, n_angular)}
+
+    @classmethod
+    def size(cls, dims) -> int:
+        """Bytes for every shape at the widest dtype the kernel takes."""
+        return np.dtype(np.longdouble).itemsize * sum(int(np.prod(s)) for s in cls.shapes(*dims).values())
+
+    def arrays(self, dtype) -> dict:
+        if dtype not in self.views:
+            views, offset = {}, 0
+            for name, shape in self.shapes(*self.dims).items():
+                views[name] = np.ndarray(shape, dtype, self.buffer, offset)
+                offset += views[name].nbytes
+            self.views[dtype] = views
+        return self.views[dtype]
+
+
+class _Grid(_Shared):
+    """The caller's record of a grid whose second half of radial blocks the
+    worker holds: the caller's block arguments and the shared arrays.  The
+    file behind them is unlinked once both sides have mapped it."""
+
+    def __init__(self, worker, blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime, consts):
+        import mmap
+        import tempfile
+
+        args = _block_args(blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime)
+        self.worker, self.tables, self.consts, self.views = worker, weakref.ref(tables), consts, {}
+        self.k = k = (len(blocks) + 1) // 2  # the caller's blocks
+        self.args, self.worker_blocks, self.r0 = args[:k], list(range(k, len(blocks))), blocks[k].start
+        self.dims = (grid.n_rho - self.r0, grid.n_angular, profiles.modes_cos.size)
+        self.id, self.token = next(worker.ids), None
+        held = {i: (slice(blocks[i].start - self.r0, blocks[i].stop - self.r0), args[i])
+                for i in self.worker_blocks}
+        fd, path = tempfile.mkstemp(prefix=f"equinn-kernel-{os.getpid()}-",
+                                    dir="/dev/shm" if os.path.isdir("/dev/shm") else None)
+        try:
+            os.ftruncate(fd, self.size(self.dims))
+            self.buffer = mmap.mmap(fd, self.size(self.dims))
+            worker.call(("grid", self.id, path, self.size(self.dims), self.dims, held))
+        finally:
+            os.close(fd)
+            os.unlink(path)
+
+
+class _Worker:
+    """The kernel's worker process and the caller's records of the grids it
+    holds.  It is ``sys.executable`` running
+    :func:`_serve` on this package's own directory, and it exits when its
+    request pipe closes: at :meth:`close`, which runs at exit, or when the
+    caller dies."""
+
+    def __init__(self):
+        import subprocess
+
+        package = Path(__file__).resolve().parent
+        self.proc = subprocess.Popen([sys.executable, "-c", _WORKER_MAIN, str(package.parent), str(package)],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.grids, self.ids = {}, itertools.count()
+        atexit.register(self.close)
+        try:
+            _checked(self.receive())
+        except KernelWorkerError as exc:
+            self.close()
+            raise KernelWorkerError(f"kernel worker (pid {self.proc.pid}) did not start: {exc}") from None
+
+    def send(self, request) -> None:
+        try:
+            _write(self.proc.stdin, request)
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, OSError):  # the worker has gone
+                raise KernelWorkerError(self.exit_status()) from exc
+            raise
+
+    def receive(self) -> tuple:
+        """The reply to the last request: ``("ok", ...)``, or ``("error",
+        text)`` for a failed request or a worker that has gone.  An
+        interrupted wait closes the worker, whose replies would be out of
+        step."""
+        try:
+            reply = _read(self.proc.stdout)
+        except BaseException:
+            self.close()
+            raise
+        if reply is None:
+            self.close()
+            return ("error", self.exit_status())
+        return reply
+
+    def call(self, request) -> tuple:
+        self.send(request)
+        return _checked(self.receive())
+
+    def exit_status(self) -> str:
+        return f"kernel worker (pid {self.proc.pid}) exited with status {self.proc.returncode}"
+
+    def grid(self, blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime) -> _Grid:
+        """The record of this grid and blocks, sent to the worker on first
+        use.  Sending one drops, on both sides, the records whose tables
+        have been freed or whose constants changed."""
+        key = (id(tables), tuple((rows.start, rows.stop) for rows in blocks))
+        consts = (np.asarray(iota_coeffs, dtype=float).tobytes(), float(psi_b),
+                  np.asarray(p_prime, dtype=float).tobytes())
+        record = self.grids.get(key)
+        if record is not None and record.tables() is tables and record.consts == consts:
+            return record
+        for stale in [k for k, r in self.grids.items() if k == key or r.tables() is None]:
+            self.call(("drop", self.grids.pop(stale).id))
+        self.grids[key] = record = _Grid(self, blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime, consts)
+        return record
+
+    def close(self) -> None:
+        """Close the request pipe and wait for the worker to exit."""
+        import subprocess
+
+        atexit.unregister(self.close)
+        for stream in (self.proc.stdin, self.proc.stdout):
+            try:
+                stream.close()
+            except OSError:  # unsent bytes of a request to a worker that has gone
+                pass
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+def _worker() -> _Worker:
+    """The worker process, started by the first split, and again if it has
+    exited since: a fresh worker holds no grid and is sent each again.
+    Starting it takes 0.2-0.3 s, and a process whose grids never split
+    never starts it."""
+    global _WORKER
+    if _WORKER is None or _WORKER.proc.poll() is not None:
+        if _WORKER is not None:
+            _WORKER.close()
+        _WORKER = _Worker()
+    return _WORKER
+
+
+def _run_blocks(record: _Grid, op: str, block, dtype, *extra) -> list:
+    """``[block(i) for i in range(record.k)]``, the first half of the grid's
+    radial blocks, in the calling process, while the worker process serves
+    ``op`` on the second half through the shared arrays.  The worker's reply
+    is awaited before an error of the caller's blocks propagates, so no
+    block outlives the call; an error in the worker's blocks then raises
+    :class:`KernelWorkerError` with the worker's traceback."""
+    record.worker.send((op, record.id, dtype, record.worker_blocks, *extra))
+    try:
+        first = [block(i) for i in range(record.k)]
+    finally:
+        reply = record.worker.receive()
+    _checked(reply)
+    return first
+
+
+class _Held(_Shared):
+    """The worker's record of a grid: the shared arrays, its blocks' (rows
+    in the shared arrays, arguments of :func:`_block_state`), and their
+    states from a forward to its reverse pass."""
+
+    def __init__(self, path, size, dims, blocks):
+        import mmap
+
+        with open(path, "r+b") as fh:
+            self.buffer = mmap.mmap(fh.fileno(), size)
+        self.dims, self.blocks, self.views, self.states = dims, blocks, {}, {}
+        _retain_freed_heap(dims[0] * dims[1])
+
+    def _states(self, dtype, ids, keep: bool):
+        """Run the blocks ``ids`` into the shared fields; keep their states
+        for the reverse pass (a forward) or drop them (``fields``)."""
+        shared = self.arrays(dtype)
+        if keep:
+            self.states = {}
+        for i in ids:
+            rows, args = self.blocks[i]
+            st = _block_state(shared["jets"][:, :, rows], *args)
+            shared["fields"][0, rows] = st.sqrtg
+            if st.F_mag is not None:  # else the caller's check of the joined sqrt(g) raises
+                shared["fields"][1, rows] = st.F_mag
+                if keep:
+                    self.states[i] = st
+                else:
+                    shared["fields"][2, rows] = grad_B2_magnitude(st)
+
+    def forward(self, dtype, ids):
+        self._states(dtype, ids, keep=True)
+
+    def reverse(self, dtype, ids, redo: bool):
+        if redo:  # the states went to a later forward, or to a worker that has exited
+            self.forward(dtype, ids)
+        shared = self.arrays(dtype)
+        for i in ids:
+            rows, (_, _, tables, _, psi_b, _) = self.blocks[i]
+            grad_rows = _kernel_adjoint(self.states.pop(i), shared["g"][rows], psi_b)
+            shared["grad_jets"][:, :, rows] = tables.adjoint(grad_rows)
+
+    def fields(self, dtype, ids):
+        self._states(dtype, ids, keep=False)
+
+
+def _serve_request(held: dict, op: str, grid_id: int, *args) -> None:
+    if op == "grid":
+        held[grid_id] = _Held(*args)
+    elif op == "drop":
+        del held[grid_id]
+    elif op in ("forward", "reverse", "fields"):
+        getattr(held[grid_id], op)(*args)
+    else:
+        raise ValueError(f"unknown request {op!r}")
+
+
+def _serve(package: str) -> None:
+    """The worker process: check that this module is the caller's ``package``,
+    then reply to each request until the request pipe closes."""
+    import signal
+    import traceback
+
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, not between the replies
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the caller's to handle
+    here = str(Path(__file__).resolve().parent)
+    held = {}
+    try:
+        if here != package:
+            _write(replies, ("error", f"the worker imported equinn from {here}, not from {package}"))
+            return
+        _write(replies, ("ok",))
+        while (request := _read(sys.stdin.buffer)) is not None:
+            try:
+                _serve_request(held, *request)
+                reply = ("ok",)
+            except Exception:
+                reply = ("error", traceback.format_exc())
+            _write(replies, reply)
+    except BrokenPipeError:  # the caller has gone: exit without flushing into the closed pipe
+        os._exit(0)
 
 
 def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: KernelTables,
@@ -674,10 +969,12 @@ def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
     pass maps the gradient of ``F_mag`` to the synthesized rows
     (:func:`_kernel_adjoint`) and on through ``tables.adjoint``.  Both run
     over the radial blocks of :func:`_radial_blocks`, the first half in the
-    calling thread and the second half on a worker thread.  Every sum in the
-    node runs within one radius, so ``F_mag`` and the jets' gradient, joined
-    along the radius, equal those of the whole grid bit for bit; the Jacobian
-    check runs on the joined sqrt(g) and raises what the whole grid raises.
+    calling process and the second half in the worker process
+    (:func:`_run_blocks`), which keeps its blocks' states from the forward
+    to the reverse pass.  Every sum in the node runs within one radius, so
+    ``F_mag`` and the jets' gradient, joined along the radius, equal those
+    of the whole grid bit for bit; the Jacobian check runs on the joined
+    sqrt(g) and raises what the whole grid raises.
     """
     blocks = _radial_blocks(grid)
     if len(blocks) == 1:
@@ -687,22 +984,39 @@ def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
 
         return ad.elemental(profiles.jets, forward)
 
+    kernel = (blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime)
+
     def forward(jets):
-        states, parts = _map_blocks(lambda st, rows: st, blocks, replace(profiles, jets=jets), grid, tables,
-                                    iota_coeffs, psi_b, p_prime)
-        _check_jacobian(np.concatenate([st.sqrtg for st in states]), grid)
+        with _LOCK:
+            record = _worker().grid(*kernel)
+            shared = record.arrays(jets.dtype)
+            shared["jets"][...] = jets[:, :, record.r0:]
+            record.token = token = object()
+            states = _run_blocks(record, "forward",
+                                 lambda i: _block_state(jets[:, :, blocks[i]], *record.args[i]), jets.dtype)
+            _check_jacobian(np.concatenate([st.sqrtg for st in states] + [shared["fields"][0]]), grid)
+            f_mag = np.concatenate([st.F_mag for st in states] + [shared["fields"][1]])
 
         def vjp(g):
             out = np.empty_like(jets)
+            with _LOCK:
+                record = _worker().grid(*kernel)
+                shared = record.arrays(jets.dtype)
+                redo = record.token is not token
+                if redo:
+                    shared["jets"][...] = jets[:, :, record.r0:]
+                record.token = None
+                shared["g"][...] = g[record.r0:]
 
-            def adjoint(i, stages):
-                (rows, block_tables), st = parts[i], states[i]
-                out[:, :, rows] = block_tables.adjoint(_kernel_adjoint(st, g[rows], psi_b))
+                def adjoint(i):
+                    rows, block_tables = blocks[i], record.args[i][2]
+                    out[:, :, rows] = block_tables.adjoint(_kernel_adjoint(states[i], g[rows], psi_b))
 
-            _run_blocks(adjoint, len(parts))
+                _run_blocks(record, "reverse", adjoint, jets.dtype, redo)
+                out[:, :, record.r0:] = shared["grad_jets"]
             return out
 
-        return np.concatenate([st.F_mag for st in states]), vjp
+        return f_mag, vjp
 
     return ad.elemental(profiles.jets, forward)
 
@@ -713,37 +1027,45 @@ def residual_fields(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
     that holds ``sqrtg`` and ``F_mag``, and :func:`grad_B2_magnitude`, on
     plain jets.
 
-    On a grid of several radial blocks (:func:`_radial_blocks`) each block
-    computes the three arrays on :func:`_run_blocks`' threads, writes them
-    into its radii of the joined arrays and drops its state; the Jacobian
-    check runs on the joined sqrt(g).  Nothing in them sums over radii, so
-    they equal the whole grid's bit for bit.
+    On a grid of several radial blocks (:func:`_radial_blocks`) the caller
+    and the worker process each run their half of the blocks
+    (:func:`_run_blocks`); each block writes the three arrays into its radii
+    of the joined arrays and drops its state, and the Jacobian check runs
+    on the joined sqrt(g).  Nothing in them sums over radii, so they equal
+    the whole grid's bit for bit.
 
     Fine-grid ``metrics`` of the ellipse3d bench (50,176 half-grid nodes;
-    2-core Xeon VM, medians of 8-12 alternated in-process calls): whole
-    58.8-60.8 ms, as 2, 4 and 8 blocks 35.0-35.4, 34.3-35.4 and 39.7 ms.
-    ``_MAX_BLOCK_NODES`` bounds the blocks because the worker's heap grows
-    by the largest block it holds: in 40 s bench runs, 4 blocks of 12,544
-    nodes raised ``peak_rss_mb`` by 0.7 and 4.2 MB.  The bound keeps the
-    worker's blocks within the heap its 6,400-node block of the ellipse3d
-    training grid has already grown.
+    2-core Xeon VM, medians of 10 alternated rounds of 4 in-process calls):
+    whole 44.3 ms, as 2, 4, 8 and 16 blocks 27.8, 28.2, 28.6 and 30.7 ms.
+    ``_MAX_BLOCK_NODES`` bounds the blocks because a heap grows by the
+    largest block it holds: in 40 s bench runs with a worker thread, 4
+    blocks of 12,544 nodes raised ``peak_rss_mb`` by 0.7 and 4.2 MB.  The
+    bound keeps the caller's blocks within the heap its 6,400-node block of
+    the ellipse3d training grid has already grown; the worker's blocks grow
+    the worker's own heap.
     """
     blocks = _radial_blocks(grid, _MAX_BLOCK_NODES)
     if len(blocks) == 1:
         st = field_state(profiles, grid, tables, iota_coeffs, psi_b, p_prime)
         return st, grad_B2_magnitude(st)
 
-    # sqrt(g), F_mag and |grad |B|^2| / (2 mu0), allocated here so that the
-    # worker's heap holds no block's arrays past its block
-    out = np.empty((3, grid.n_rho, grid.n_angular), dtype=profiles.jets.dtype)
+    jets = profiles.jets
+    out = np.empty((3, grid.n_rho, grid.n_angular), dtype=jets.dtype)
 
-    def fill(st, rows):
+    def fill(i):
+        rows = blocks[i]
+        st = _block_state(jets[:, :, rows], *record.args[i])
         out[0, rows] = st.sqrtg
         if st.F_mag is not None:  # else the check below raises
             out[1, rows] = st.F_mag
             out[2, rows] = grad_B2_magnitude(st)
 
-    _map_blocks(fill, blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime)
+    with _LOCK:
+        record = _worker().grid(blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime)
+        shared = record.arrays(jets.dtype)
+        shared["jets"][...] = jets[:, :, record.r0:]
+        _run_blocks(record, "fields", fill, jets.dtype)
+        out[:, record.r0:] = shared["fields"]
     _check_jacobian(out[0], grid)
     return FieldState(grid, sqrtg=out[0], F_mag=out[1]), out[2]
 

@@ -16,7 +16,6 @@ thread-count independent, so reruns reproduce checkpoints bit for bit.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import time
 from dataclasses import dataclass, field
@@ -118,7 +117,7 @@ class Solution:
     termination_reason: str
     termination_detail: str = ""  # the divergence message: stage, iteration, node
     termination_error: Optional[str] = None  # type name of the exception a divergence wraps
-    termination_node: Optional[list] = None  # [rho, theta, zeta] of a JacobianSignError node
+    termination_node: Optional[list] = None  # [rho, theta, zeta] of the node a divergence names
 
     @property
     def n_parameters(self) -> int:
@@ -131,29 +130,6 @@ class Diverged(RuntimeError):
     def __init__(self, message, iteration):
         super().__init__(message)
         self.iteration = iteration
-
-
-_heap_pad = 0
-
-
-def _retain_freed_heap(n_bytes: int) -> None:
-    """Have glibc keep ``n_bytes`` of freed memory at the heap top (process-wide,
-    only ever raised).  Each ``value_and_grad`` and ``metrics`` frees the
-    kernel's ``FieldState`` and the adjoint's temporaries at once; trimmed off
-    the heap they fault back in.  Minor faults per call after 5 warm-up calls,
-    without this and with it: ellipse3d ``value_and_grad`` about 4,500 and 0.1,
-    ellipse3d ``metrics`` 2,100 and 0.05, dshape ``value_and_grad`` 270 and 0.15.
-    The pad holds in the kernel worker's own arena too: on the ellipse3d
-    kernel's second radial block (``RUSAGE_THREAD`` in the worker, 20 calls)
-    ``value_and_grad`` faults 1,343 times per call without it and 0.2 with it,
-    ``loss_value`` 896 and 0."""
-    global _heap_pad
-    if n_bytes > _heap_pad:
-        try:
-            ctypes.CDLL(None).mallopt(-2, n_bytes)  # M_TOP_PAD
-        except (OSError, AttributeError):
-            return
-        _heap_pad = n_bytes
 
 
 def _mirror_half(grid: CollocationGrid) -> tuple[CollocationGrid, np.ndarray]:
@@ -204,7 +180,7 @@ class LossAssembler:
         s = grid.rho**2
         self.p_prime = input.pressure_prime(s)
         self.template = NetParams.zeros(width, self.modes_cos, self.modes_sin)
-        _retain_freed_heap(8192 * self.half_grid.n_nodes)
+        mk._retain_freed_heap(self.half_grid.n_nodes)
 
     # -- evaluation ------------------------------------------------------
 
@@ -225,18 +201,31 @@ class LossAssembler:
         """The full-grid node mean of ``f_mag`` given on the half grid."""
         return ad.sum_all(f_mag * self.half_weights) / self.grid.n_nodes
 
+    def _force(self, vec):
+        params = nf.vector_to_params(vec, self.template)
+        return mk.force_magnitude(*self._kernel_args(params, self.half_grid, self.half_tables))
+
     def _loss_expr(self, vec):
         """The loss on the tape: the networks as one node
         (:func:`netfield.profile_stack`), the kernel as one node
         (:func:`mhdkernel.force_magnitude`) and the weighted mean."""
-        params = nf.vector_to_params(vec, self.template)
-        return self._mean(mk.force_magnitude(*self._kernel_args(params, self.half_grid, self.half_tables)))
+        return self._mean(self._force(vec))
+
+    def _located(self, exc: NonFiniteLossError, vec) -> NonFiniteLossError:
+        """``exc`` naming the first non-finite F_mag node of the half grid, in
+        node order, if there is one.  The forward runs again for it, so only
+        a failing evaluation pays."""
+        bad = ~np.isfinite(ad.value_of(self._force(np.asarray(vec, dtype=float))))
+        if not bad.any():
+            return exc
+        node = self.half_grid.node_index(int(np.argmax(bad)))
+        return NonFiniteLossError(f"{exc}; first non-finite |F| at node {node}", node=node)
 
     def loss_value(self, vec: np.ndarray) -> float:
         out = self._loss_expr(np.asarray(vec))
         val = float(out)
         if not np.isfinite(val):
-            raise NonFiniteLossError(f"loss evaluated to {val}")
+            raise self._located(NonFiniteLossError(f"loss evaluated to {val}"), vec)
         return val
 
     def loss_value_precise(self, vec):
@@ -253,7 +242,10 @@ class LossAssembler:
         return out
 
     def value_and_grad(self, vec: np.ndarray):
-        return ad.loss_gradient(self._loss_expr, vec)
+        try:
+            return ad.loss_gradient(self._loss_expr, vec)
+        except NonFiniteLossError as exc:
+            raise self._located(exc, vec) from None
 
     def metrics(self, vec: np.ndarray) -> dict:
         """Normalized residual diagnostics of the training grid, as quadratures

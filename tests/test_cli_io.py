@@ -241,6 +241,46 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
 
+def _write(kind, out: Path, seed: int) -> Path:
+    """Write the file ``kind`` into ``out`` for a state of ``seed``; returns its path."""
+    input, config = dshape()
+    config = replace(config, seed=seed)
+    if kind == "case.txt":
+        cli_io.write_case(input, config, out / kind)
+    elif kind == "eval_summary.json":
+        sets = mode_set_pair(input.M, input.N, input.n_fp)
+        save_checkpoint(out / "c.bin", nf.init_params(sets, 2, seed, input), case_digest(input, config), seed)
+        (out / "case.txt").write_text(cli_io.case_text(input, config))
+        if cli_io.cli(["eval", str(out / "c.bin"), "--case", str(out / "case.txt"), "--grid", "8"]) != 0:
+            raise OSError("eval failed")
+    else:  # a table and the summary of export_metrics
+        sol = zero_net_solution(input)
+        cli_io.export_metrics(replace(sol, termination_reason=f"seed-{seed}", f_norm_profile=sol.f_norm_profile + seed),
+                              out)
+    return out / kind
+
+
+@pytest.mark.parametrize("kind", ["case.txt", "fnorm_profile.csv", "summary.json", "eval_summary.json"])
+def test_a_failed_export_keeps_the_previous_file(tmp_path, monkeypatch, kind):
+    path = _write(kind, tmp_path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_bytes = Path.write_bytes
+
+    def half_write(self, data):
+        if not self.name.startswith(kind + "."):
+            return write_bytes(self, data)
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_write)
+    with pytest.raises(OSError):
+        _write(kind, tmp_path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before[kind]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    assert _write(kind, tmp_path, 2).read_bytes() != before[kind]
+
+
 def test_checkpoint_rejects_a_flipped_payload_byte(tmp_path):
     input, config = dshape()
     path = tmp_path / "c.bin"

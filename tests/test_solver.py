@@ -265,7 +265,7 @@ def test_stage_one_jacobian_divergence_names_error_and_node():
     assert sol.termination_node == [grid.rho[i], grid.theta[j], grid.zeta[k]]
 
 
-def test_nonfinite_loss_divergence_names_error_without_node():
+def test_nonfinite_loss_divergence_names_error_and_node():
     # a pressure gradient near the float64 limit overflows F_s^2 at every node
     input = tiny_input()
     input = nf.EquilibriumInput(
@@ -275,9 +275,11 @@ def test_nonfinite_loss_divergence_names_error_without_node():
     with np.errstate(over="ignore", invalid="ignore"):
         sol = sv.solve(input, tiny_config())
     assert sol.termination_reason == "diverged"
-    assert sol.termination_detail == "initial point is invalid: loss evaluated to inf"
+    assert sol.termination_detail == (
+        "initial point is invalid: loss evaluated to inf; first non-finite |F| at node (0, 0, 0)")
     assert sol.termination_error == "NonFiniteLossError"
-    assert sol.termination_node is None
+    grid = CollocationGrid.build(tiny_config().n_rho, input.M, input.N, input.n_fp)
+    assert sol.termination_node == [grid.rho[0], grid.theta[0], grid.zeta[0]]
 
 
 def test_finished_solve_has_no_termination_error():
@@ -648,48 +650,51 @@ def test_only_the_calling_thread_enters_the_module_stage_functions(monkeypatch):
     assert threads == [threading.get_ident()] * 12
 
 
-class _RecordingWorker:
-    """The kernel's worker, keeping every future it hands out."""
+def _break_the_workers_tables(monkeypatch):
+    """Give the blocks past the first radius tables whose radial weights have
+    no rows, so that the worker's blocks fail in their first stage."""
+    from equinn import mhdkernel as mk
 
-    def __init__(self, worker):
-        self.worker, self.futures = worker, []
+    block = mk.KernelTables.block
 
-    def submit(self, fn):
-        self.futures.append(self.worker.submit(fn))
-        return self.futures[-1]
+    def broken(self, rows):
+        out = block(self, rows)
+        if rows.start >= self.weights.shape[1] // 2:
+            out.weights = out.weights[:, :0]
+        return out
+
+    monkeypatch.setattr(mk.KernelTables, "block", broken)
 
 
 def test_an_error_in_either_block_reaches_the_caller_after_both_finish(monkeypatch):
-    import threading
-    import time
-
     from equinn import mhdkernel as mk
 
     asm, x = ellipse_problem()
+    x2 = x + 0.01
+    whole = asm.value_and_grad(x2)
     monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
-    worker = _RecordingWorker(mk._worker())
-    monkeypatch.setattr(mk, "_WORKER", worker)
-    geometry, *rest = mk._BOUND_STAGES
+    geometry = mk.geometry
 
     def failing(*args, **kwargs):
-        raise RuntimeError(f"block failed in {threading.current_thread().name}")
+        raise RuntimeError("block failed in the caller")
 
-    monkeypatch.setattr(mk, "_BOUND_STAGES", (failing, *rest))
-    with pytest.raises(RuntimeError, match="block failed in equinn-kernel"):
-        asm.value_and_grad(x)
-    assert worker.futures and all(f.done() for f in worker.futures)
-
-    # the calling thread's block fails while the worker's is still running
-    def slow(*args, **kwargs):
-        time.sleep(0.2)
-        return geometry(*args, **kwargs)
-
-    monkeypatch.setattr(mk, "_BOUND_STAGES", (slow, *rest))
+    # the caller's block fails; the worker's reply is still read, so the next
+    # call reads its own (at another point) and rounds as the whole grid
     monkeypatch.setattr(mk, "geometry", failing)
-    worker.futures.clear()
-    with pytest.raises(RuntimeError, match="block failed in MainThread"):
+    with pytest.raises(RuntimeError, match="block failed in the caller"):
+        asm.value_and_grad(x)
+    monkeypatch.setattr(mk, "geometry", geometry)
+    val, grad = asm.value_and_grad(x2)
+    assert val == whole[0] and np.array_equal(grad, whole[1])
+
+    # the worker's block fails after the caller's has run
+    calls = []
+    _break_the_workers_tables(monkeypatch)
+    monkeypatch.setattr(mk, "geometry", lambda *args, **kwargs: calls.append(1) or geometry(*args, **kwargs))
+    asm, x = ellipse_problem()
+    with pytest.raises(mk.KernelWorkerError, match="(?s)Traceback.*_block_state.*ValueError"):
         asm.loss_value(x)
-    assert worker.futures and all(f.done() for f in worker.futures)
+    assert calls == [1]
 
 
 def test_a_second_block_of_the_other_jacobian_sign_names_its_first_node(monkeypatch):
@@ -699,14 +704,14 @@ def test_a_second_block_of_the_other_jacobian_sign_names_its_first_node(monkeypa
 
     asm, x = ellipse_problem()
     monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
-    geometry, *rest = mk._BOUND_STAGES
+    geometry = mk.geometry
 
     def flipped(*args, **kwargs):
         st = geometry(*args, **kwargs)
         st.sqrtg = -st.sqrtg
         return st
 
-    monkeypatch.setattr(mk, "_BOUND_STAGES", (flipped, *rest))
+    monkeypatch.setattr(mk, "geometry", flipped)  # the caller's block only
     with pytest.raises(JacobianSignError) as err:
         asm.value_and_grad(x)
     assert err.value.node == (asm.grid.n_rho // 2, 0, 0)
@@ -757,18 +762,31 @@ def test_radial_blocks_keep_the_worker_within_the_training_block():
 
 
 def test_the_worker_runs_the_second_half_of_the_blocks_as_one_task(monkeypatch):
-    import threading
-
     from equinn import mhdkernel as mk
 
-    worker = _RecordingWorker(mk._worker())
-    monkeypatch.setattr(mk, "_WORKER", worker)
-    here = (mk.geometry, mk.magnetic_field, mk.current, mk.force)
-    ran = mk._run_blocks(lambda i, stages: (i, threading.current_thread().name, stages), 5)
-    assert [i for i, _, _ in ran] == list(range(5))
-    assert [name for _, name, _ in ran] == ["MainThread"] * 3 + ["equinn-kernel_0"] * 2
-    assert [stages for _, _, stages in ran] == [here] * 3 + [mk._BOUND_STAGES] * 2
-    assert len(worker.futures) == 1
+    asm, x = ellipse_problem()
+    _split(monkeypatch, 1)
+    requests, caller_rows = [], []
+    send, block_state = mk._Worker.send, mk._block_state
+
+    def recording_send(self, request):
+        requests.append(request[:1] + request[2:])
+        return send(self, request)
+
+    def recording_block_state(jets, profiles, *args):
+        caller_rows.append(tuple(np.searchsorted(asm.grid.rho, profiles.rho)))
+        return block_state(jets, profiles, *args)
+
+    asm.metrics(x)  # starts the worker and sends the grids on first use
+    asm.value_and_grad(x)
+    monkeypatch.setattr(mk._Worker, "send", recording_send)
+    monkeypatch.setattr(mk, "_block_state", recording_block_state)
+    asm.metrics(x)
+    asm.value_and_grad(x)
+    f64 = np.dtype(float)
+    # metrics as four blocks of one surface, the loss node as two of two
+    assert requests == [("fields", f64, [2, 3]), ("forward", f64, [1]), ("reverse", f64, [1], False)]
+    assert caller_rows == [(0,), (1,), (0, 1)]
 
 
 def test_split_metrics_name_the_same_overlapping_node_as_the_whole_grid(monkeypatch):
@@ -791,15 +809,15 @@ def test_split_metrics_name_the_same_overlapping_node_as_the_whole_grid(monkeypa
     # offenders past the first block: there, the check of the joined sqrt(g) names them
     assert any(i_rho >= first_rows.stop for i_rho, _, _ in nodes)
 
-    # the worker's blocks alone have the other sign, each consistently
-    geometry, *rest = mk._BOUND_STAGES
+    # the caller's blocks alone have the other sign, each consistently
+    geometry = mk.geometry
 
     def flipped(*args, **kwargs):
         st = geometry(*args, **kwargs)
         st.sqrtg = -st.sqrtg
         return st
 
-    monkeypatch.setattr(mk, "_BOUND_STAGES", (flipped, *rest))
+    monkeypatch.setattr(mk, "geometry", flipped)
     with pytest.raises(JacobianSignError) as err:
         asm.metrics(x0)
     assert err.value.node == (asm.grid.n_rho // 2, 0, 0)
@@ -807,23 +825,167 @@ def test_split_metrics_name_the_same_overlapping_node_as_the_whole_grid(monkeypa
 
 
 def test_an_error_in_the_workers_metrics_blocks_reaches_the_caller(monkeypatch):
-    import threading
+    from equinn import mhdkernel as mk
 
+    _break_the_workers_tables(monkeypatch)
+    asm, x = ellipse_problem()
+    _split(monkeypatch, 1)
+    with pytest.raises(mk.KernelWorkerError, match="(?s)Traceback.*_block_state.*ValueError"):
+        asm.metrics(x)
+
+
+# -- the worker process ------------------------------------------------------------------
+
+
+_SPLIT_AND_EXIT = """
+import glob, os, sys
+sys.path.insert(0, sys.argv[1])
+from equinn import mhdkernel as mk
+from test_solver import ellipse_problem
+asm, x = ellipse_problem()
+mk._MIN_BLOCK_NODES = mk._MAX_BLOCK_NODES = 1
+asm.value_and_grad(x)
+asm.metrics(x)
+mapped = glob.glob(os.path.join("/dev/shm", f"equinn-kernel-{os.getpid()}-*"))
+print(os.getpid(), mk._WORKER.proc.pid, len(mk._WORKER.grids), len(mapped))
+"""
+
+
+def test_a_process_that_splits_leaves_no_worker_and_no_file():
+    import glob
+    import os
+    import subprocess
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    run = subprocess.run([sys.executable, "-c", _SPLIT_AND_EXIT, str(Path(__file__).parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    pid, worker, grids, mapped = map(int, run.stdout.split())
+    assert grids == 2 and mapped == 0  # each file is unlinked once both sides have mapped it
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
+    for directory in ("/dev/shm", tempfile.gettempdir()):
+        assert glob.glob(os.path.join(directory, f"equinn-kernel-{pid}-*")) == []
+
+
+def test_a_killed_worker_is_replaced_by_a_fresh_one(monkeypatch):
+    import os
+    import signal
+
+    from equinn import autodiff as ad
     from equinn import mhdkernel as mk
 
     asm, x = ellipse_problem()
-    _split(monkeypatch, 1)
-    worker = _RecordingWorker(mk._worker())
-    monkeypatch.setattr(mk, "_WORKER", worker)
-    geometry, magnetic_field, *rest = mk._BOUND_STAGES
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    val, grad = asm.value_and_grad(x)
+    for taped in (False, True):
+        leaf = ad.Var(x.copy())
+        out = asm._loss_expr(leaf) if taped else None  # a forward whose reverse pass runs after the kill
+        old = mk._WORKER.proc
+        os.kill(old.pid, signal.SIGKILL)
+        old.wait()
+        if taped:
+            out.backward()
+            assert float(out.value) == val and np.array_equal(leaf.grad, grad)
+        else:
+            assert asm.value_and_grad(x)[0] == val
+        assert mk._WORKER.proc.pid != old.pid and mk._WORKER.proc.poll() is None
 
-    def failing(*args, **kwargs):
-        raise RuntimeError(f"block failed in {threading.current_thread().name}")
 
-    monkeypatch.setattr(mk, "_BOUND_STAGES", (geometry, failing, *rest))
-    with pytest.raises(RuntimeError, match="block failed in equinn-kernel"):
-        asm.metrics(x)
-    assert len(worker.futures) == 1 and worker.futures[0].done()
+def test_a_reverse_pass_after_other_calls_on_its_grid_rounds_as_one(monkeypatch):
+    # metrics on the grid of the loss node (the same two blocks) keeps the
+    # worker's states; a later forward replaces them, so the reverse pass redoes it
+    from equinn import autodiff as ad
+    from equinn import mhdkernel as mk
+
+    asm, x = ellipse_problem()
+    val, grad = asm.value_and_grad(x)
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    for between in (asm.metrics, lambda v: asm.loss_value(v + 0.01)):
+        leaf = ad.Var(x.copy())
+        out = asm._loss_expr(leaf)
+        between(x)
+        out.backward()
+        assert float(out.value) == val and np.array_equal(leaf.grad, grad)
+    assert len(mk._radial_blocks(asm.half_grid, mk._MAX_BLOCK_NODES)) == 2
+
+
+def test_the_worker_drops_the_grids_of_freed_tables(monkeypatch):
+    import gc
+
+    from equinn import mhdkernel as mk
+
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    asm, x = ellipse_problem()
+    val = asm.loss_value(x)
+    old = {record.id for record in mk._WORKER.grids.values()}
+    del asm
+    gc.collect()
+    asm, x = ellipse_problem()
+    assert asm.loss_value(x) == val
+    assert [record.tables() for record in mk._WORKER.grids.values()] == [asm.half_tables]
+    for grid_id in old:
+        with pytest.raises(mk.KernelWorkerError, match=f"KeyError: {grid_id}"):
+            mk._WORKER.call(("forward", grid_id, np.dtype(float), [1]))
+
+
+def test_a_bad_request_raises_the_workers_traceback_in_the_caller(monkeypatch):
+    from equinn import mhdkernel as mk
+
+    asm, x = ellipse_problem()
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    val = asm.loss_value(x)
+    record = next(reversed(mk._WORKER.grids.values()))
+    with pytest.raises(mk.KernelWorkerError, match="(?s)Traceback.*KeyError: 7"):
+        mk._WORKER.call(("forward", record.id, np.dtype(float), [7]))  # the grid has blocks 0 and 1
+    with pytest.raises(mk.KernelWorkerError, match="(?s)Traceback.*unknown request 'spin'"):
+        mk._WORKER.call(("spin", record.id))
+    assert asm.loss_value(x) == val  # and the worker serves on
+
+
+def test_a_worker_refuses_another_equinn_than_the_callers(monkeypatch):
+    from equinn import mhdkernel as mk
+
+    monkeypatch.setattr(mk, "_WORKER_MAIN", mk._WORKER_MAIN.replace("sys.argv[2]", "'/elsewhere/equinn'"))
+    message = "did not start: the worker imported equinn from .*, not from /elsewhere/equinn"
+    with pytest.raises(mk.KernelWorkerError, match=message):
+        mk._Worker()
+
+
+def test_a_nonfinite_force_in_the_workers_block_names_its_node(monkeypatch, tmp_path):
+    import json
+
+    from equinn import mhdkernel as mk
+    from equinn.autodiff import NonFiniteLossError
+
+    monkeypatch.setattr(mk, "_MIN_BLOCK_NODES", 1)
+    pressure_prime = nf.EquilibriumInput.pressure_prime
+
+    def nan_on_the_last_surface(self, s):
+        out = np.array(pressure_prime(self, s), dtype=float)
+        out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(nf.EquilibriumInput, "pressure_prime", nan_on_the_last_surface)
+    asm, x = ellipse_problem()
+    last = (asm.grid.n_rho - 1, 0, 0)
+    assert len(mk._radial_blocks(asm.half_grid)) == 2
+    for evaluate in (asm.loss_value, asm.value_and_grad):
+        with pytest.raises(NonFiniteLossError) as err:
+            evaluate(x)
+        assert err.value.node == last
+        assert str(err.value) == f"loss evaluated to nan; first non-finite |F| at node {last}"
+
+    input, _ = cli_io.parse_case_text(ELLIPSE_CASE, "ellipse")
+    sol = sv.solve(input, tiny_config(width=3, n_rho=4))
+    grid = CollocationGrid.build(4, input.M, input.N, input.n_fp)
+    node = [grid.rho[-1], grid.theta[0], grid.zeta[0]]
+    assert (sol.termination_error, sol.termination_node) == ("NonFiniteLossError", node)
+    cli_io.export_metrics(sol, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["termination_error"], summary["termination_node"]) == ("NonFiniteLossError", node)
 
 
 def test_loss_rejects_grids_without_the_mirror_symmetry():
