@@ -755,10 +755,11 @@ class _Grid(_Shared):
                 for i in self.worker_blocks}
         fd, path = tempfile.mkstemp(prefix=f"equinn-kernel-{os.getpid()}-",
                                     dir="/dev/shm" if os.path.isdir("/dev/shm") else None)
+        size = self.size(self.dims)
         try:
-            os.ftruncate(fd, self.size(self.dims))
-            self.buffer = mmap.mmap(fd, self.size(self.dims))
-            worker.call(("grid", self.id, path, self.size(self.dims), self.dims, held))
+            os.ftruncate(fd, size)
+            self.buffer = mmap.mmap(fd, size)
+            worker.call(("grid", self.id, path, size, self.dims, held))
         finally:
             os.close(fd)
             os.unlink(path)
@@ -766,10 +767,9 @@ class _Grid(_Shared):
 
 class _Worker:
     """The kernel's worker process and the caller's records of the grids it
-    holds.  It is ``sys.executable`` running
-    :func:`_serve` on this package's own directory, and it exits when its
-    request pipe closes: at :meth:`close`, which runs at exit, or when the
-    caller dies."""
+    holds.  It is ``sys.executable`` running :func:`_serve` on this
+    package's own directory, and it exits when its request pipe closes: at
+    :meth:`close`, which runs at exit, or when the caller dies."""
 
     def __init__(self):
         import subprocess
