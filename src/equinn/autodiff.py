@@ -2,10 +2,13 @@
 
 Two mechanisms live here:
 
-* :class:`Jet2` -- truncated second-order Taylor jets with respect to one
-  scalar seed variable (the radial coordinate).  The radial profiles are
-  scalar-input functions, so forward propagation of ``(value, d1, d2)``
-  through the networks is cheap and exact.
+* :class:`Jet2` -- truncated second-order Taylor jets ``(value, d1, d2)``
+  with respect to one scalar seed variable (the radial coordinate).  It
+  carries the input jets of the networks (``ProfileConstants.f`` and the
+  axis jet of ``init_params``); the networks themselves propagate the jets
+  on stacked arrays (``netfield._network_jets``, whose activation
+  ``netfield._tanh_jet`` rounds as :meth:`Jet2.tanh`).  :meth:`Jet2.tanh`
+  is the reference implementation, which the tests tape through.
 
 * :class:`Var` -- reverse-mode accumulation over the evaluation trace, used
   to obtain the gradient of the scalar loss with respect to every network
@@ -270,10 +273,10 @@ def mean_all(x):
 class Jet2:
     """Value and first/second derivative with respect to one seed scalar.
 
-    Components may be floats, numpy arrays or :class:`Var` nodes (a taped
-    reference of the networks).  The networks need only the activation,
-    ``(tanh u).d2 = sech^2 u (u.d2 - 2 tanh u u.d1^2)``; their affine layers
-    act on the components directly.
+    Components may be floats, numpy arrays or :class:`Var` nodes (the tests'
+    taped reference of the networks).  The networks need only the
+    activation, ``(tanh u).d2 = sech^2 u (u.d2 - 2 tanh u u.d1^2)``; their
+    affine layers act on the components directly.
     """
 
     __slots__ = ("value", "d1", "d2")

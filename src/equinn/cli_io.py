@@ -377,15 +377,14 @@ def load_checkpoint(path) -> tuple[NetParams, bytes, int]:
     _, _, digest, iteration, width, k, M, N, n_fp, *sha = header.unpack_from(blob)
     if sha and hashlib.sha256(blob[header.size :]).digest() != sha[0]:
         raise ValueError(f"{path}: checkpoint payload does not match its SHA-256")
-    vec = np.frombuffer(blob, dtype="<f8", offset=header.size).astype(float)
-    modes_cos, modes_sin = spectral.mode_set_pair(M, N, n_fp)
-    if k != modes_cos.size:
+    # the header is outside the hash: check it against the payload before building the mode sets
+    if M < 1 or n_fp < 1 or k != M * (2 * N + 1) - N:
         raise ValueError(f"{path}: inconsistent mode count")
-    template = NetParams.zeros(width, modes_cos, modes_sin)
-    if vec.size != template.n_parameters:
+    if len(blob) - header.size != 8 * 3 * (width * width + 3 * width + (width + 1) * k):
         raise ValueError(f"{path}: parameter payload has wrong length")
-    params = nf.vector_to_params(vec, template)
-    return params, digest, iteration
+    vec = np.frombuffer(blob, dtype="<f8", offset=header.size).astype(float)
+    template = NetParams.zeros(width, *spectral.mode_set_pair(M, N, n_fp))
+    return nf.vector_to_params(vec, template), digest, iteration
 
 
 # -- flux-surface exports ----------------------------------------------------------

@@ -34,8 +34,10 @@ the diagnostics run the same four stage functions on plain arrays: the loss
 tapes them as one node from the profile jets to ||F|| (:func:`force_magnitude`),
 whose reverse pass is a hand-written adjoint.  Nothing in that node, nor in
 the arrays the diagnostics read (:func:`residual_fields`), sums over radii,
-so on a large grid both run as radial blocks, half of them in a worker
-process, and round exactly as one block.  The stages call numpy
+so on a large grid both run as radial blocks and round exactly as one
+block: the first half of the blocks in the calling process, the second in a
+worker process, each through the same runner (:meth:`_Blocks.run`) on one
+map of the grid's arrays that both processes share.  The stages call numpy
 directly; on jets that are an :class:`autodiff.Var`, numpy records each call,
 so the stages tape themselves node by node, which gives the reference
 gradient for that adjoint.  The quadratures take plain arrays only.
@@ -608,14 +610,12 @@ def _radial_blocks(grid: CollocationGrid, max_nodes=None) -> list:
     Blocks of 1,200 and 1,600 nodes tie, blocks of 2,000 and more win.  The
     fine-grid ``metrics`` of dshape (4,500 half-grid nodes, N = 0) lose as
     blocks of 2,250: 2.61 ms whole, 3.03 as two.  So a block needs 2,400
-    nodes.  With worker threads, which share the GIL, blocks of 2,400 and
-    3,200 lost (9.1 against 11.0 ms, 11.7 against 13.2) and the bound was
-    4,000.  The loss node takes no ``max_nodes``: it keeps every block's
+    nodes.  The loss node takes no ``max_nodes``: it keeps every block's
     state until its reverse pass, and more blocks only add overhead.
     ``value_and_grad`` on an ellipse3d grid of 40 surfaces (16,000 half-grid
-    nodes; 2-core Xeon VM, medians of 36 alternated rounds of 5 calls) took
-    27.0 ms as 2 blocks and 33.5 ms as 4 blocks of 4,000 nodes on two
-    threads."""
+    nodes; 2-core Xeon VM, medians of 12 alternated rounds of 5 calls, two
+    runs) took 21.1 and 15.5 ms as 2 blocks, 23.2 and 17.5 ms as 4 blocks
+    of 4,000 nodes."""
     n_rho, n_angular = grid.n_rho, grid.n_angular
     n = 1  # blocks of n_rho // n or one more radii
     while (n_rho // (2 * n) * n_angular >= _MIN_BLOCK_NODES
@@ -709,15 +709,24 @@ def _checked(reply) -> tuple:
     return reply[1:]
 
 
-class _Shared:
-    """The arrays a grid's caller and worker share for the worker's radii,
-    laid out in the mapped file ``buffer`` in any float dtype.  ``dims`` are
-    the worker's radii, the angular nodes and the modes."""
+class _Blocks:
+    """One process's half of a split grid: the mapped file ``buffer`` that
+    holds the grid's shared arrays in any float dtype, per block of the half
+    its (radii, arguments of :func:`_block_state`), and the states a forward
+    keeps for its reverse pass.  ``dims`` are the grid's radii, angular nodes
+    and modes; each block reads and writes its own radii of the arrays."""
+
+    def __init__(self, path, size, dims, blocks):
+        import mmap
+
+        with open(path, "r+b") as fh:
+            self.buffer = mmap.mmap(fh.fileno(), size)
+        self.dims, self.blocks, self.views, self.states = dims, blocks, {}, {}
 
     @staticmethod
     def shapes(n_rho: int, n_angular: int, n_modes: int) -> dict:
-        """Their jets and the jets' gradient, the gradient ``g`` of F_mag,
-        and ``fields``: sqrt(g), F_mag and |grad |B|^2| / (2 mu0)."""
+        """The jets and the jets' gradient, the gradient ``g`` of F_mag, and
+        ``fields``: sqrt(g), F_mag and |grad |B|^2| / (2 mu0)."""
         jets = (3, 3, n_rho, n_modes)
         return {"jets": jets, "grad_jets": jets, "g": (n_rho, n_angular), "fields": (3, n_rho, n_angular)}
 
@@ -735,34 +744,73 @@ class _Shared:
             self.views[dtype] = views
         return self.views[dtype]
 
+    def run(self, op: str, dtype, ids, redo: bool = False) -> None:
+        """Run ``op`` on the blocks ``ids`` from the shared jets.  Each block
+        writes its sqrt(g) and F_mag; a ``forward`` keeps its state, a
+        ``fields`` drops it and writes |grad |B|^2| too, and a ``reverse``
+        writes the jets' gradient from ``g`` and the kept state, which it
+        first recomputes when ``redo``: a later forward, or a worker that
+        has exited, took it."""
+        shared = self.arrays(dtype)
+        if op == "forward" or redo:
+            self.states = {}
+        if op != "reverse" or redo:
+            for i in ids:
+                rows, args = self.blocks[i]
+                st = _block_state(shared["jets"][:, :, rows], *args)
+                shared["fields"][0, rows] = st.sqrtg
+                if st.F_mag is not None:  # else the caller's check of the joined sqrt(g) raises
+                    shared["fields"][1, rows] = st.F_mag
+                    if op == "fields":
+                        shared["fields"][2, rows] = grad_B2_magnitude(st)
+                    else:
+                        self.states[i] = st
+        if op == "reverse":
+            for i in ids:
+                rows, (_, _, tables, _, psi_b, _) = self.blocks[i]
+                grad_rows = _kernel_adjoint(self.states.pop(i), shared["g"][rows], psi_b)
+                shared["grad_jets"][:, :, rows] = tables.adjoint(grad_rows)
 
-class _Grid(_Shared):
-    """The caller's record of a grid whose second half of radial blocks the
-    worker holds: the caller's block arguments and the shared arrays.  The
-    file behind them is unlinked once both sides have mapped it."""
+
+class _Grid:
+    """The caller's record of a split grid: its own half of the radial blocks
+    (``mine``, a :class:`_Blocks`) and the ids of the worker's half.  The
+    file behind the shared arrays is unlinked once both sides have mapped
+    it."""
 
     def __init__(self, worker, blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime, consts):
-        import mmap
         import tempfile
 
-        args = _block_args(blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime)
-        self.worker, self.tables, self.consts, self.views = worker, weakref.ref(tables), consts, {}
-        self.k = k = (len(blocks) + 1) // 2  # the caller's blocks
-        self.args, self.worker_blocks, self.r0 = args[:k], list(range(k, len(blocks))), blocks[k].start
-        self.dims = (grid.n_rho - self.r0, grid.n_angular, profiles.modes_cos.size)
+        held = list(zip(blocks, _block_args(blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime)))
+        self.worker, self.tables, self.consts = worker, weakref.ref(tables), consts
         self.id, self.token = next(worker.ids), None
-        held = {i: (slice(blocks[i].start - self.r0, blocks[i].stop - self.r0), args[i])
-                for i in self.worker_blocks}
+        k = (len(blocks) + 1) // 2  # the caller's blocks
+        self.worker_blocks = list(range(k, len(blocks)))
+        dims = (grid.n_rho, grid.n_angular, profiles.modes_cos.size)
         fd, path = tempfile.mkstemp(prefix=f"equinn-kernel-{os.getpid()}-",
                                     dir="/dev/shm" if os.path.isdir("/dev/shm") else None)
-        size = self.size(self.dims)
+        size = _Blocks.size(dims)
         try:
             os.ftruncate(fd, size)
-            self.buffer = mmap.mmap(fd, size)
-            worker.call(("grid", self.id, path, size, self.dims, held))
+            self.mine = _Blocks(path, size, dims, dict(enumerate(held[:k])))
+            worker.call(("grid", self.id, path, size, dims, dict(enumerate(held[k:], k))))
         finally:
             os.close(fd)
             os.unlink(path)
+
+    def run(self, op: str, dtype, *extra) -> None:
+        """:meth:`_Blocks.run` on every block of the grid: the caller's half
+        here while the worker process serves the request ``(op, id, dtype,
+        its blocks, *extra)`` on the other half.  The worker's reply is
+        awaited before an error of the caller's blocks propagates, so no
+        block outlives the call; an error in the worker's blocks then raises
+        :class:`KernelWorkerError` with the worker's traceback."""
+        self.worker.send((op, self.id, dtype, self.worker_blocks, *extra))
+        try:
+            self.mine.run(op, dtype, list(self.mine.blocks), *extra)
+        finally:
+            reply = self.worker.receive()
+        _checked(reply)
 
 
 class _Worker:
@@ -861,75 +909,15 @@ def _worker() -> _Worker:
     return _WORKER
 
 
-def _run_blocks(record: _Grid, op: str, block, dtype, *extra) -> list:
-    """``[block(i) for i in range(record.k)]``, the first half of the grid's
-    radial blocks, in the calling process, while the worker process serves
-    ``op`` on the second half through the shared arrays.  The worker's reply
-    is awaited before an error of the caller's blocks propagates, so no
-    block outlives the call; an error in the worker's blocks then raises
-    :class:`KernelWorkerError` with the worker's traceback."""
-    record.worker.send((op, record.id, dtype, record.worker_blocks, *extra))
-    try:
-        first = [block(i) for i in range(record.k)]
-    finally:
-        reply = record.worker.receive()
-    _checked(reply)
-    return first
-
-
-class _Held(_Shared):
-    """The worker's record of a grid: the shared arrays, its blocks' (rows
-    in the shared arrays, arguments of :func:`_block_state`), and their
-    states from a forward to its reverse pass."""
-
-    def __init__(self, path, size, dims, blocks):
-        import mmap
-
-        with open(path, "r+b") as fh:
-            self.buffer = mmap.mmap(fh.fileno(), size)
-        self.dims, self.blocks, self.views, self.states = dims, blocks, {}, {}
-        _retain_freed_heap(dims[0] * dims[1])
-
-    def _states(self, dtype, ids, keep: bool):
-        """Run the blocks ``ids`` into the shared fields; keep their states
-        for the reverse pass (a forward) or drop them (``fields``)."""
-        shared = self.arrays(dtype)
-        if keep:
-            self.states = {}
-        for i in ids:
-            rows, args = self.blocks[i]
-            st = _block_state(shared["jets"][:, :, rows], *args)
-            shared["fields"][0, rows] = st.sqrtg
-            if st.F_mag is not None:  # else the caller's check of the joined sqrt(g) raises
-                shared["fields"][1, rows] = st.F_mag
-                if keep:
-                    self.states[i] = st
-                else:
-                    shared["fields"][2, rows] = grad_B2_magnitude(st)
-
-    def forward(self, dtype, ids):
-        self._states(dtype, ids, keep=True)
-
-    def reverse(self, dtype, ids, redo: bool):
-        if redo:  # the states went to a later forward, or to a worker that has exited
-            self.forward(dtype, ids)
-        shared = self.arrays(dtype)
-        for i in ids:
-            rows, (_, _, tables, _, psi_b, _) = self.blocks[i]
-            grad_rows = _kernel_adjoint(self.states.pop(i), shared["g"][rows], psi_b)
-            shared["grad_jets"][:, :, rows] = tables.adjoint(grad_rows)
-
-    def fields(self, dtype, ids):
-        self._states(dtype, ids, keep=False)
-
-
 def _serve_request(held: dict, op: str, grid_id: int, *args) -> None:
     if op == "grid":
-        held[grid_id] = _Held(*args)
+        path, size, dims, blocks = args
+        held[grid_id] = _Blocks(path, size, dims, blocks)
+        _retain_freed_heap(sum(rows.stop - rows.start for rows, _ in blocks.values()) * dims[1])
     elif op == "drop":
         del held[grid_id]
     elif op in ("forward", "reverse", "fields"):
-        getattr(held[grid_id], op)(*args)
+        held[grid_id].run(op, *args)
     else:
         raise ValueError(f"unknown request {op!r}")
 
@@ -968,13 +956,15 @@ def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
     The forward runs the four stages on the jets' plain value; the reverse
     pass maps the gradient of ``F_mag`` to the synthesized rows
     (:func:`_kernel_adjoint`) and on through ``tables.adjoint``.  Both run
-    over the radial blocks of :func:`_radial_blocks`, the first half in the
-    calling process and the second half in the worker process
-    (:func:`_run_blocks`), which keeps its blocks' states from the forward
-    to the reverse pass.  Every sum in the node runs within one radius, so
-    ``F_mag`` and the jets' gradient, joined along the radius, equal those
-    of the whole grid bit for bit; the Jacobian check runs on the joined
-    sqrt(g) and raises what the whole grid raises.
+    over the radial blocks of :func:`_radial_blocks`: the caller writes the
+    jets, or the gradient of ``F_mag``, into the grid's shared arrays, and
+    :meth:`_Grid.run` runs the first half of the blocks in the calling
+    process and the second half in the worker process, each half through
+    :meth:`_Blocks.run`, which writes its radii of the results and keeps
+    its blocks' states from the forward to the reverse pass.  Every sum in
+    the node runs within one radius, so the joined ``F_mag`` and jets'
+    gradient equal those of the whole grid bit for bit; the Jacobian check
+    runs on the joined sqrt(g) and raises what the whole grid raises.
     """
     blocks = _radial_blocks(grid)
     if len(blocks) == 1:
@@ -989,32 +979,24 @@ def force_magnitude(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
     def forward(jets):
         with _LOCK:
             record = _worker().grid(*kernel)
-            shared = record.arrays(jets.dtype)
-            shared["jets"][...] = jets[:, :, record.r0:]
+            shared = record.mine.arrays(jets.dtype)
+            shared["jets"][...] = jets
             record.token = token = object()
-            states = _run_blocks(record, "forward",
-                                 lambda i: _block_state(jets[:, :, blocks[i]], *record.args[i]), jets.dtype)
-            _check_jacobian(np.concatenate([st.sqrtg for st in states] + [shared["fields"][0]]), grid)
-            f_mag = np.concatenate([st.F_mag for st in states] + [shared["fields"][1]])
+            record.run("forward", jets.dtype)
+            _check_jacobian(shared["fields"][0], grid)
+            f_mag = shared["fields"][1].copy()
 
         def vjp(g):
-            out = np.empty_like(jets)
             with _LOCK:
                 record = _worker().grid(*kernel)
-                shared = record.arrays(jets.dtype)
+                shared = record.mine.arrays(jets.dtype)
                 redo = record.token is not token
                 if redo:
-                    shared["jets"][...] = jets[:, :, record.r0:]
+                    shared["jets"][...] = jets
                 record.token = None
-                shared["g"][...] = g[record.r0:]
-
-                def adjoint(i):
-                    rows, block_tables = blocks[i], record.args[i][2]
-                    out[:, :, rows] = block_tables.adjoint(_kernel_adjoint(states[i], g[rows], psi_b))
-
-                _run_blocks(record, "reverse", adjoint, jets.dtype, redo)
-                out[:, :, record.r0:] = shared["grad_jets"]
-            return out
+                shared["g"][...] = g
+                record.run("reverse", jets.dtype, redo)
+                return shared["grad_jets"].copy()
 
         return f_mag, vjp
 
@@ -1029,43 +1011,34 @@ def residual_fields(profiles: ProfileStack, grid: CollocationGrid, tables: Kerne
 
     On a grid of several radial blocks (:func:`_radial_blocks`) the caller
     and the worker process each run their half of the blocks
-    (:func:`_run_blocks`); each block writes the three arrays into its radii
-    of the joined arrays and drops its state, and the Jacobian check runs
-    on the joined sqrt(g).  Nothing in them sums over radii, so they equal
-    the whole grid's bit for bit.
+    (:meth:`_Grid.run`); each block writes the three arrays into its radii
+    of the grid's shared arrays and drops its state, the caller copies the
+    joined arrays out, and the Jacobian check runs on the joined sqrt(g).
+    Nothing in them sums over radii, so they equal the whole grid's bit
+    for bit.
 
-    Fine-grid ``metrics`` of the ellipse3d bench (50,176 half-grid nodes;
-    2-core Xeon VM, medians of 10 alternated rounds of 4 in-process calls):
-    whole 44.3 ms, as 2, 4, 8 and 16 blocks 27.8, 28.2, 28.6 and 30.7 ms.
     ``_MAX_BLOCK_NODES`` bounds the blocks because a heap grows by the
-    largest block it holds: in 40 s bench runs with a worker thread, 4
-    blocks of 12,544 nodes raised ``peak_rss_mb`` by 0.7 and 4.2 MB.  The
-    bound keeps the caller's blocks within the heap its 6,400-node block of
-    the ellipse3d training grid has already grown; the worker's blocks grow
-    the worker's own heap.
+    largest block it holds.  Fine-grid ``metrics`` of the ellipse3d bench
+    (50,176 half-grid nodes) after 5 ``value_and_grad`` on its training
+    grid, as 8 blocks and as 2 (2-core Xeon VM, three runs each): the
+    caller's peak RSS 56.6-56.7 against 68.1-68.2 MB, the worker's
+    ``VmHWM`` 44.3-44.4 against 54.7-54.8 MB, at medians of 10 calls of
+    22.3-30.6 against 22.8-27.5 ms.  So the bound keeps the caller's blocks
+    within the heap its 6,400-node block of the training grid has already
+    grown, and the worker's likewise.
     """
     blocks = _radial_blocks(grid, _MAX_BLOCK_NODES)
     if len(blocks) == 1:
         st = field_state(profiles, grid, tables, iota_coeffs, psi_b, p_prime)
         return st, grad_B2_magnitude(st)
 
-    jets = profiles.jets
-    out = np.empty((3, grid.n_rho, grid.n_angular), dtype=jets.dtype)
-
-    def fill(i):
-        rows = blocks[i]
-        st = _block_state(jets[:, :, rows], *record.args[i])
-        out[0, rows] = st.sqrtg
-        if st.F_mag is not None:  # else the check below raises
-            out[1, rows] = st.F_mag
-            out[2, rows] = grad_B2_magnitude(st)
-
+    dtype = profiles.jets.dtype
     with _LOCK:
         record = _worker().grid(blocks, profiles, grid, tables, iota_coeffs, psi_b, p_prime)
-        shared = record.arrays(jets.dtype)
-        shared["jets"][...] = jets[:, :, record.r0:]
-        _run_blocks(record, "fields", fill, jets.dtype)
-        out[:, record.r0:] = shared["fields"]
+        shared = record.mine.arrays(dtype)
+        shared["jets"][...] = profiles.jets
+        record.run("fields", dtype)
+        out = shared["fields"].copy()
     _check_jacobian(out[0], grid)
     return FieldState(grid, sqrtg=out[0], F_mag=out[1]), out[2]
 

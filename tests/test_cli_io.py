@@ -317,6 +317,41 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def _version_1(path, width, k, M, N, n_fp, payload: bytes):
+    import struct
+
+    header = struct.pack("<8sI32sQIIIII", b"EQNNCKPT", 1, bytes(32), 0, width, k, M, N, n_fp)
+    path.write_bytes(header + payload)
+    return path
+
+
+def test_checkpoint_rejects_a_payload_that_stops_mid_float(tmp_path):
+    input, _ = dshape()
+    params = nf.init_params(mode_set_pair(input.M, input.N, input.n_fp), 3, 5, input)
+    payload = nf.params_to_vector(params).astype("<f8").tobytes()
+    k = params.n_modes
+    path = _version_1(tmp_path / "short.bin", 3, k, input.M, input.N, input.n_fp, payload[:-3])
+    with pytest.raises(ValueError, match=f"{path}: parameter payload has wrong length"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("k, M, message", [
+    (5, 2**32 - 1, "inconsistent mode count"),  # a corrupted M
+    (10**6, 10**6, "parameter payload has wrong length"),  # a mode count the payload does not hold
+])
+def test_checkpoint_checks_its_header_before_building_the_mode_sets(tmp_path, monkeypatch, k, M, message):
+    from equinn import spectral
+
+    def unreachable(*args):
+        raise AssertionError("mode sets built from an unchecked header")
+
+    monkeypatch.setattr(spectral, "mode_set_pair", unreachable)
+    payload = bytes(8 * 3 * (9 + 9 + 4 * 5))  # width 3 and 5 modes
+    path = _version_1(tmp_path / "header.bin", 3, k, M, 0, 1, payload)
+    with pytest.raises(ValueError, match=f"{path}: {message}"):
+        load_checkpoint(path)
+
+
 # -- poincare -----------------------------------------------------------------------
 
 

@@ -912,6 +912,33 @@ def test_a_reverse_pass_after_other_calls_on_its_grid_rounds_as_one(monkeypatch)
     assert len(mk._radial_blocks(asm.half_grid, mk._MAX_BLOCK_NODES)) == 2
 
 
+def test_another_grids_calls_leave_a_forwards_states_in_both_processes(monkeypatch):
+    # metrics as four blocks is another record than the loss node's two
+    # blocks: between the forward and its reverse pass it takes no state of
+    # either half, so no block runs its forward twice
+    from equinn import autodiff as ad
+    from equinn import mhdkernel as mk
+
+    asm, x = ellipse_problem()
+    val, grad = asm.value_and_grad(x)
+    _split(monkeypatch, 1)
+    asm.metrics(x)  # sends both grids
+    asm.value_and_grad(x)
+    requests, calls = [], []
+    send, block_state = mk._Worker.send, mk._block_state
+    monkeypatch.setattr(mk._Worker, "send", lambda self, request: requests.append(request[:1] + request[2:])
+                        or send(self, request))
+    monkeypatch.setattr(mk, "_block_state", lambda *args: calls.append(1) or block_state(*args))
+    leaf = ad.Var(x.copy())
+    out = asm._loss_expr(leaf)
+    asm.metrics(x)
+    out.backward()
+    assert float(out.value) == val and np.array_equal(leaf.grad, grad)
+    f64 = np.dtype(float)
+    assert requests == [("forward", f64, [1]), ("fields", f64, [2, 3]), ("reverse", f64, [1], False)]
+    assert len(calls) == 3  # the caller's forward block and its two metrics blocks
+
+
 def test_the_worker_drops_the_grids_of_freed_tables(monkeypatch):
     import gc
 
