@@ -329,8 +329,7 @@ def test_checkpoint_rejects_a_payload_that_stops_mid_float(tmp_path):
     input, _ = dshape()
     params = nf.init_params(mode_set_pair(input.M, input.N, input.n_fp), 3, 5, input)
     payload = nf.params_to_vector(params).astype("<f8").tobytes()
-    k = params.n_modes
-    path = _version_1(tmp_path / "short.bin", 3, k, input.M, input.N, input.n_fp, payload[:-3])
+    path = _version_1(tmp_path / "short.bin", 3, params.n_modes, input.M, input.N, input.n_fp, payload[:-3])
     with pytest.raises(ValueError, match=f"{path}: parameter payload has wrong length"):
         load_checkpoint(path)
 
